@@ -35,8 +35,7 @@ from .errors import (
     DuplicateNameError,
     TruncationError,
 )
-from .layers import DenseLinear, KroneckerEmbedding, KroneckerLinear
-from .model import Block, GPTConfig, TinyGPTModel
+from .model import GPTConfig, TinyGPTModel, layer_tensors, param_layout, stored_factors
 
 MAGIC = b"KTNZ"
 VERSION = 1
@@ -145,74 +144,53 @@ def archive_read(path) -> dict:
 # ---- model checkpoints -------------------------------------------------------
 
 _META_NAME = "__meta__"
+# GPTConfig fields stored in __meta__, in order; hidden_pre_residual follows
+_META_FIELDS = ("n_layers", "n_heads", "d_model", "d_ff", "vocab_size", "max_seq_len", "seed")
 
 
 def save_model(model: TinyGPTModel, path) -> None:
     cfg = model.config
     meta = np.array(
-        [
-            cfg.n_layers, cfg.n_heads, cfg.d_model, cfg.d_ff,
-            cfg.vocab_size, cfg.max_seq_len, cfg.seed,
-            1.0 if model.hidden_pre_residual else 0.0,
-        ],
+        [getattr(cfg, f) for f in _META_FIELDS] + [1.0 if model.hidden_pre_residual else 0.0],
         dtype=np.float64,
     )
     tensors = [(_META_NAME, meta)] + [(n, a) for n, a in model.named_parameters()]
     archive_write(path, tensors)
 
 
-def _pop_linear(tensors: dict, prefix: str):
-    if f"{prefix}.weight" in tensors:
-        weight = tensors.pop(f"{prefix}.weight")
-        bias = tensors.pop(f"{prefix}.bias", None)
-        return DenseLinear(weight=weight, bias=bias)
-    if f"{prefix}.a" in tensors:
-        from .kronecker import KroneckerPair
-
-        a = tensors.pop(f"{prefix}.a")
-        b = tensors.pop(f"{prefix}.b")
-        bias = tensors.pop(f"{prefix}.bias", None)
-        return KroneckerLinear(factors=KroneckerPair(a, b), bias=bias)
-    raise ArchiveError(f"checkpoint missing tensors for layer {prefix!r}")
+def _check_layout(config: GPTConfig, tensors: dict) -> None:
+    """Raise ArchiveError unless ``tensors`` holds exactly the tensors that
+    param_layout names for ``config``, each with its shape."""
+    expected = []
+    for layer in param_layout(config):
+        factors = stored_factors(layer, tensors)
+        layer_expected = layer_tensors(layer, factors)
+        if factors is not None and (factors[0] * factors[2], factors[1] * factors[3]) != layer.shape:
+            (a, a_shape), (b, b_shape) = layer_expected[:2]
+            raise ArchiveError(
+                f"checkpoint tensors {a!r} x {b!r}: expected a product of shape "
+                f"{layer.shape}, found {a_shape} x {b_shape}"
+            )
+        expected += layer_expected
+    for name, shape in expected:
+        found = tensors[name].shape if name in tensors else "no tensor"
+        if found != shape:
+            raise ArchiveError(f"checkpoint tensor {name!r}: expected shape {shape}, found {found}")
+    names = {name for name, _ in expected}
+    for name, arr in tensors.items():
+        if name not in names:
+            raise ArchiveError(f"checkpoint holds unexpected tensor {name!r} of shape {arr.shape}")
 
 
 def load_model(path) -> TinyGPTModel:
-    tensors = {k: v.astype(np.float64) for k, v in archive_read(path).items()}
-    if _META_NAME not in tensors:
+    tensors = {k: v.astype(np.float64, copy=False) for k, v in archive_read(path).items()}
+    meta = tensors.pop(_META_NAME, None)
+    if meta is None:
         raise ArchiveError("checkpoint has no __meta__ record; not a model archive")
-    meta = tensors.pop(_META_NAME)
-    cfg = GPTConfig(
-        n_layers=int(meta[0]), n_heads=int(meta[1]), d_model=int(meta[2]),
-        d_ff=int(meta[3]), vocab_size=int(meta[4]), max_seq_len=int(meta[5]),
-        seed=int(meta[6]),
-    )
-    if "tok_emb.weight" in tensors:
-        tok = tensors.pop("tok_emb.weight")
-    else:
-        tok = KroneckerEmbedding(a_e=tensors.pop("tok_emb.a"), b_e=tensors.pop("tok_emb.b"))
-    pos = tensors.pop("pos_emb.weight")
-    blocks = []
-    for i in range(cfg.n_layers):
-        p = f"block{i}"
-        blocks.append(
-            Block(
-                ln1_gain=tensors.pop(f"{p}.ln1.gain"), ln1_bias=tensors.pop(f"{p}.ln1.bias"),
-                wq=_pop_linear(tensors, f"{p}.wq"), wk=_pop_linear(tensors, f"{p}.wk"),
-                wv=_pop_linear(tensors, f"{p}.wv"), wo=_pop_linear(tensors, f"{p}.wo"),
-                ln2_gain=tensors.pop(f"{p}.ln2.gain"), ln2_bias=tensors.pop(f"{p}.ln2.bias"),
-                c_fc=_pop_linear(tensors, f"{p}.c_fc"), c_proj=_pop_linear(tensors, f"{p}.c_proj"),
-            )
+    if meta.shape != (len(_META_FIELDS) + 1,):
+        raise ArchiveError(
+            f"checkpoint __meta__: expected shape ({len(_META_FIELDS) + 1},), found {meta.shape}"
         )
-    model = TinyGPTModel(
-        config=cfg,
-        tok_emb=tok,
-        pos_emb=pos,
-        blocks=blocks,
-        lnf_gain=tensors.pop("ln_f.gain"),
-        lnf_bias=tensors.pop("ln_f.bias"),
-        lm_head=_pop_linear(tensors, "lm_head"),
-        hidden_pre_residual=bool(meta[7]),
-    )
-    if tensors:
-        raise ArchiveError(f"checkpoint holds unexpected tensors: {sorted(tensors)}")
-    return model
+    cfg = GPTConfig(**{f: int(x) for f, x in zip(_META_FIELDS, meta)})
+    _check_layout(cfg, tensors)
+    return TinyGPTModel.from_tensors(cfg, tensors, hidden_pre_residual=bool(meta[-1]))

@@ -186,6 +186,11 @@ class Tape:
         return self._op(y, (a_e, b_e), vjp)
 
     def layernorm(self, x: Node, gain: Node, bias: Node, eps: float = 1e-5) -> Node:
+        cols = x.value.shape[-1:]
+        if gain.value.shape != cols or bias.value.shape != cols:
+            raise ShapeError(
+                f"layernorm gain/bias {gain.value.shape}/{bias.value.shape} != cols {cols}"
+            )
         mu = x.value.mean(axis=-1, keepdims=True)
         centered = x.value - mu
         var = np.mean(centered * centered, axis=-1, keepdims=True)
@@ -360,14 +365,3 @@ def backward(tape: Tape, loss: Node) -> GradStore:
             store[node.name] = node.grad
     return store
 
-
-def kron_backward(
-    pair: KroneckerPair, x: np.ndarray, upstream: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients (gradA, gradB, gradX) of the factored forward pass.
-
-    Matches differentiating through the materialized kron(A, B) path while
-    never forming the product.
-    """
-    ga, gb, gx = kron_matmul_grads(pair, x, upstream)
-    return ga, gb, gx

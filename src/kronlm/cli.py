@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-
-import numpy as np
 
 from .archive import load_model, save_model
 from .bench import DEFAULT_SHAPES, rows_to_csv, run_bench
@@ -27,8 +26,8 @@ from .distill import (
     weights_for_mode,
 )
 from .errors import KronlmError, PlanningError
-from .layers import CompressionSchedule, KroneckerEmbedding, KroneckerLinear, param_count
-from .model import TinyGPTModel, compress_model
+from .layers import CompressionSchedule, param_count
+from .model import TinyGPTModel, compress_model, layer_factors, layer_tensors
 from .tensor_core import Rng
 
 
@@ -108,54 +107,28 @@ def _layer_selector(raw: str):
         raise PlanningError(f"bad --layers value {raw!r}: {exc}") from exc
 
 
-def _tensor_report_entry(name, layer, report_by_name):
-    # weight tensors only; biases and norm vectors are listed as their own
-    # (uncompressed) entries, so factored counts here exclude the bias
-    if isinstance(layer, KroneckerLinear):
-        shape = list(layer.factors.shape)
-        factor_shapes = [list(layer.factors.a.shape), list(layer.factors.b.shape)]
-        before = shape[0] * shape[1]
-        after = layer.factors.param_count
-    elif isinstance(layer, KroneckerEmbedding):
-        shape = [layer.vocab, layer.dim]
-        factor_shapes = [list(layer.a_e.shape), list(layer.b_e.shape)]
-        before = layer.vocab * layer.dim
-        after = layer.a_e.size + layer.b_e.size
-    else:
-        arr = layer.weight if hasattr(layer, "weight") else layer
-        shape = list(arr.shape)
-        factor_shapes = None
-        before = after = int(np.prod(arr.shape))
-    rep = report_by_name.get(name)
-    return {
-        "name": name,
-        "original_shape": shape,
-        "factor_shapes": factor_shapes,
-        "params_before": before,
-        "params_after": after,
-        "relative_residual": rep.relative_residual if rep else 0.0,
-    }
-
-
 def _compression_report(student: TinyGPTModel, reports) -> dict:
     """Per-tensor accounting for every stored tensor except the LM head,
-    which is never compressed and excluded from the parameter totals."""
-    report_by_name = dict(reports)
+    which is never compressed and excluded from the parameter totals. A
+    factored weight is listed under its dense name; biases and norm vectors
+    are their own (uncompressed) entries."""
+    residuals = {name: rep.relative_residual for name, rep in reports}
     entries = []
-    entries.append(_tensor_report_entry("tok_emb.weight", student.tok_emb, report_by_name))
-    entries.append(_tensor_report_entry("pos_emb.weight", student.pos_emb, report_by_name))
-    for i, block in enumerate(student.blocks):
-        p = f"block{i}"
-        for vec_name, vec in ((f"{p}.ln1.gain", block.ln1_gain), (f"{p}.ln1.bias", block.ln1_bias),
-                              (f"{p}.ln2.gain", block.ln2_gain), (f"{p}.ln2.bias", block.ln2_bias)):
-            entries.append(_tensor_report_entry(vec_name, vec, report_by_name))
-        for role in ("wq", "wk", "wv", "wo", "c_fc", "c_proj"):
-            layer = getattr(block, role)
-            entries.append(_tensor_report_entry(f"{p}.{role}.weight", layer, report_by_name))
-            if layer.bias is not None:
-                entries.append(_tensor_report_entry(f"{p}.{role}.bias", layer.bias, report_by_name))
-    entries.append(_tensor_report_entry("ln_f.gain", student.lnf_gain, report_by_name))
-    entries.append(_tensor_report_entry("ln_f.bias", student.lnf_bias, report_by_name))
+    for layer, obj in student.layers():
+        if layer.kind == "head":
+            continue
+        factors = layer_factors(obj)
+        for k, (name, shape) in enumerate(layer_tensors(layer)):
+            size = math.prod(shape)
+            factored = factors is not None and k == 0  # the weight comes first
+            entries.append({
+                "name": name,
+                "original_shape": list(shape),
+                "factor_shapes": [list(factors[:2]), list(factors[2:])] if factored else None,
+                "params_before": size,
+                "params_after": math.prod(factors[:2]) + math.prod(factors[2:]) if factored else size,
+                "relative_residual": residuals.get(name, 0.0),
+            })
     before = sum(e["params_before"] for e in entries)
     after = sum(e["params_after"] for e in entries)
     return {
@@ -186,10 +159,11 @@ def cmd_compress(args) -> int:
     )
     student, reports = compress_model(teacher, schedule, rng=Rng(args.seed))
     save_model(student, args.output)
+    report = _compression_report(student, reports)
     if args.report:
         with open(args.report, "w") as fh:
-            json.dump(_compression_report(student, reports), fh, indent=2)
-    totals = _compression_report(student, reports)["totals"]
+            json.dump(report, fh, indent=2)
+    totals = report["totals"]
     print(
         f"compressed {args.input} -> {args.output}: "
         f"{totals['params_before']} -> {totals['params_after']} params "

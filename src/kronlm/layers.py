@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PlanningError, ShapeError, TokenIdError
-from .kronecker import DecompositionReport, KroneckerPair, kron_matmul, nearest_kron
+from .errors import PlanningError, ShapeError
+from .kronecker import DecompositionReport, KroneckerPair, nearest_kron
 from .tensor_core import Rng
 
 
@@ -50,6 +50,12 @@ class KroneckerLinear:
 
 
 @dataclass
+class LayerNorm:
+    gain: np.ndarray  # (d,)
+    bias: np.ndarray  # (d,)
+
+
+@dataclass
 class KroneckerEmbedding:
     """Factored lookup table: row i of the implied v x d table is
     kron(a_e[i], b_e)."""
@@ -74,44 +80,6 @@ class KroneckerEmbedding:
         return self.b_e.shape[1]
 
 
-def dense_forward(layer: DenseLinear, x: np.ndarray) -> np.ndarray:
-    """x @ W^T plus bias broadcast per row."""
-    if x.shape[1] != layer.weight.shape[1]:
-        raise ShapeError(f"dense_forward: x {x.shape} vs weight {layer.weight.shape}")
-    y = x @ layer.weight.T
-    if layer.bias is not None:
-        y = y + layer.bias
-    return y
-
-
-def kron_forward(layer: KroneckerLinear, x: np.ndarray) -> np.ndarray:
-    """Same contract as dense_forward with W = materialize(factors), computed
-    through the factored kernel."""
-    y = kron_matmul(layer.factors, x)
-    if layer.bias is not None:
-        y = y + layer.bias
-    return y
-
-
-def embed_lookup(e: KroneckerEmbedding, ids) -> np.ndarray:
-    """Embed ids without building the v x d table; Theta(d) per token."""
-    ids = np.asarray(ids)
-    if ids.size and (ids.min() < 0 or ids.max() >= e.vocab):
-        bad = int(ids[(ids < 0) | (ids >= e.vocab)][0])
-        raise TokenIdError(f"token id {bad} out of range for vocab {e.vocab}")
-    rows = e.a_e[ids]  # (T, d/f)
-    return (rows[:, :, None] * e.b_e[0][None, None, :]).reshape(len(ids), e.dim)
-
-
-def embed_lookup_flops(n_tokens: int, d: int, f: int) -> int:
-    """Multiplication count of embed_lookup: one product per output entry.
-
-    Independent of the vocabulary size and linear in d at fixed f.
-    """
-    del f  # the d/f x f outer product still touches each of the d cells once
-    return n_tokens * d
-
-
 def decompose_linear(
     layer: DenseLinear, shapes: tuple[int, int, int, int], rng: Rng | None = None
 ) -> tuple[KroneckerLinear, DecompositionReport]:
@@ -133,6 +101,8 @@ def param_count(layer) -> int:
         return layer.factors.param_count + (0 if layer.bias is None else layer.bias.size)
     if isinstance(layer, KroneckerEmbedding):
         return layer.a_e.size + layer.b_e.size
+    if isinstance(layer, LayerNorm):
+        return layer.gain.size + layer.bias.size
     if isinstance(layer, np.ndarray):
         return layer.size
     raise TypeError(f"param_count: unsupported layer type {type(layer).__name__}")
@@ -239,6 +209,15 @@ class CompressionSchedule:
 
     def selects(self, layer_index: int) -> bool:
         return layer_index in self.layer_indices
+
+    def factor_shapes(self, block: int, role: str) -> tuple[int, int, int, int] | None:
+        """(m1, n1, m2, n2) of a block's linear map, or None if it stays dense."""
+        if not self.selects(block) or (role == "wo" and not self.include_wo):
+            return None
+        return {
+            "wq": self.shape_qkv, "wk": self.shape_qkv, "wv": self.shape_qkv,
+            "wo": self.shape_wo, "c_fc": self.shape_cfc, "c_proj": self.shape_cproj,
+        }[role]
 
     def embedding_shapes(self, vocab: int, d_model: int) -> tuple[int, int, int, int]:
         f = self.embedding_factor

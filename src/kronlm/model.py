@@ -10,8 +10,11 @@ directly without projections.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,6 +26,7 @@ from .layers import (
     DenseLinear,
     KroneckerEmbedding,
     KroneckerLinear,
+    LayerNorm,
     decompose_linear,
     param_count,
 )
@@ -87,14 +91,12 @@ class TraceNodes:
 
 @dataclass
 class Block:
-    ln1_gain: np.ndarray
-    ln1_bias: np.ndarray
+    ln1: LayerNorm
     wq: DenseLinear | KroneckerLinear
     wk: DenseLinear | KroneckerLinear
     wv: DenseLinear | KroneckerLinear
     wo: DenseLinear | KroneckerLinear
-    ln2_gain: np.ndarray
-    ln2_bias: np.ndarray
+    ln2: LayerNorm
     c_fc: DenseLinear | KroneckerLinear
     c_proj: DenseLinear | KroneckerLinear
 
@@ -110,25 +112,139 @@ class ClassifierHead:
         return self.projection.weight.shape[0]
 
 
-def _linear_params(prefix: str, layer) -> list:
-    if isinstance(layer, KroneckerLinear):
-        out = [(f"{prefix}.a", layer.factors.a), (f"{prefix}.b", layer.factors.b)]
+# ---- parameter layout ------------------------------------------------------
+
+
+class LayerSpec(NamedTuple):
+    """One parameter-holding layer of the model."""
+
+    block: int | None  # owning transformer block; None for a model-level layer
+    role: str  # attribute name on the block or the model
+    kind: str  # "embedding", "table", "norm", "linear" or "head"
+    shape: tuple  # dense shape: (rows, cols), or (d,) for a norm
+
+    @property
+    def prefix(self) -> str:
+        return self.role if self.block is None else f"block{self.block}.{self.role}"
+
+
+def param_layout(config: GPTConfig) -> tuple:
+    """Every parameter-holding layer of a model, in named_parameters order.
+
+    This is the single definition of the tensor naming scheme;
+    ``layer_tensors`` spells out the tensors of each layer.
+    """
+    return _layout(config.n_layers, config.d_model, config.d_ff, config.vocab_size,
+                   config.max_seq_len)
+
+
+@functools.cache
+def _layout(n_layers: int, d: int, dff: int, v: int, max_seq_len: int) -> tuple:
+    block = [
+        ("ln1", "norm", (d,)),
+        ("wq", "linear", (d, d)), ("wk", "linear", (d, d)),
+        ("wv", "linear", (d, d)), ("wo", "linear", (d, d)),
+        ("ln2", "norm", (d,)),
+        ("c_fc", "linear", (dff, d)), ("c_proj", "linear", (d, dff)),
+    ]
+    return tuple(
+        [LayerSpec(None, "tok_emb", "embedding", (v, d)),
+         LayerSpec(None, "pos_emb", "table", (max_seq_len, d))]
+        + [LayerSpec(i, *entry) for i in range(n_layers) for entry in block]
+        + [LayerSpec(None, "ln_f", "norm", (d,)), LayerSpec(None, "lm_head", "head", (v, d))]
+    )
+
+
+@functools.cache
+def layer_tensors(layer: LayerSpec, factors: tuple | None = None) -> tuple:
+    """(name, shape) of each tensor of a layer, in checkpoint order.
+
+    The weight is dense, or with ``factors`` (m1, n1, m2, n2) the pair
+    ``a`` (m1, n1), ``b`` (m2, n2); it comes first. Linear layers add a dense
+    bias and norms hold a gain and a bias.
+    """
+    p = layer.prefix
+    if layer.kind == "norm":
+        return ((f"{p}.gain", layer.shape), (f"{p}.bias", layer.shape))
+    if factors is None:
+        weight = ((f"{p}.weight", layer.shape),)
     else:
-        out = [(f"{prefix}.weight", layer.weight)]
-    if layer.bias is not None:
-        out.append((f"{prefix}.bias", layer.bias))
-    return out
+        m1, n1, m2, n2 = factors
+        weight = ((f"{p}.a", (m1, n1)), (f"{p}.b", (m2, n2)))
+    return weight + ((f"{p}.bias", layer.shape[:1]),) if layer.kind == "linear" else weight
+
+
+def planned_factors(layer: LayerSpec, schedule: CompressionSchedule | None):
+    """(m1, n1, m2, n2) the schedule factors a layer into, or None."""
+    if schedule is None:
+        return None
+    if layer.kind == "embedding":
+        return schedule.embedding_shapes(*layer.shape) if schedule.compress_embedding else None
+    if layer.kind == "linear":
+        return schedule.factor_shapes(layer.block, layer.role)
+    return None
+
+
+def stored_factors(layer: LayerSpec, tensors: dict):
+    """(m1, n1, m2, n2) of a layer that ``tensors`` holds as a 2-D (a, b)
+    pair, else None."""
+    a, b = tensors.get(f"{layer.prefix}.a"), tensors.get(f"{layer.prefix}.b")
+    if layer.kind not in ("embedding", "linear") or a is None or b is None:
+        return None
+    return a.shape + b.shape if a.ndim == b.ndim == 2 else None
+
+
+def layer_factors(obj):
+    """(m1, n1, m2, n2) of a factored layer object, None for a dense one."""
+    return _factors(obj, _arrays(obj))
+
+
+def _factors(obj, arrays: list):
+    if isinstance(obj, (KroneckerEmbedding, KroneckerLinear)):
+        return arrays[0].shape + arrays[1].shape
+    return None
+
+
+def _arrays(obj) -> list:
+    """The arrays of a layer object, in layer_tensors order."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, LayerNorm):
+        return [obj.gain, obj.bias]
+    if isinstance(obj, KroneckerEmbedding):
+        return [obj.a_e, obj.b_e]
+    weight = [obj.factors.a, obj.factors.b] if isinstance(obj, KroneckerLinear) else [obj.weight]
+    return weight if obj.bias is None else weight + [obj.bias]
+
+
+def _make_layer(kind: str, arrays: list, factored: bool):
+    """The layer object over ``arrays`` (in layer_tensors order); inverse of _arrays."""
+    if kind == "norm":
+        return LayerNorm(*arrays)
+    if kind == "table" or (kind == "embedding" and not factored):
+        return arrays[0]
+    if kind == "embedding":
+        return KroneckerEmbedding(*arrays)
+    bias = arrays[-1] if kind == "linear" else None
+    if factored:
+        return KroneckerLinear(KroneckerPair(arrays[0], arrays[1]), bias)
+    return DenseLinear(arrays[0], bias)
+
+
+def _named(layer: LayerSpec, obj) -> list:
+    arrays = _arrays(obj)
+    names = layer_tensors(layer, _factors(obj, arrays))
+    return [(name, arr) for (name, _), arr in zip(names, arrays)]
 
 
 class TinyGPTModel:
-    def __init__(self, config: GPTConfig, tok_emb, pos_emb, blocks, lnf_gain, lnf_bias, lm_head,
+    def __init__(self, config: GPTConfig, tok_emb, pos_emb, blocks, ln_f, lm_head,
                  hidden_pre_residual: bool = False):
         self.config = config
         self.tok_emb = tok_emb  # (v, d) ndarray or KroneckerEmbedding
         self.pos_emb = pos_emb  # (max_seq_len, d)
         self.blocks = blocks
-        self.lnf_gain = lnf_gain
-        self.lnf_bias = lnf_bias
+        self.ln_f = ln_f
         self.lm_head = lm_head  # DenseLinear, never factored
         # hidden-state trace: block output after the residual add by default;
         # set True to record the FFN projection output instead
@@ -137,95 +253,60 @@ class TinyGPTModel:
     # ---- construction ----------------------------------------------------
 
     @classmethod
+    def from_tensors(cls, config: GPTConfig, tensors: dict,
+                     hidden_pre_residual: bool = False) -> "TinyGPTModel":
+        """Model over the arrays of ``{name: array}``, taken as they are (no
+        copy). Names follow param_layout; a layer held as an (a, b) pair is
+        factored."""
+        made = {}
+        for layer in param_layout(config):
+            factors = stored_factors(layer, tensors)
+            arrays = [tensors.get(name) for name, _ in layer_tensors(layer, factors)]
+            made[layer] = _make_layer(layer.kind, arrays, factors is not None)
+        blocks = [
+            Block(**{layer.role: obj for layer, obj in made.items() if layer.block == i})
+            for i in range(config.n_layers)
+        ]
+        top = {layer.role: obj for layer, obj in made.items() if layer.block is None}
+        return cls(config, blocks=blocks, hidden_pre_residual=hidden_pre_residual, **top)
+
+    @classmethod
     def init_random(cls, config: GPTConfig, rng: Rng | None = None) -> "TinyGPTModel":
         if rng is None:
             rng = Rng(config.seed)
-        d, dff, v = config.d_model, config.d_ff, config.vocab_size
-
-        def lin(out_dim, in_dim, with_bias=True):
-            return DenseLinear(
-                weight=rng.normal(out_dim, in_dim, scale=INIT_STD),
-                bias=np.zeros(out_dim) if with_bias else None,
-            )
-
-        blocks = [
-            Block(
-                ln1_gain=np.ones(d), ln1_bias=np.zeros(d),
-                wq=lin(d, d), wk=lin(d, d), wv=lin(d, d), wo=lin(d, d),
-                ln2_gain=np.ones(d), ln2_bias=np.zeros(d),
-                c_fc=lin(dff, d), c_proj=lin(d, dff),
-            )
-            for _ in range(config.n_layers)
-        ]
-        return cls(
-            config=config,
-            tok_emb=rng.normal(v, d, scale=INIT_STD),
-            pos_emb=rng.normal(config.max_seq_len, d, scale=INIT_STD),
-            blocks=blocks,
-            lnf_gain=np.ones(d),
-            lnf_bias=np.zeros(d),
-            lm_head=lin(v, d, with_bias=False),
-        )
+        tensors = {}
+        # block weights are drawn before the model-level tables
+        for layer in sorted(param_layout(config), key=lambda layer: layer.block is None):
+            if layer.kind == "norm":
+                arrays = [np.ones(layer.shape), np.zeros(layer.shape)]
+            else:
+                arrays = [rng.normal(*layer.shape, scale=INIT_STD)]
+                if layer.kind == "linear":
+                    arrays.append(np.zeros(layer.shape[0]))
+            tensors.update(zip((name for name, _ in layer_tensors(layer)), arrays))
+        return cls.from_tensors(config, tensors)
 
     def copy(self) -> "TinyGPTModel":
-        def copy_lin(layer):
-            bias = None if layer.bias is None else layer.bias.copy()
-            if isinstance(layer, KroneckerLinear):
-                return KroneckerLinear(
-                    KroneckerPair(layer.factors.a.copy(), layer.factors.b.copy()), bias
-                )
-            return DenseLinear(layer.weight.copy(), bias)
-
-        if isinstance(self.tok_emb, KroneckerEmbedding):
-            tok = KroneckerEmbedding(self.tok_emb.a_e.copy(), self.tok_emb.b_e.copy())
-        else:
-            tok = self.tok_emb.copy()
-        blocks = [
-            Block(
-                b.ln1_gain.copy(), b.ln1_bias.copy(),
-                copy_lin(b.wq), copy_lin(b.wk), copy_lin(b.wv), copy_lin(b.wo),
-                b.ln2_gain.copy(), b.ln2_bias.copy(),
-                copy_lin(b.c_fc), copy_lin(b.c_proj),
-            )
-            for b in self.blocks
-        ]
-        return TinyGPTModel(
-            self.config, tok, self.pos_emb.copy(), blocks,
-            self.lnf_gain.copy(), self.lnf_bias.copy(), copy_lin(self.lm_head),
-            hidden_pre_residual=self.hidden_pre_residual,
-        )
+        tensors = {name: arr.copy() for name, arr in self.named_parameters()}
+        return self.from_tensors(self.config, tensors, self.hidden_pre_residual)
 
     # ---- parameters --------------------------------------------------------
 
+    def layers(self) -> list:
+        """(LayerSpec, layer object) for every parameter-holding layer."""
+        return [
+            (layer, getattr(self if layer.block is None else self.blocks[layer.block], layer.role))
+            for layer in param_layout(self.config)
+        ]
+
     def named_parameters(self) -> list:
-        out = []
-        if isinstance(self.tok_emb, KroneckerEmbedding):
-            out += [("tok_emb.a", self.tok_emb.a_e), ("tok_emb.b", self.tok_emb.b_e)]
-        else:
-            out.append(("tok_emb.weight", self.tok_emb))
-        out.append(("pos_emb.weight", self.pos_emb))
-        for i, b in enumerate(self.blocks):
-            p = f"block{i}"
-            out += [(f"{p}.ln1.gain", b.ln1_gain), (f"{p}.ln1.bias", b.ln1_bias)]
-            for role in ("wq", "wk", "wv", "wo"):
-                out += _linear_params(f"{p}.{role}", getattr(b, role))
-            out += [(f"{p}.ln2.gain", b.ln2_gain), (f"{p}.ln2.bias", b.ln2_bias)]
-            out += _linear_params(f"{p}.c_fc", b.c_fc)
-            out += _linear_params(f"{p}.c_proj", b.c_proj)
-        out += [("ln_f.gain", self.lnf_gain), ("ln_f.bias", self.lnf_bias)]
-        out += _linear_params("lm_head", self.lm_head)
-        return out
+        return [pair for layer, obj in self.layers() for pair in _named(layer, obj)]
 
     def param_count(self, exclude_lm_head: bool = False) -> int:
-        total = param_count(self.pos_emb) + self.lnf_gain.size + self.lnf_bias.size
-        total += param_count(self.tok_emb)
-        for b in self.blocks:
-            total += b.ln1_gain.size + b.ln1_bias.size + b.ln2_gain.size + b.ln2_bias.size
-            for layer in (b.wq, b.wk, b.wv, b.wo, b.c_fc, b.c_proj):
-                total += param_count(layer)
-        if not exclude_lm_head:
-            total += param_count(self.lm_head)
-        return total
+        return sum(
+            param_count(obj) for layer, obj in self.layers()
+            if not (exclude_lm_head and layer.kind == "head")
+        )
 
     def state_hash(self) -> str:
         h = hashlib.sha256()
@@ -318,7 +399,9 @@ class ClassifierModel:
         self.head = head
 
     def named_parameters(self) -> list:
-        return self.base.named_parameters() + _linear_params("classifier", self.head.projection)
+        projection = self.head.projection
+        head = LayerSpec(None, "classifier", "linear", projection.shape)
+        return self.base.named_parameters() + _named(head, projection)
 
     def forward_tape(self, tape: Tape, tokens, params: dict | None = None):
         tokens = self.base._check_tokens(tokens)
@@ -334,12 +417,7 @@ class ClassifierModel:
         nodes, class_logits = self.forward_tape(Tape(), tokens)
         return nodes.values(), class_logits.value
 
-    def state_hash(self) -> str:
-        h = hashlib.sha256()
-        for name, arr in self.named_parameters():
-            h.update(name.encode())
-            h.update(np.ascontiguousarray(arr).tobytes())
-        return h.hexdigest()
+    state_hash = TinyGPTModel.state_hash
 
 
 def attach_classifier(model: TinyGPTModel, n_classes: int, rng: Rng | None = None) -> ClassifierModel:
@@ -372,38 +450,30 @@ def compress_model(
     if rng is None:
         rng = Rng(teacher.config.seed)
     student = teacher.copy()
+    planned = [
+        (layer, factors) for layer in param_layout(teacher.config)
+        if (factors := planned_factors(layer, schedule)) is not None
+    ]
+    # the embedding first, then block by block with wo after the FFN maps:
+    # the order the solver's random starts are drawn in
+    planned.sort(key=lambda p: (-1 if p[0].block is None else p[0].block, p[0].role == "wo"))
     reports = []
-
-    if schedule.compress_embedding:
-        if isinstance(teacher.tok_emb, KroneckerEmbedding):
-            raise ShapeError("compress_model expects a dense token embedding")
-        v, d = teacher.tok_emb.shape
+    for layer, factors in planned:
+        name = layer_tensors(layer)[0][0]
+        owner = student if layer.block is None else student.blocks[layer.block]
+        dense = getattr(owner, layer.role)
+        if not isinstance(dense, np.ndarray if layer.kind == "embedding" else DenseLinear):
+            raise ShapeError(f"{name}: compress_model expects a dense teacher layer")
         try:
-            pair, report = nearest_kron(teacher.tok_emb, *schedule.embedding_shapes(v, d), rng=rng)
+            if layer.kind == "embedding":
+                pair, report = nearest_kron(dense, *factors, rng=rng)
+                factored = KroneckerEmbedding(a_e=pair.a, b_e=pair.b)
+            else:
+                factored, report = decompose_linear(dense, factors, rng=rng)
         except Exception as exc:
-            raise type(exc)(f"tok_emb: {exc}") from exc
-        student.tok_emb = KroneckerEmbedding(a_e=pair.a, b_e=pair.b)
-        reports.append(("tok_emb.weight", report))
-
-    roles = ["wq", "wk", "wv", "c_fc", "c_proj"] + (["wo"] if schedule.include_wo else [])
-    shape_for = {
-        "wq": schedule.shape_qkv, "wk": schedule.shape_qkv, "wv": schedule.shape_qkv,
-        "wo": schedule.shape_wo, "c_fc": schedule.shape_cfc, "c_proj": schedule.shape_cproj,
-    }
-    for i, block in enumerate(student.blocks):
-        if not schedule.selects(i):
-            continue
-        for role in roles:
-            layer = getattr(block, role)
-            name = f"block{i}.{role}.weight"
-            if not isinstance(layer, DenseLinear):
-                raise ShapeError(f"{name}: compress_model expects dense teacher layers")
-            try:
-                factored, report = decompose_linear(layer, shape_for[role], rng=rng)
-            except Exception as exc:
-                raise type(exc)(f"{name}: {exc}") from exc
-            setattr(block, role, factored)
-            reports.append((name, report))
+            raise type(exc)(f"{name}: {exc}") from exc
+        setattr(owner, layer.role, factored)
+        reports.append((name, report))
     return student, reports
 
 
@@ -413,35 +483,9 @@ def count_config_params(
     exclude_lm_head: bool = False,
 ) -> int:
     """Parameter count from shape arithmetic alone; no weights allocated."""
-    d, dff, v = config.d_model, config.d_ff, config.vocab_size
-
-    def kron_params(shapes):
-        m1, n1, m2, n2 = shapes
-        return m1 * n1 + m2 * n2
-
-    if schedule is not None and schedule.compress_embedding:
-        total = kron_params(schedule.embedding_shapes(v, d))
-    else:
-        total = v * d
-    total += config.max_seq_len * d  # positions
-    for i in range(config.n_layers):
-        total += 4 * d  # two layer norms
-        selected = schedule is not None and schedule.selects(i)
-        for role, (rows, cols) in (
-            ("wq", (d, d)), ("wk", (d, d)), ("wv", (d, d)), ("wo", (d, d)),
-            ("c_fc", (dff, d)), ("c_proj", (d, dff)),
-        ):
-            factored = selected and (role != "wo" or schedule.include_wo)
-            if factored:
-                shapes = {
-                    "wq": schedule.shape_qkv, "wk": schedule.shape_qkv,
-                    "wv": schedule.shape_qkv, "wo": schedule.shape_wo,
-                    "c_fc": schedule.shape_cfc, "c_proj": schedule.shape_cproj,
-                }[role]
-                total += kron_params(shapes) + rows  # dense bias
-            else:
-                total += rows * cols + rows
-    total += 2 * d  # final layer norm
-    if not exclude_lm_head:
-        total += v * d  # LM head (never compressed, no bias)
-    return total
+    return sum(
+        math.prod(shape)
+        for layer in param_layout(config)
+        if not (exclude_lm_head and layer.kind == "head")
+        for _, shape in layer_tensors(layer, planned_factors(layer, schedule))
+    )

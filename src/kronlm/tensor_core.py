@@ -1,5 +1,5 @@
 """Dense numeric foundation: matrices as 2-D float64 numpy arrays plus the
-elementwise / normalization kernels the model is built from.
+elementwise and softmax kernels the model is built from.
 
 Conventions, fixed once for the whole package:
   * matrices are row-major (numpy C order) float64 arrays
@@ -10,8 +10,6 @@ Conventions, fixed once for the whole package:
 from __future__ import annotations
 
 import numpy as np
-
-from .errors import ShapeError
 
 # tanh-approximation GELU constants (pinned for reproducibility)
 GELU_SQRT_2_OVER_PI = 0.7978845608028654  # sqrt(2/pi)
@@ -48,29 +46,6 @@ class Rng:
         return v / nv
 
 
-def as_matrix(x, name: str = "matrix") -> np.ndarray:
-    """Coerce to a 2-D float64 C-order array, rejecting anything else."""
-    a = np.ascontiguousarray(x, dtype=np.float64)
-    if a.ndim != 2:
-        raise ShapeError(f"{name} must be 2-D, got ndim={a.ndim}")
-    if a.shape[0] < 1 or a.shape[1] < 1:
-        raise ShapeError(f"{name} must have positive dims, got {a.shape}")
-    return a
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Standard matrix product with an explicit shape check."""
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(
-            f"matmul shape mismatch: {getattr(a, 'shape', None)} x {getattr(b, 'shape', None)}"
-        )
-    return a @ b
-
-
-def transpose(a: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(a.T)
-
-
 def softmax_rows(m: np.ndarray) -> np.ndarray:
     """Row softmax with max-subtraction; rows of the result sum to 1."""
     z = m - m.max(axis=-1, keepdims=True)
@@ -96,25 +71,6 @@ def log_softmax_rows(m: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
-def layernorm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    """Row-wise layer normalization followed by the affine (gain, bias).
-
-    Uses population variance (ddof=0). gain/bias lengths must equal x.cols.
-    """
-    gain = np.asarray(gain, dtype=np.float64)
-    bias = np.asarray(bias, dtype=np.float64)
-    if gain.shape != (x.shape[-1],) or bias.shape != (x.shape[-1],):
-        raise ShapeError(
-            f"layernorm gain/bias length {gain.shape}/{bias.shape} != cols {x.shape[-1]}"
-        )
-    if eps <= 0:
-        raise ValueError("layernorm eps must be > 0")
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    xhat = (x - mu) / np.sqrt(var + eps)
-    return xhat * gain + bias
-
-
 def gelu(x: np.ndarray) -> np.ndarray:
     """GELU, tanh approximation:
 
@@ -133,11 +89,6 @@ def gelu_with_grad(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     d_inner = GELU_SQRT_2_OVER_PI * (1.0 + 3.0 * GELU_CUBIC_COEFF * x2)
     grad = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner
     return value, grad
-
-
-def gelu_grad(x: np.ndarray) -> np.ndarray:
-    """Elementwise derivative of the tanh-approximation GELU."""
-    return gelu_with_grad(x)[1]
 
 
 def causal_mask(t: int) -> np.ndarray:

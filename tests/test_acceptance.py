@@ -38,14 +38,12 @@ from kronlm.layers import (
     DenseLinear,
     KroneckerEmbedding,
     KroneckerLinear,
-    dense_forward,
-    embed_lookup,
-    kron_forward,
 )
 from kronlm.model import GPTConfig, TinyGPTModel, compress_model, count_config_params
 from kronlm.tensor_core import Rng, causal_mask
 
 from test_autodiff import materialized_path_grads
+from test_layers import dense_forward, embed_lookup, kron_forward
 from test_distill import random_trace
 from test_kronecker import brute_force_det
 
@@ -162,7 +160,7 @@ def test_criterion_05_factored_path_equivalence():
     got = embed_lookup(emb, ids)
     want = table[ids]
     assert np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-30) < 1e-9
-    report(5, "kron_forward and embed_lookup match materialized oracles within 1e-9 "
+    report(5, "Tape.kron_linear and Tape.kron_embed match materialized oracles within 1e-9 "
                "on all schedule shapes at 1/64 scale")
 
 

@@ -162,3 +162,41 @@ def test_compressed_checkpoint_roundtrip(tmp_path):
     assert loaded.state_hash() == student.state_hash()
     tokens = np.array([1, 2, 3])
     assert np.array_equal(loaded.forward(tokens).logits, student.forward(tokens).logits)
+
+
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("block1.wq.weight", np.zeros((8, 4)),
+         r"'block1\.wq\.weight': expected shape \(8, 8\), found \(8, 4\)"),
+        ("block1.ln2.gain", np.ones(5), r"'block1\.ln2\.gain': expected shape \(8,\), found \(5,\)"),
+        ("ln_f.bias", None, r"'ln_f\.bias': expected shape \(8,\), found no tensor"),
+        ("block1.wq.extra", np.zeros(3), r"unexpected tensor 'block1\.wq\.extra' of shape \(3,\)"),
+    ],
+    ids=["wrong_linear_shape", "wrong_norm_length", "missing_tensor", "extra_tensor"],
+)
+def test_load_model_checks_every_tensor_against_layout(tmp_path, name, value, message):
+    cfg = GPTConfig(n_layers=2, n_heads=2, d_model=8, d_ff=16, vocab_size=16, max_seq_len=8, seed=4)
+    path = tmp_path / "m.knz"
+    save_model(TinyGPTModel.init_random(cfg), path)
+    tensors = archive_read(path)
+    if value is None:
+        del tensors[name]
+    else:
+        tensors[name] = value
+    archive_write(path, tensors)
+    with pytest.raises(ArchiveError, match=message):
+        load_model(path)
+
+
+def test_load_model_checks_factor_product(tmp_path):
+    cfg = GPTConfig(n_layers=2, n_heads=2, d_model=8, d_ff=16, vocab_size=16, max_seq_len=8, seed=4)
+    student, _ = compress_model(TinyGPTModel.init_random(cfg),
+                                CompressionSchedule.for_dims(2, 8, 16), rng=Rng(0))
+    path = tmp_path / "s.knz"
+    save_model(student, path)
+    tensors = archive_read(path)
+    tensors["block1.c_fc.a"] = np.zeros((8, 4))  # (8, 4) x (2, 1) is not (16, 8)
+    archive_write(path, tensors)
+    with pytest.raises(ArchiveError, match=r"'block1\.c_fc\.a' x 'block1\.c_fc\.b'.*\(16, 8\)"):
+        load_model(path)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kronlm.autodiff import Tape, backward, kron_backward
+from kronlm.autodiff import Tape, backward
 from kronlm.errors import ShapeError, TokenIdError
 from kronlm.kronecker import KroneckerPair, kron, rearrange
 from kronlm.tensor_core import Rng, causal_mask, masked_softmax
@@ -224,7 +224,15 @@ def test_gather_rejects_out_of_range_and_names_id():
         tape.gather_rows(table, np.array([0, 7]))
 
 
-# ---- kron_backward vs the materialized path -----------------------------------
+# ---- Tape.kron_linear backward vs the materialized path ------------------------
+
+
+def kron_backward(pair, x, upstream):
+    """(grad_a, grad_b, grad_x) of Tape.kron_linear for an upstream gradient."""
+    tape = Tape()
+    xn, an, bn = tape.leaf(x, "x"), tape.leaf(pair.a, "a"), tape.leaf(pair.b, "b")
+    grad_x, grad_a, grad_b = tape.kron_linear(xn, an, bn)._vjp(upstream)
+    return grad_a, grad_b, grad_x
 
 
 def materialized_path_grads(a, b, x, upstream):

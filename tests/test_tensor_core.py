@@ -4,15 +4,21 @@ import sys
 import numpy as np
 import pytest
 
+from kronlm.autodiff import Tape
 from kronlm.errors import ShapeError
-from kronlm.tensor_core import (
-    Rng,
-    gelu,
-    layernorm,
-    matmul,
-    softmax_rows,
-    transpose,
-)
+from kronlm.tensor_core import Rng, gelu, softmax_rows
+
+# matmul and layernorm run as Tape ops; these adapters test them on arrays
+
+
+def matmul(a, b):
+    tape = Tape()
+    return tape.matmul(tape.constant(a), tape.constant(b)).value
+
+
+def layernorm(x, gain, bias, eps=1e-5):
+    tape = Tape()
+    return tape.layernorm(tape.constant(x), tape.constant(gain), tape.constant(bias), eps).value
 
 
 def test_matmul_identity():
@@ -51,11 +57,6 @@ def test_matmul_associativity():
         left = matmul(matmul(a, b), c)
         right = matmul(a, matmul(b, c))
         assert np.linalg.norm(left - right) / np.linalg.norm(left) < 1e-9
-
-
-def test_transpose_involution_exact():
-    m = Rng(3).normal(6, 4)
-    assert np.array_equal(transpose(transpose(m)), m)
 
 
 def test_softmax_symmetry():
