@@ -450,7 +450,7 @@ def sample_batch(tokens: np.ndarray, batch_size: int, seq_len: int, rng: Rng) ->
     """Random (batch_size, seq_len + 1) windows from a token stream."""
     if len(tokens) < seq_len + 1:
         raise ShapeError(f"corpus too short: {len(tokens)} tokens < seq_len + 1 = {seq_len + 1}")
-    starts = rng.integers(0, len(tokens) - seq_len - 1, size=batch_size)
+    starts = rng.integers(0, len(tokens) - seq_len, size=batch_size)  # high is exclusive
     return np.stack([tokens[s : s + seq_len + 1] for s in starts]).astype(np.int64)
 
 

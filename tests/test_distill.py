@@ -270,6 +270,17 @@ def test_sample_batch_shapes_and_determinism():
         sample_batch(np.arange(4), 1, 16, Rng(0))
 
 
+def test_sample_batch_draws_every_window_start():
+    # 12 tokens hold (seq_len + 1)-long windows at starts 0..3, the last included
+    batch = sample_batch(np.arange(12), 200, 8, Rng(3))
+    assert sorted(set(batch[:, 0].tolist())) == [0, 1, 2, 3]
+
+
+def test_sample_batch_accepts_a_corpus_of_exactly_one_window():
+    tokens = np.arange(9)
+    assert np.array_equal(sample_batch(tokens, 3, 8, Rng(0)), np.tile(tokens, (3, 1)))
+
+
 def test_run_phase_none_and_metrics_file(tmp_path, small_teacher, small_student):
     tokens = Rng(8).integers(0, 16, size=4000).astype(np.int64)
     cfg = TrainConfig(batch_size=2, learning_rate=1e-3, epochs=1, seed=9, seq_len=8)
