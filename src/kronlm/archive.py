@@ -33,6 +33,7 @@ from .errors import (
     BadVersionError,
     CrcError,
     DuplicateNameError,
+    KronlmError,
     TruncationError,
 )
 from .model import GPTConfig, TinyGPTModel, layer_tensors, param_layout, stored_factors
@@ -165,11 +166,14 @@ def _check_layout(config: GPTConfig, tensors: dict) -> None:
     for layer in param_layout(config):
         factors = stored_factors(layer, tensors)
         layer_expected = layer_tensors(layer, factors)
-        if factors is not None and (factors[0] * factors[2], factors[1] * factors[3]) != layer.shape:
+        if factors is not None and (
+            (factors[0] * factors[2], factors[1] * factors[3]) != layer.shape
+            or (layer.kind == "embedding" and factors[2] != 1)  # one A row per token
+        ):
             (a, a_shape), (b, b_shape) = layer_expected[:2]
             raise ArchiveError(
-                f"checkpoint tensors {a!r} x {b!r}: expected a product of shape "
-                f"{layer.shape}, found {a_shape} x {b_shape}"
+                f"checkpoint tensors {a!r} x {b!r}: expected a {layer.kind} product of "
+                f"shape {layer.shape}, found {a_shape} x {b_shape}"
             )
         expected += layer_expected
     for name, shape in expected:
@@ -191,6 +195,9 @@ def load_model(path) -> TinyGPTModel:
         raise ArchiveError(
             f"checkpoint __meta__: expected shape ({len(_META_FIELDS) + 1},), found {meta.shape}"
         )
-    cfg = GPTConfig(**{f: int(x) for f, x in zip(_META_FIELDS, meta)})
+    try:
+        cfg = GPTConfig(**{f: int(x) for f, x in zip(_META_FIELDS, meta)})
+    except (KronlmError, ValueError, ZeroDivisionError) as exc:
+        raise ArchiveError(f"checkpoint __meta__ {meta.tolist()} is not a model config: {exc}") from exc
     _check_layout(cfg, tensors)
     return TinyGPTModel.from_tensors(cfg, tensors, hidden_pre_residual=bool(meta[-1]))

@@ -27,7 +27,7 @@ from .distill import (
 )
 from .errors import KronlmError, PlanningError
 from .layers import CompressionSchedule, param_count
-from .model import TinyGPTModel, compress_model, layer_factors, layer_tensors
+from .model import TinyGPTModel, compress_model, layer_tensors, param_layout, stored_factors
 from .tensor_core import Rng
 
 
@@ -113,11 +113,12 @@ def _compression_report(student: TinyGPTModel, reports) -> dict:
     factored weight is listed under its dense name; biases and norm vectors
     are their own (uncompressed) entries."""
     residuals = {name: rep.relative_residual for name, rep in reports}
+    tensors = dict(student.named_parameters())
     entries = []
-    for layer, obj in student.layers():
+    for layer in param_layout(student.config):
         if layer.kind == "head":
             continue
-        factors = layer_factors(obj)
+        factors = stored_factors(layer, tensors)
         for k, (name, shape) in enumerate(layer_tensors(layer)):
             size = math.prod(shape)
             factored = factors is not None and k == 0  # the weight comes first

@@ -210,14 +210,19 @@ class CompressionSchedule:
     def selects(self, layer_index: int) -> bool:
         return layer_index in self.layer_indices
 
-    def factor_shapes(self, block: int, role: str) -> tuple[int, int, int, int] | None:
-        """(m1, n1, m2, n2) of a block's linear map, or None if it stays dense."""
-        if not self.selects(block) or (role == "wo" and not self.include_wo):
+    def factor_shapes(self, layer) -> tuple[int, int, int, int] | None:
+        """(m1, n1, m2, n2) the schedule factors a layer into, or None if it
+        stays dense; ``layer`` is a ``kronlm.model.LayerSpec``."""
+        if layer.kind == "embedding":
+            return self.embedding_shapes(*layer.shape) if self.compress_embedding else None
+        if layer.kind != "linear" or not self.selects(layer.block):
+            return None
+        if layer.role == "wo" and not self.include_wo:
             return None
         return {
             "wq": self.shape_qkv, "wk": self.shape_qkv, "wv": self.shape_qkv,
             "wo": self.shape_wo, "c_fc": self.shape_cfc, "c_proj": self.shape_cproj,
-        }[role]
+        }[layer.role]
 
     def embedding_shapes(self, vocab: int, d_model: int) -> tuple[int, int, int, int]:
         f = self.embedding_factor

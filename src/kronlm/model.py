@@ -138,7 +138,7 @@ def param_layout(config: GPTConfig) -> tuple:
                    config.max_seq_len)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=64)
 def _layout(n_layers: int, d: int, dff: int, v: int, max_seq_len: int) -> tuple:
     block = [
         ("ln1", "norm", (d,)),
@@ -155,7 +155,7 @@ def _layout(n_layers: int, d: int, dff: int, v: int, max_seq_len: int) -> tuple:
     )
 
 
-@functools.cache
+@functools.lru_cache(maxsize=4096)  # named_parameters runs on every forward
 def layer_tensors(layer: LayerSpec, factors: tuple | None = None) -> tuple:
     """(name, shape) of each tensor of a layer, in checkpoint order.
 
@@ -174,17 +174,6 @@ def layer_tensors(layer: LayerSpec, factors: tuple | None = None) -> tuple:
     return weight + ((f"{p}.bias", layer.shape[:1]),) if layer.kind == "linear" else weight
 
 
-def planned_factors(layer: LayerSpec, schedule: CompressionSchedule | None):
-    """(m1, n1, m2, n2) the schedule factors a layer into, or None."""
-    if schedule is None:
-        return None
-    if layer.kind == "embedding":
-        return schedule.embedding_shapes(*layer.shape) if schedule.compress_embedding else None
-    if layer.kind == "linear":
-        return schedule.factor_shapes(layer.block, layer.role)
-    return None
-
-
 def stored_factors(layer: LayerSpec, tensors: dict):
     """(m1, n1, m2, n2) of a layer that ``tensors`` holds as a 2-D (a, b)
     pair, else None."""
@@ -192,17 +181,6 @@ def stored_factors(layer: LayerSpec, tensors: dict):
     if layer.kind not in ("embedding", "linear") or a is None or b is None:
         return None
     return a.shape + b.shape if a.ndim == b.ndim == 2 else None
-
-
-def layer_factors(obj):
-    """(m1, n1, m2, n2) of a factored layer object, None for a dense one."""
-    return _factors(obj, _arrays(obj))
-
-
-def _factors(obj, arrays: list):
-    if isinstance(obj, (KroneckerEmbedding, KroneckerLinear)):
-        return arrays[0].shape + arrays[1].shape
-    return None
 
 
 def _arrays(obj) -> list:
@@ -233,7 +211,8 @@ def _make_layer(kind: str, arrays: list, factored: bool):
 
 def _named(layer: LayerSpec, obj) -> list:
     arrays = _arrays(obj)
-    names = layer_tensors(layer, _factors(obj, arrays))
+    factored = isinstance(obj, (KroneckerEmbedding, KroneckerLinear))
+    names = layer_tensors(layer, arrays[0].shape + arrays[1].shape if factored else None)
     return [(name, arr) for (name, _), arr in zip(names, arrays)]
 
 
@@ -452,10 +431,11 @@ def compress_model(
     student = teacher.copy()
     planned = [
         (layer, factors) for layer in param_layout(teacher.config)
-        if (factors := planned_factors(layer, schedule)) is not None
+        if (factors := schedule.factor_shapes(layer)) is not None
     ]
-    # the embedding first, then block by block with wo after the FFN maps:
-    # the order the solver's random starts are drawn in
+    # the solver draws its random starts from the shared rng, so a seed gives
+    # the same factors only in a fixed order: the embedding, then block by
+    # block with wo after the FFN maps
     planned.sort(key=lambda p: (-1 if p[0].block is None else p[0].block, p[0].role == "wo"))
     reports = []
     for layer, factors in planned:
@@ -487,5 +467,5 @@ def count_config_params(
         math.prod(shape)
         for layer in param_layout(config)
         if not (exclude_lm_head and layer.kind == "head")
-        for _, shape in layer_tensors(layer, planned_factors(layer, schedule))
+        for _, shape in layer_tensors(layer, schedule and schedule.factor_shapes(layer))
     )

@@ -189,14 +189,38 @@ def test_load_model_checks_every_tensor_against_layout(tmp_path, name, value, me
         load_model(path)
 
 
-def test_load_model_checks_factor_product(tmp_path):
+@pytest.mark.parametrize(
+    "replace, message",
+    [
+        # (8, 4) x (2, 1) is not (16, 8)
+        ({"block1.c_fc.a": np.zeros((8, 4))},
+         r"'block1\.c_fc\.a' x 'block1\.c_fc\.b'.*\(16, 8\)"),
+        # the right product, but the embedding's A must keep one row per token
+        ({"tok_emb.a": np.zeros((8, 8)), "tok_emb.b": np.zeros((2, 1))},
+         r"'tok_emb\.a' x 'tok_emb\.b'.*\(16, 8\)"),
+    ],
+    ids=["product_shape", "embedding_b_rows"],
+)
+def test_load_model_checks_factor_pairs(tmp_path, replace, message):
     cfg = GPTConfig(n_layers=2, n_heads=2, d_model=8, d_ff=16, vocab_size=16, max_seq_len=8, seed=4)
     student, _ = compress_model(TinyGPTModel.init_random(cfg),
                                 CompressionSchedule.for_dims(2, 8, 16), rng=Rng(0))
     path = tmp_path / "s.knz"
     save_model(student, path)
     tensors = archive_read(path)
-    tensors["block1.c_fc.a"] = np.zeros((8, 4))  # (8, 4) x (2, 1) is not (16, 8)
+    tensors.update(replace)
     archive_write(path, tensors)
-    with pytest.raises(ArchiveError, match=r"'block1\.c_fc\.a' x 'block1\.c_fc\.b'.*\(16, 8\)"):
+    with pytest.raises(ArchiveError, match=message):
+        load_model(path)
+
+
+@pytest.mark.parametrize("value", [0.0, np.nan], ids=["zero_heads", "nan_heads"])
+def test_load_model_rejects_invalid_meta(tmp_path, value):
+    cfg = GPTConfig(n_layers=1, n_heads=2, d_model=8, d_ff=16, vocab_size=16, max_seq_len=8)
+    path = tmp_path / "m.knz"
+    save_model(TinyGPTModel.init_random(cfg), path)
+    tensors = archive_read(path)
+    tensors["__meta__"][1] = value  # n_heads
+    archive_write(path, tensors)
+    with pytest.raises(ArchiveError, match="__meta__"):
         load_model(path)

@@ -12,7 +12,6 @@ from kronlm.model import (
     count_config_params,
     layer_tensors,
     param_layout,
-    planned_factors,
 )
 from kronlm.tensor_core import Rng
 
@@ -52,7 +51,7 @@ def test_layout_matches_models_counts_and_checkpoints(tmp_path_factory, case):
     for exclude in (False, True):
         assert count_config_params(cfg, schedule, exclude) == model.param_count(exclude)
     layout = [t for layer in param_layout(cfg)
-              for t in layer_tensors(layer, planned_factors(layer, schedule))]
+              for t in layer_tensors(layer, schedule and schedule.factor_shapes(layer))]
     assert layout == [(name, arr.shape) for name, arr in model.named_parameters()]
     d = tmp_path_factory.mktemp("ckpt")
     save_model(model, d / "a.knz")
