@@ -43,9 +43,9 @@ from kronlm.model import GPTConfig, TinyGPTModel, compress_model, count_config_p
 from kronlm.tensor_core import Rng, causal_mask
 
 from test_autodiff import materialized_path_grads
-from test_layers import dense_forward, embed_lookup, kron_forward
 from test_distill import random_trace
 from test_kronecker import brute_force_det
+from test_layers import dense_forward, embed_lookup, kron_forward
 
 
 def report(n: int, text: str):
