@@ -9,7 +9,6 @@ from .kronecker import (
     kron_matmul,
     kron_matvec,
     nearest_kron,
-    rank1_svd,
     rearrange,
 )
 from .layers import CompressionSchedule, DenseLinear, KroneckerEmbedding, KroneckerLinear
@@ -37,7 +36,6 @@ __all__ = [
     "kron_matvec",
     "nearest_kron",
     "perplexity",
-    "rank1_svd",
     "rearrange",
     "run_phase",
 ]

@@ -1,8 +1,9 @@
 """Command-line front end: compress | train | eval | bench.
 
-Every command honors --seed (falling back to the KNZ_SEED environment
+Every command takes --seed (falling back to the KNZ_SEED environment
 variable) and is end-to-end deterministic for a fixed seed, apart from the
-wall-clock fields in metrics and benchmark output. Exit code 0 on success;
+wall-clock fields in metrics and benchmark output. compress draws nothing
+random, so its output does not depend on the seed. Exit code 0 on success;
 failures print a diagnostic to stderr and exit nonzero.
 """
 
@@ -28,7 +29,6 @@ from .distill import (
 from .errors import KronlmError, PlanningError
 from .layers import CompressionSchedule, param_count
 from .model import TinyGPTModel, compress_model, layer_tensors, param_layout, stored_factors
-from .tensor_core import Rng
 
 
 def _default_seed() -> int:
@@ -158,7 +158,7 @@ def cmd_compress(args) -> int:
         embedding_factor=args.embedding_factor,
         include_wo=args.include_wo,
     )
-    student, reports = compress_model(teacher, schedule, rng=Rng(args.seed))
+    student, reports = compress_model(teacher, schedule)
     save_model(student, args.output)
     report = _compression_report(student, reports)
     if args.report:

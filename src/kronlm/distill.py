@@ -316,8 +316,14 @@ class Adam:
 
 
 def clip_global_norm(grads: dict, max_norm: float) -> float:
-    """Scale all gradients so their joint L2 norm is at most max_norm."""
+    """Scale all gradients so their joint L2 norm is at most max_norm.
+
+    Raises NonFiniteLossError, leaving every gradient as it was, when the norm
+    is NaN or infinite: no such step may reach the optimizer.
+    """
     total = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
+    if not np.isfinite(total):
+        raise NonFiniteLossError(f"non-finite gradient norm: {total}")
     if total > max_norm > 0:
         factor = max_norm / total
         for g in grads.values():

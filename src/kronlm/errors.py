@@ -13,14 +13,6 @@ class PlanningError(KronlmError):
     """No valid factor-shape split exists for the requested compression."""
 
 
-class ConvergenceError(KronlmError):
-    """Power iteration did not converge within the allowed iterations."""
-
-    def __init__(self, message, result=None):
-        super().__init__(message)
-        self.result = result  # last Rank1Result iterate, for callers that want it
-
-
 class TokenIdError(KronlmError):
     """A token id falls outside the vocabulary. The message names the id."""
 

@@ -1,7 +1,6 @@
 """Kronecker algebra: the product itself, the Van Loan-Pitsianis
-rearrangement, rank-1 SVD by power iteration, nearest-Kronecker
-decomposition, and factored matvec/matmul kernels that never materialize
-the full product.
+rearrangement, nearest-Kronecker decomposition by a thin SVD, and factored
+matvec/matmul kernels that never materialize the full product.
 
 All vec/reshape conventions are row-major. Under that convention, for
 W (m1*m2 x n1*n2) sliced into an m1 x n1 grid of m2 x n2 blocks,
@@ -13,7 +12,9 @@ is an entry bijection, so Frobenius norms are preserved and
     || W - A (x) B ||_F  ==  || rearrange(W) - vec(A) vec(B)^T ||_F
 
 for every A (m1 x n1), B (m2 x n2). The nearest Kronecker pair is
-therefore the rank-1 truncation of the rearranged matrix.
+therefore the rank-1 truncation of the rearranged matrix. For every planned
+shape B is tiny (2x1, 1x2, 2x2 or 1xf), so the rearranged matrix has only a
+few columns and its thin SVD is exact and cheap.
 """
 
 from __future__ import annotations
@@ -22,19 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, ShapeError
-from .tensor_core import Rng
-
-DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITERS = 1000
-# decomposition entry points allow far more iterations: each one costs a few
-# flops on the tiny Gram matrix, and near-tied top singular values (typical
-# for the rearrangement of a random embedding table) converge slowly
-DECOMPOSE_MAX_ITERS = 200_000
-
-# above this many entries, residuals are computed algebraically instead of
-# by materializing the rank-1 subtraction
-_RESIDUAL_DIRECT_LIMIT = 4_000_000
+from .errors import KronlmError, ShapeError
 
 
 @dataclass
@@ -61,16 +50,7 @@ class DecompositionReport:
     residual_fro: float
     relative_residual: float
     singular_value: float
-    power_iterations_used: int
-
-
-@dataclass
-class Rank1Result:
-    u: np.ndarray
-    sigma: float
-    v: np.ndarray
-    iterations: int
-    converged: bool
+    power_iterations_used: int  # always 0 (the solver is direct); the benchmark tracer reads it
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -106,124 +86,40 @@ def unrearrange(r: np.ndarray, m1: int, n1: int, m2: int, n2: int) -> np.ndarray
     )
 
 
-def rank1_svd(
-    m: np.ndarray,
-    max_iters: int = DEFAULT_MAX_ITERS,
-    tol: float = DEFAULT_TOL,
-    rng: Rng | None = None,
-) -> Rank1Result:
-    """Dominant singular triplet of m by power iteration on m^T m.
-
-    Iterates v <- normalize(m^T m v) from a random unit start and stops when
-    successive sigma estimates differ by less than ``tol``. The sign is fixed
-    so the largest-magnitude entry of u is positive. Non-convergence is
-    reported in the result, not raised; the caller decides.
-    """
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
-    if rng is None:
-        rng = Rng(0)
-    rows, cols = m.shape
-
-    # iterate on the explicit Gram matrix when it is small; otherwise apply
-    # m^T (m v) as two matvecs, which is the same operator
-    gram = m.T @ m if cols <= 64 else None
-
-    def apply_gram(x):
-        return gram @ x if gram is not None else m.T @ (m @ x)
-
-    v = rng.unit_vector(cols)
-    sigma_prev = None
-    sigma = 0.0
-    converged = False
-    iters = 0
-    for iters in range(1, max_iters + 1):
-        w = apply_gram(v)
-        sigma = float(np.sqrt(max(v @ w, 0.0)))  # ||m v|| for the current unit v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            # v is (numerically) in the null space; for m == 0 this means sigma = 0
-            sigma = 0.0
-            converged = True
-            break
-        v = w / nw
-        if sigma_prev is not None and abs(sigma - sigma_prev) < tol:
-            converged = True
-            break
-        sigma_prev = sigma
-
-    mv = m @ v
-    if sigma > 0.0:
-        sigma = float(np.linalg.norm(mv))  # exact value at the final iterate
-        u = mv / sigma
-        nu = np.linalg.norm(u)
-        if nu > 0:
-            u = u / nu
-    else:
-        u = np.zeros(rows)
-        u[0] = 1.0
-
-    # pin the SVD sign ambiguity: largest-|u| entry positive
-    j = int(np.argmax(np.abs(u)))
-    if u[j] < 0:
-        u = -u
-        v = -v
-    return Rank1Result(u=u, sigma=sigma, v=v, iterations=iters, converged=converged)
-
-
-def _rank1_residual(m: np.ndarray, u: np.ndarray, sigma: float, v: np.ndarray) -> float:
-    """|| m - sigma u v^T ||_F for unit u, v.
-
-    Direct subtraction when m is small (exact to roundoff); the algebraic
-    expansion ||m||^2 - 2 sigma u^T m v + sigma^2 for very large m, where the
-    residual is large anyway and cancellation is harmless.
-    """
-    if m.size <= _RESIDUAL_DIRECT_LIMIT:
-        return float(np.linalg.norm(m - sigma * np.outer(u, v)))
-    total = float(np.linalg.norm(m)) ** 2 - 2.0 * sigma * float(u @ (m @ v)) + sigma**2
-    return float(np.sqrt(max(total, 0.0)))
-
-
 def nearest_kron(
-    w: np.ndarray,
-    m1: int,
-    n1: int,
-    m2: int,
-    n2: int,
-    rng: Rng | None = None,
-    max_iters: int = DECOMPOSE_MAX_ITERS,
-    tol: float = DEFAULT_TOL,
+    w: np.ndarray, m1: int, n1: int, m2: int, n2: int
 ) -> tuple[KroneckerPair, DecompositionReport]:
     """Best Frobenius-norm approximation of w by a single Kronecker product.
 
-    Solves argmin ||w - A (x) B||_F over A (m1 x n1), B (m2 x n2) via the
-    rank-1 SVD of the rearranged w; sigma is split evenly (sqrt(sigma) into
-    each factor) so the factors have balanced magnitudes.
+    Solves argmin ||w - A (x) B||_F over A (m1 x n1), B (m2 x n2) exactly,
+    from a thin SVD of the rearranged w; sigma is split evenly (sqrt(sigma)
+    into each factor) so the factors have balanced magnitudes. The sign is
+    fixed so the largest-magnitude entry of vec(A) is positive, and the
+    residual is read off the remaining singular values.
 
-    Raises ConvergenceError if the power iteration does not converge.
+    Raises KronlmError if w holds a NaN or an infinity.
     """
     r = rearrange(w, m1, n1, m2, n2)
-    res = rank1_svd(r, max_iters=max_iters, tol=tol, rng=rng)
-    if not res.converged:
-        raise ConvergenceError(
-            f"rank-1 power iteration did not converge in {max_iters} iterations "
-            f"(last sigma {res.sigma:.6e})",
-            result=res,
+    bad = ~np.isfinite(w)
+    if bad.any():
+        first = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise KronlmError(
+            f"nearest_kron: w holds {int(bad.sum())} non-finite entries (first at {first})"
         )
-    scale = np.sqrt(res.sigma)
-    a = (scale * res.u).reshape(m1, n1)
-    b = (scale * res.v).reshape(m2, n2)
-    residual = _rank1_residual(r, res.u, res.sigma, res.v)
-    w_norm = float(np.linalg.norm(r))  # rearrangement preserves the norm
+    u, s, vt = np.linalg.svd(r, full_matrices=False)
+    u, v = u[:, 0], vt[0]
+    if u[np.argmax(np.abs(u))] < 0:
+        u, v = -u, -v
+    scale = np.sqrt(s[0])
+    residual = float(np.sqrt(np.sum(s[1:] ** 2)))
+    w_norm = float(np.sqrt(np.sum(s**2)))
     report = DecompositionReport(
         residual_fro=residual,
         relative_residual=residual / w_norm if w_norm > 0 else 0.0,
-        singular_value=res.sigma,
-        power_iterations_used=res.iterations,
+        singular_value=float(s[0]),
+        power_iterations_used=0,
     )
-    return KroneckerPair(a=a, b=b), report
+    return KroneckerPair(a=(scale * u).reshape(m1, n1), b=(scale * v).reshape(m2, n2)), report
 
 
 def kron_matmul(pair: KroneckerPair, x: np.ndarray) -> np.ndarray:

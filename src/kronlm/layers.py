@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import PlanningError, ShapeError
 from .kronecker import DecompositionReport, KroneckerPair, nearest_kron
-from .tensor_core import Rng
 
 
 @dataclass
@@ -81,14 +80,14 @@ class KroneckerEmbedding:
 
 
 def decompose_linear(
-    layer: DenseLinear, shapes: tuple[int, int, int, int], rng: Rng | None = None
+    layer: DenseLinear, shapes: tuple[int, int, int, int]
 ) -> tuple[KroneckerLinear, DecompositionReport]:
     """Nearest-Kronecker initialization of a factored layer from a dense one.
 
     The bias is copied unchanged.
     """
     m1, n1, m2, n2 = shapes
-    pair, report = nearest_kron(layer.weight, m1, n1, m2, n2, rng=rng)
+    pair, report = nearest_kron(layer.weight, m1, n1, m2, n2)
     bias = None if layer.bias is None else layer.bias.copy()
     return KroneckerLinear(factors=pair, bias=bias), report
 
@@ -188,9 +187,10 @@ class CompressionSchedule:
                     raise PlanningError(f"layer index {i} out of range for {n_layers} blocks")
         if embedding_factor is None:
             embedding_factor = factor
-        if compress_embedding and d_model % embedding_factor != 0:
+        if compress_embedding and (embedding_factor < 1 or d_model % embedding_factor != 0):
             raise PlanningError(
-                f"embedding factor {embedding_factor} does not divide d_model {d_model}"
+                f"embedding factor {embedding_factor} is not a positive divisor of "
+                f"d_model {d_model}"
             )
         shape_qkv = plan_shapes(d_model, d_model, factor)
         shape_cfc = plan_shapes(d_ff, d_model, factor)
@@ -226,6 +226,8 @@ class CompressionSchedule:
 
     def embedding_shapes(self, vocab: int, d_model: int) -> tuple[int, int, int, int]:
         f = self.embedding_factor
-        if d_model % f != 0:
-            raise PlanningError(f"embedding factor {f} does not divide d_model {d_model}")
+        if f < 1 or d_model % f != 0:
+            raise PlanningError(
+                f"embedding factor {f} is not a positive divisor of d_model {d_model}"
+            )
         return (vocab, d_model // f, 1, f)

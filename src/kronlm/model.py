@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .autodiff import Node, Tape
-from .errors import ShapeError
+from .errors import KronlmError, ShapeError
 from .kronecker import KroneckerPair, nearest_kron
 from .layers import (
     CompressionSchedule,
@@ -423,38 +423,31 @@ def compress_model(
     Selected blocks get their q/k/v (optionally wo) and both FFN projections
     replaced by nearest-Kronecker factors; the embedding table becomes a
     KroneckerEmbedding. Everything else (biases, layer norms, positions, the
-    LM head, unselected blocks) is copied verbatim. Returns the student and a
-    list of (tensor name, DecompositionReport).
+    LM head, unselected blocks) is copied verbatim; the student shares no
+    array with the teacher. Returns the student and a list of (tensor name,
+    DecompositionReport) in named_parameters order. ``rng`` is accepted and
+    ignored: the decomposition is exact and draws nothing random.
     """
-    if rng is None:
-        rng = Rng(teacher.config.seed)
-    student = teacher.copy()
-    planned = [
-        (layer, factors) for layer in param_layout(teacher.config)
-        if (factors := schedule.factor_shapes(layer)) is not None
-    ]
-    # the solver draws its random starts from the shared rng, so a seed gives
-    # the same factors only in a fixed order: the embedding, then block by
-    # block with wo after the FFN maps
-    planned.sort(key=lambda p: (-1 if p[0].block is None else p[0].block, p[0].role == "wo"))
-    reports = []
-    for layer, factors in planned:
+    tensors, reports = {}, []
+    for layer, obj in teacher.layers():
+        factors = schedule.factor_shapes(layer)
+        if factors is None:
+            tensors.update((name, arr.copy()) for name, arr in _named(layer, obj))
+            continue
         name = layer_tensors(layer)[0][0]
-        owner = student if layer.block is None else student.blocks[layer.block]
-        dense = getattr(owner, layer.role)
-        if not isinstance(dense, np.ndarray if layer.kind == "embedding" else DenseLinear):
+        if not isinstance(obj, np.ndarray if layer.kind == "embedding" else DenseLinear):
             raise ShapeError(f"{name}: compress_model expects a dense teacher layer")
         try:
             if layer.kind == "embedding":
-                pair, report = nearest_kron(dense, *factors, rng=rng)
+                pair, report = nearest_kron(obj, *factors)
                 factored = KroneckerEmbedding(a_e=pair.a, b_e=pair.b)
             else:
-                factored, report = decompose_linear(dense, factors, rng=rng)
-        except Exception as exc:
+                factored, report = decompose_linear(obj, factors)
+        except (KronlmError, np.linalg.LinAlgError) as exc:
             raise type(exc)(f"{name}: {exc}") from exc
-        setattr(owner, layer.role, factored)
+        tensors.update(_named(layer, factored))
         reports.append((name, report))
-    return student, reports
+    return TinyGPTModel.from_tensors(teacher.config, tensors, teacher.hidden_pre_residual), reports
 
 
 def count_config_params(

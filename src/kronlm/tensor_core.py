@@ -36,15 +36,6 @@ class Rng:
     def integers(self, low: int, high: int, size=None) -> np.ndarray:
         return self._gen.integers(low, high, size=size)
 
-    def unit_vector(self, n: int) -> np.ndarray:
-        """Random unit-norm vector, re-drawn in the (measure-zero) zero case."""
-        v = self._gen.standard_normal(n)
-        nv = np.linalg.norm(v)
-        while nv == 0.0:
-            v = self._gen.standard_normal(n)
-            nv = np.linalg.norm(v)
-        return v / nv
-
 
 def softmax_rows(m: np.ndarray) -> np.ndarray:
     """Row softmax with max-subtraction; rows of the result sum to 1."""

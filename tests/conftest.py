@@ -65,7 +65,7 @@ def small_student(small_config, small_teacher):
     schedule = CompressionSchedule.for_dims(
         small_config.n_layers, small_config.d_model, small_config.d_ff, factor=2
     )
-    student, _ = compress_model(small_teacher, schedule, rng=Rng(5))
+    student, _ = compress_model(small_teacher, schedule)
     return student
 
 

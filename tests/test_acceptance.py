@@ -120,7 +120,7 @@ def test_criterion_04_nearest_kron_optimality():
     for n, shapes in ((4, (2, 2, 2, 2)), (6, (3, 2, 2, 3))):
         for _ in range(25):
             w = rng.normal(n, n)
-            pair, rep = nearest_kron(w, *shapes, rng=Rng(7))
+            pair, rep = nearest_kron(w, *shapes)
             cand = Rng(1000 + checked)
             m1, n1, m2, n2 = shapes
             best = min(
@@ -131,7 +131,7 @@ def test_criterion_04_nearest_kron_optimality():
             checked += 1
     for _ in range(10):
         a0, b0 = rng.normal(3, 2), rng.normal(2, 2)
-        _, rep = nearest_kron(kron(a0, b0), 3, 2, 2, 2, rng=Rng(8))
+        _, rep = nearest_kron(kron(a0, b0), 3, 2, 2, 2)
         assert rep.relative_residual <= 1e-6
     report(4, f"{checked} random 4x4/6x6 decompositions beat 1000 random candidates each; "
                "exactly-factorable inputs recover residual <= 1e-6")
@@ -176,7 +176,7 @@ def test_criterion_06_gradient_correctness():
                     max_seq_len=10, seed=606)
     teacher = TinyGPTModel.init_random(cfg, Rng(1))
     schedule = CompressionSchedule.for_dims(2, 8, 16, factor=2)
-    student, _ = compress_model(teacher, schedule, rng=Rng(2))
+    student, _ = compress_model(teacher, schedule)
     batch = Rng(3).integers(0, 16, size=(2, 8)).astype(np.int64)
     w = DistillWeights.pretrain()
 
@@ -265,7 +265,7 @@ def test_criterion_07_loss_definitions():
                     max_seq_len=10, seed=707)
     teacher = TinyGPTModel.init_random(cfg, Rng(4))
     student, _ = compress_model(
-        teacher, CompressionSchedule.for_dims(2, 8, 16, factor=2), rng=Rng(5)
+        teacher, CompressionSchedule.for_dims(2, 8, 16, factor=2)
     )
     w = DistillWeights.pretrain()
     assert (w.alpha1, w.alpha2, w.alpha3, w.alpha4) == (0.5, 0.5, 0.5, 0.1)
@@ -311,7 +311,7 @@ def training_study(tmp_path_factory):
     teacher_hash = teacher.state_hash()
 
     schedule = CompressionSchedule.for_dims(4, 64, 256, factor=2)
-    student0, _ = compress_model(teacher, schedule, rng=Rng(2))
+    student0, _ = compress_model(teacher, schedule)
     assert run_phase("none", student0, teacher, corpus.train, tc) == []
     ce["none"] = held_out_ce(student0)
 
@@ -364,7 +364,7 @@ def test_kd_only_matches_teacher_traces_better_than_none(training_study):
     teacher = training_study["teacher"]
     student_kd = training_study["students"]["kd"]
     schedule = CompressionSchedule.for_dims(4, 64, 256, factor=2)
-    student_none, _ = compress_model(teacher, schedule, rng=Rng(2))
+    student_none, _ = compress_model(teacher, schedule)
     emb = {"kd": 0.0, "none": 0.0}
     att = {"kd": 0.0, "none": 0.0}
     hid = {"kd": 0.0, "none": 0.0}

@@ -155,7 +155,7 @@ def test_compressed_checkpoint_roundtrip(tmp_path):
     cfg = GPTConfig(n_layers=2, n_heads=2, d_model=8, d_ff=16, vocab_size=16, max_seq_len=8, seed=4)
     teacher = TinyGPTModel.init_random(cfg)
     schedule = CompressionSchedule.for_dims(2, 8, 16, factor=2)
-    student, _ = compress_model(teacher, schedule, rng=Rng(0))
+    student, _ = compress_model(teacher, schedule)
     path = tmp_path / "student.knz"
     save_model(student, path)
     loaded = load_model(path)
@@ -204,7 +204,7 @@ def test_load_model_checks_every_tensor_against_layout(tmp_path, name, value, me
 def test_load_model_checks_factor_pairs(tmp_path, replace, message):
     cfg = GPTConfig(n_layers=2, n_heads=2, d_model=8, d_ff=16, vocab_size=16, max_seq_len=8, seed=4)
     student, _ = compress_model(TinyGPTModel.init_random(cfg),
-                                CompressionSchedule.for_dims(2, 8, 16), rng=Rng(0))
+                                CompressionSchedule.for_dims(2, 8, 16))
     path = tmp_path / "s.knz"
     save_model(student, path)
     tensors = archive_read(path)

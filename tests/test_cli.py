@@ -74,6 +74,21 @@ def test_compress_report_residuals_recomputable(tmp_path, teacher_ckpt):
             assert abs(got - want) < 1e-9, (i, role)
 
 
+def test_compress_output_does_not_depend_on_seed(tmp_path, teacher_ckpt):
+    for seed in (0, 1):
+        assert run_cli("compress", "--input", teacher_ckpt, "--output", tmp_path / f"{seed}.knz",
+                       "--report", tmp_path / f"{seed}.json", "--seed", seed) == 0
+    assert (tmp_path / "0.knz").read_bytes() == (tmp_path / "1.knz").read_bytes()
+    assert (tmp_path / "0.json").read_bytes() == (tmp_path / "1.json").read_bytes()
+
+
+def test_compress_embedding_factor_zero_errors(tmp_path, teacher_ckpt, capsys):
+    rc = run_cli("compress", "--input", teacher_ckpt, "--output", tmp_path / "x.knz",
+                 "--embedding-factor", 0)
+    assert rc != 0
+    assert "embedding factor 0" in capsys.readouterr().err
+
+
 def test_compress_factor_one_errors(tmp_path, teacher_ckpt, capsys):
     rc = run_cli("compress", "--input", teacher_ckpt, "--output", tmp_path / "x.knz",
                  "--factor", 1)

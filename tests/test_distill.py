@@ -4,10 +4,12 @@ import json
 import numpy as np
 import pytest
 
+from kronlm import distill
 from kronlm.distill import (
     Adam,
     DistillWeights,
     TrainConfig,
+    clip_global_norm,
     evaluate_lm,
     finetune_step,
     loss_attention,
@@ -258,6 +260,49 @@ def test_non_finite_loss_names_component(small_teacher, small_student):
     opt = Adam(student.named_parameters(), lr=1e-3)
     with pytest.raises(NonFiniteLossError, match="L_"):
         train_step(student, small_teacher, batch, DistillWeights.pretrain(), opt)
+
+
+def test_clip_global_norm_scales_and_rejects_non_finite():
+    grads = {"a": np.array([3.0, 0.0]), "b": np.array([[4.0]])}
+    assert clip_global_norm(grads, 1.0) == 5.0
+    assert np.allclose(grads["a"], [0.6, 0.0]) and np.allclose(grads["b"], [[0.8]])
+    for bad in (np.inf, -np.inf, np.nan):
+        grads = {"a": np.array([bad, 3.0]), "b": np.array([[4.0]])}
+        with pytest.raises(NonFiniteLossError, match="gradient norm"):
+            clip_global_norm(grads, 1.0)
+        assert grads["a"][1] == 3.0 and grads["b"][0, 0] == 4.0
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("step", ["train", "finetune"])
+def test_non_finite_gradient_never_reaches_adam(monkeypatch, small_teacher, small_student,
+                                                step, bad):
+    real_backward = distill.backward
+
+    def poisoned_backward(tape, total):
+        grads = real_backward(tape, total)
+        next(iter(grads.values())).flat[0] = bad
+        return grads
+
+    monkeypatch.setattr(distill, "backward", poisoned_backward)
+    rng = Rng(7)
+    if step == "train":
+        net = small_student
+        batch = make_batch(rng, net.config.vocab_size, 2, 6)
+        run = lambda opt: train_step(net, small_teacher, batch, DistillWeights.pretrain(), opt)
+    else:
+        net = attach_classifier(small_student, 2, rng=Rng(1))
+        teacher_clf = attach_classifier(small_teacher, 2, rng=Rng(1))
+        seqs = [rng.integers(0, 16, size=6).astype(np.int64) for _ in range(2)]
+        run = lambda opt: finetune_step(net, teacher_clf, seqs, np.array([0, 1]),
+                                        DistillWeights.finetune(), opt)
+    opt = Adam(net.named_parameters(), lr=1e-3)
+    before = net.state_hash()
+    with pytest.raises(NonFiniteLossError, match="gradient norm"):
+        run(opt)
+    assert net.state_hash() == before
+    assert opt.t == 0
+    assert all(not m.any() for m in opt.m.values())
 
 
 def test_sample_batch_shapes_and_determinism():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kronlm.errors import ConvergenceError, ShapeError
+from kronlm.errors import KronlmError, ShapeError
 from kronlm.kronecker import (
     KroneckerPair,
     compression_factor,
@@ -11,7 +11,6 @@ from kronlm.kronecker import (
     kron_matmul_flops,
     kron_matvec,
     nearest_kron,
-    rank1_svd,
     rearrange,
     unrearrange,
 )
@@ -96,51 +95,6 @@ def test_rearrange_roundtrip_and_shape_error():
         rearrange(w, 2, 2, 2, 2)
 
 
-# ---- rank-1 SVD by power iteration ----------------------------------------------
-
-
-def test_rank1_exact_rank_one_input():
-    rng = Rng(4)
-    u0 = rng.unit_vector(5)
-    v0 = rng.unit_vector(3)
-    m = 5.0 * np.outer(u0, v0)
-    res = rank1_svd(m, rng=Rng(9))
-    assert res.converged
-    assert abs(res.sigma - 5.0) < 1e-8
-    assert min(np.linalg.norm(res.u - u0), np.linalg.norm(res.u + u0)) < 1e-8
-    assert min(np.linalg.norm(res.v - v0), np.linalg.norm(res.v + v0)) < 1e-8
-    # sign pin: largest-|u| entry positive
-    assert res.u[np.argmax(np.abs(res.u))] > 0
-
-
-def test_rank1_zero_matrix():
-    res = rank1_svd(np.zeros((4, 3)), rng=Rng(0))
-    assert res.sigma == 0.0
-    assert res.converged
-    assert abs(np.linalg.norm(res.u) - 1.0) < 1e-12
-    assert abs(np.linalg.norm(res.v) - 1.0) < 1e-12
-
-
-def test_rank1_residual_matches_full_svd_oracle():
-    rng = Rng(6)
-    for _ in range(5):
-        m = rng.normal(6, 6)
-        res = rank1_svd(m, rng=Rng(1))
-        assert res.converged
-        resid = np.linalg.norm(m - res.sigma * np.outer(res.u, res.v))
-        svals = np.linalg.svd(m, compute_uv=False)
-        expected = np.sqrt(np.sum(svals[1:] ** 2))
-        assert abs(resid - expected) < 1e-6
-
-
-def test_rank1_nonconverged_status():
-    m = Rng(2).normal(5, 5)
-    res = rank1_svd(m, max_iters=1, rng=Rng(0))
-    assert not res.converged
-    assert res.iterations == 1
-    assert res.sigma > 0  # last iterate is carried
-
-
 # ---- nearest Kronecker -----------------------------------------------------------
 
 
@@ -148,36 +102,79 @@ def test_nearest_kron_exactly_factorable():
     rng = Rng(8)
     a0, b0 = rng.normal(3, 2), rng.normal(2, 2)
     w = kron(a0, b0)
-    pair, report = nearest_kron(w, 3, 2, 2, 2, rng=Rng(1))
+    pair, report = nearest_kron(w, 3, 2, 2, 2)
     assert report.relative_residual <= 1e-6
     assert np.max(np.abs(pair.materialize() - w)) < 1e-8
 
 
+def test_nearest_kron_exact_rank_one_input():
+    # rearrange(w) = 5 u0 v0^T: the factors are u0, v0 up to sign, each
+    # scaled by sqrt(5), with the largest-|a| entry pinned positive
+    rng = Rng(4)
+    u0 = rng.normal(6)
+    v0 = rng.normal(4)
+    u0, v0 = u0 / np.linalg.norm(u0), v0 / np.linalg.norm(v0)
+    w = unrearrange(5.0 * np.outer(u0, v0), 3, 2, 2, 2)
+    pair, report = nearest_kron(w, 3, 2, 2, 2)
+    a, b = pair.a.reshape(-1), pair.b.reshape(-1)
+    assert abs(report.singular_value - 5.0) < 1e-12
+    assert report.relative_residual < 1e-12
+    assert min(np.linalg.norm(a - np.sqrt(5) * u0), np.linalg.norm(a + np.sqrt(5) * u0)) < 1e-12
+    assert min(np.linalg.norm(b - np.sqrt(5) * v0), np.linalg.norm(b + np.sqrt(5) * v0)) < 1e-12
+    assert a[np.argmax(np.abs(a))] > 0
+    # flipping the sign of w flips b, never a
+    neg, _ = nearest_kron(-w, 3, 2, 2, 2)
+    assert np.allclose(neg.a, pair.a, rtol=0, atol=1e-12)
+    assert np.allclose(neg.b, -pair.b, rtol=0, atol=1e-12)
+
+
 def test_nearest_kron_zero():
-    pair, report = nearest_kron(np.zeros((4, 4)), 2, 2, 2, 2, rng=Rng(0))
+    pair, report = nearest_kron(np.zeros((4, 4)), 2, 2, 2, 2)
     assert report.residual_fro == 0.0
     assert report.relative_residual == 0.0
+    assert report.singular_value == 0.0
     assert np.all(pair.a == 0) and np.all(pair.b == 0)
 
 
-def test_nearest_kron_deterministic_for_seed():
+@pytest.mark.parametrize(
+    "shape,shapes",
+    [((6, 6), (3, 3, 2, 2)), ((12, 12), (6, 12, 2, 1)), ((10, 12), (10, 3, 1, 4))],
+)
+def test_nearest_kron_residual_matches_full_svd_oracle(shape, shapes):
+    # the last case is an embedding table, (v, d/f, 1, f) with f = 4
+    rng = Rng(6)
+    for _ in range(5):
+        w = rng.normal(*shape)
+        pair, report = nearest_kron(w, *shapes)
+        svals = np.linalg.svd(rearrange(w, *shapes), compute_uv=False)
+        expected = np.sqrt(np.sum(svals[1:] ** 2))
+        assert abs(report.residual_fro - expected) < 1e-10
+        assert abs(np.linalg.norm(w - pair.materialize()) - expected) < 1e-10
+        assert abs(report.relative_residual - expected / np.linalg.norm(w)) < 1e-12
+        assert abs(report.singular_value - svals[0]) < 1e-10
+
+
+def test_nearest_kron_deterministic():
     w = Rng(10).normal(6, 6)
-    p1, _ = nearest_kron(w, 3, 3, 2, 2, rng=Rng(77))
-    p2, _ = nearest_kron(w, 3, 3, 2, 2, rng=Rng(77))
+    p1, r1 = nearest_kron(w, 3, 3, 2, 2)
+    p2, r2 = nearest_kron(w.copy(), 3, 3, 2, 2)
     assert np.array_equal(p1.a, p2.a) and np.array_equal(p1.b, p2.b)
+    assert r1 == r2
 
 
-def test_nearest_kron_propagates_nonconvergence():
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nearest_kron_rejects_non_finite_weights(bad):
     w = Rng(3).normal(4, 4)
-    with pytest.raises(ConvergenceError):
-        nearest_kron(w, 2, 2, 2, 2, rng=Rng(0), max_iters=1)
+    w[2, 1] = bad
+    with pytest.raises(KronlmError, match=r"1 non-finite entries \(first at \(2, 1\)\)"):
+        nearest_kron(w, 2, 2, 2, 2)
 
 
 @pytest.mark.parametrize("n,shapes", [(4, (2, 2, 2, 2)), (6, (3, 2, 2, 3))])
 def test_nearest_kron_beats_random_candidates(n, shapes):
     rng = Rng(100 + n)
     w = rng.normal(n, n)
-    pair, report = nearest_kron(w, *shapes, rng=Rng(1))
+    pair, report = nearest_kron(w, *shapes)
     m1, n1, m2, n2 = shapes
     best_random = np.inf
     cand = Rng(999)
@@ -358,7 +355,7 @@ def test_exact_factorization_recovery_property():
     for _ in range(20):
         a0, b0 = rng.normal(4, 3), rng.normal(2, 2)
         w = kron(a0, b0)
-        _, report = nearest_kron(w, 4, 3, 2, 2, rng=Rng(3))
+        _, report = nearest_kron(w, 4, 3, 2, 2)
         assert report.relative_residual <= 1e-6
 
 

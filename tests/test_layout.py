@@ -13,7 +13,6 @@ from kronlm.model import (
     layer_tensors,
     param_layout,
 )
-from kronlm.tensor_core import Rng
 
 
 @st.composite
@@ -47,7 +46,7 @@ def test_layout_matches_models_counts_and_checkpoints(tmp_path_factory, case):
     cfg, schedule = case
     model = TinyGPTModel.init_random(cfg)
     if schedule is not None:
-        model, _ = compress_model(model, schedule, rng=Rng(cfg.seed))
+        model, _ = compress_model(model, schedule)
     for exclude in (False, True):
         assert count_config_params(cfg, schedule, exclude) == model.param_count(exclude)
     layout = [t for layer in param_layout(cfg)

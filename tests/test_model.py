@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kronlm.autodiff import Tape
-from kronlm.errors import ShapeError, TokenIdError
+from kronlm.errors import KronlmError, ShapeError, TokenIdError
 from kronlm.kronecker import kron
 from kronlm.layers import CompressionSchedule, DenseLinear, KroneckerEmbedding, KroneckerLinear
 from kronlm.model import (
@@ -82,16 +82,46 @@ def test_compress_model_empty_schedule_bitwise(small_teacher):
         small_teacher.config.n_layers, small_teacher.config.d_model,
         small_teacher.config.d_ff, layers="none", compress_embedding=False,
     )
-    student, reports = compress_model(small_teacher, schedule, rng=Rng(1))
+    student, reports = compress_model(small_teacher, schedule)
     assert reports == []
     assert student.state_hash() == small_teacher.state_hash()
+
+
+@pytest.mark.parametrize("layers,embedding", [("odd", True), ("none", False), ("all", True)])
+def test_compress_model_student_shares_no_memory_with_teacher(small_teacher, layers, embedding):
+    # Adam updates the student in place: an alias would train the teacher too
+    cfg = small_teacher.config
+    schedule = CompressionSchedule.for_dims(cfg.n_layers, cfg.d_model, cfg.d_ff, layers=layers,
+                                            compress_embedding=embedding)
+    student, _ = compress_model(small_teacher, schedule)
+    for s_name, s_arr in student.named_parameters():
+        for t_name, t_arr in small_teacher.named_parameters():
+            assert not np.shares_memory(s_arr, t_arr), (s_name, t_name)
+
+
+def test_compress_model_keeps_hidden_pre_residual(small_teacher):
+    teacher = small_teacher.copy()
+    teacher.hidden_pre_residual = True
+    cfg = teacher.config
+    student, _ = compress_model(teacher, CompressionSchedule.for_dims(cfg.n_layers, cfg.d_model,
+                                                                      cfg.d_ff))
+    assert student.hidden_pre_residual
+
+
+def test_compress_model_names_a_non_finite_weight(small_teacher):
+    teacher = small_teacher.copy()
+    teacher.blocks[1].wq.weight[2, 3] = np.nan
+    cfg = teacher.config
+    schedule = CompressionSchedule.for_dims(cfg.n_layers, cfg.d_model, cfg.d_ff)
+    with pytest.raises(KronlmError, match=r"^block1\.wq\.weight: .*non-finite.*\(2, 3\)"):
+        compress_model(teacher, schedule)
 
 
 def test_compress_model_odd_layer_selection():
     cfg = GPTConfig(n_layers=4, n_heads=2, d_model=8, d_ff=16, vocab_size=16, max_seq_len=8, seed=1)
     teacher = TinyGPTModel.init_random(cfg)
     schedule = CompressionSchedule.for_dims(4, 8, 16, factor=2)
-    student, reports = compress_model(teacher, schedule, rng=Rng(2))
+    student, reports = compress_model(teacher, schedule)
     for i in (1, 3):
         block = student.blocks[i]
         for role in ("wq", "wk", "wv", "wo", "c_fc", "c_proj"):
@@ -111,7 +141,7 @@ def test_compress_model_include_wo_flag():
     cfg = GPTConfig(n_layers=2, n_heads=2, d_model=8, d_ff=16, vocab_size=16, max_seq_len=8, seed=1)
     teacher = TinyGPTModel.init_random(cfg)
     schedule = CompressionSchedule.for_dims(2, 8, 16, factor=2, include_wo=False)
-    student, _ = compress_model(teacher, schedule, rng=Rng(2))
+    student, _ = compress_model(teacher, schedule)
     assert isinstance(student.blocks[1].wo, DenseLinear)
     assert isinstance(student.blocks[1].wq, KroneckerLinear)
 
@@ -120,7 +150,7 @@ def test_compress_exactly_factorable_reports_and_logits():
     cfg = GPTConfig(n_layers=2, n_heads=2, d_model=8, d_ff=16, vocab_size=12, max_seq_len=8, seed=2)
     schedule = CompressionSchedule.for_dims(2, 8, 16, factor=2)
     teacher = exactly_factorable_teacher(cfg, schedule, seed=5)
-    student, reports = compress_model(teacher, schedule, rng=Rng(3))
+    student, reports = compress_model(teacher, schedule)
     assert len(reports) > 0
     for name, report in reports:
         assert report.relative_residual <= 1e-6, name
@@ -200,7 +230,7 @@ def test_param_count_matches_analytic_counter():
     assert model.param_count() == count_config_params(cfg)
     assert model.param_count(exclude_lm_head=True) == count_config_params(cfg, exclude_lm_head=True)
     schedule = CompressionSchedule.for_dims(4, 16, 64, factor=2)
-    student, _ = compress_model(model, schedule, rng=Rng(1))
+    student, _ = compress_model(model, schedule)
     assert student.param_count() == count_config_params(cfg, schedule)
     assert student.param_count() < model.param_count()
 
