@@ -136,6 +136,17 @@ def test_nearest_kron_zero():
     assert np.all(pair.a == 0) and np.all(pair.b == 0)
 
 
+def test_rank1_zero_matrix():
+    # the rank-1 term of a zero matrix whose rearrangement is not square (4 x 3)
+    pair, report = nearest_kron(np.zeros((2, 6)), 2, 2, 1, 3)
+    assert rearrange(np.zeros((2, 6)), 2, 2, 1, 3).shape == (4, 3)
+    assert report.singular_value == 0.0
+    assert report.residual_fro == 0.0
+    assert report.relative_residual == 0.0
+    assert pair.a.shape == (2, 2) and pair.b.shape == (1, 3)
+    assert np.all(pair.a == 0) and np.all(pair.b == 0)
+
+
 @pytest.mark.parametrize(
     "shape,shapes",
     [((6, 6), (3, 3, 2, 2)), ((12, 12), (6, 12, 2, 1)), ((10, 12), (10, 3, 1, 4))],
