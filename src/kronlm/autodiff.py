@@ -221,20 +221,26 @@ class Tape:
 
     # ---- attention ------------------------------------------------------
 
-    def attn_scores(self, q: Node, k: Node, n_heads: int, scale: float) -> Node:
-        """Per-head scaled dot products: (h, T, T) from q, k of shape (T, d)."""
-        t, d = q.value.shape
-        dk = d // n_heads
-        qh = q.value.reshape(t, n_heads, dk).transpose(1, 0, 2)
-        kh = k.value.reshape(t, n_heads, dk).transpose(1, 0, 2)
-        s = np.matmul(qh, kh.transpose(0, 2, 1)) * scale
+    def attn_scores(self, q: Node, k: Node, n_heads: int, seq_len: int, scale: float) -> Node:
+        """Per-head scaled dot products: (B*h, T, T) from q, k of shape (B*T, d),
+        the rows of each sequence contiguous."""
+        rows, d = q.value.shape
+        if rows % seq_len or k.value.shape != q.value.shape:
+            raise ShapeError(f"attn_scores: q {q.value.shape}, k {k.value.shape} "
+                             f"are not sequences of length {seq_len}")
+        b, dk = rows // seq_len, d // n_heads
+        qh = q.value.reshape(b, seq_len, n_heads, dk).transpose(0, 2, 1, 3)  # (B, h, T, dk)
+        kh = k.value.reshape(b, seq_len, n_heads, dk).transpose(0, 2, 1, 3)
+        s = (np.matmul(qh, kh.transpose(0, 1, 3, 2)) * scale).reshape(b * n_heads, seq_len, seq_len)
 
         def vjp(up):
+            up = up.reshape(b, n_heads, seq_len, seq_len)
             gq = gk = None
             if q.requires_grad:
-                gq = (np.matmul(up, kh) * scale).transpose(1, 0, 2).reshape(t, d)
+                gq = (np.matmul(up, kh) * scale).transpose(0, 2, 1, 3).reshape(rows, d)
             if k.requires_grad:
-                gk = (np.matmul(up.transpose(0, 2, 1), qh) * scale).transpose(1, 0, 2).reshape(t, d)
+                gk = (np.matmul(up.transpose(0, 1, 3, 2), qh) * scale).transpose(0, 2, 1, 3)
+                gk = gk.reshape(rows, d)
             return gq, gk
 
         return self._op(s, (q, k), vjp)
@@ -248,19 +254,21 @@ class Tape:
         return self._op(p, (scores,), vjp)
 
     def attn_mix(self, probs: Node, v: Node, n_heads: int) -> Node:
-        """Weighted value mix: (h, T, T) probs x (T, d) values -> (T, d)."""
-        t, d = v.value.shape
-        dk = d // n_heads
-        vh = v.value.reshape(t, n_heads, dk).transpose(1, 0, 2)
-        ctx = np.matmul(probs.value, vh)  # (h, T, dk)
-        y = ctx.transpose(1, 0, 2).reshape(t, d)
+        """Weighted value mix: (B*h, T, T) probs x (B*T, d) values -> (B*T, d)."""
+        rows, d = v.value.shape
+        t = probs.value.shape[-1]
+        b, dk = rows // t, d // n_heads
+        ph = probs.value.reshape(b, n_heads, t, t)
+        vh = v.value.reshape(b, t, n_heads, dk).transpose(0, 2, 1, 3)  # (B, h, T, dk)
+        y = np.matmul(ph, vh).transpose(0, 2, 1, 3).reshape(rows, d)
 
         def vjp(up):
-            uh = up.reshape(t, n_heads, dk).transpose(1, 0, 2)
-            gp = np.matmul(uh, vh.transpose(0, 2, 1)) if probs.requires_grad else None
-            gv = None
+            uh = up.reshape(b, t, n_heads, dk).transpose(0, 2, 1, 3)
+            gp = gv = None
+            if probs.requires_grad:
+                gp = np.matmul(uh, vh.transpose(0, 1, 3, 2)).reshape(probs.value.shape)
             if v.requires_grad:
-                gv = np.matmul(probs.value.transpose(0, 2, 1), uh).transpose(1, 0, 2).reshape(t, d)
+                gv = np.matmul(ph.transpose(0, 1, 3, 2), uh).transpose(0, 2, 1, 3).reshape(rows, d)
             return gp, gv
 
         return self._op(y, (probs, v), vjp)
@@ -303,8 +311,8 @@ class Tape:
     ) -> Node:
         """KL between teacher attention rows and the softmax of ``scores``.
 
-        Only causal-valid positions enter; the result is averaged over heads
-        and rows. ``direction='teacher'`` gives KL(teacher || student), the
+        Only causal-valid positions enter; the result is averaged over all
+        (B*h) x T rows. ``direction='teacher'`` gives KL(teacher || student), the
         default distillation direction; ``'student'`` flips the arguments.
         """
         p = np.asarray(teacher_probs, dtype=np.float64)

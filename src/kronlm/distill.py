@@ -11,13 +11,19 @@ with MSE taken as the mean over all entries, attention KL taken as
 KL(teacher || student) over causal-valid positions averaged within each
 layer (heads and rows) and summed over layers, and hidden-state MSE summed
 over layers. The teacher is frozen throughout.
+
+A training step is one graph per batch: one student ``forward_tape`` and one
+teacher ``forward`` over the (B, T) inputs, whose traces are (B*T, d)
+activations and (B*h, T, T) attentions, and one loss node per component.
+Since every sequence has the same length, each batched mean equals the mean
+over sequences of the per-sequence losses.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -99,6 +105,7 @@ class StepMetrics:
     L_hid: float
     L_ce: float
     L_total: float
+    grad_norm: float  # global L2 norm of the gradients before clipping
     wall_ms: float
 
     def to_json(self) -> str:
@@ -121,9 +128,15 @@ def loss_embedding(trace_s: ForwardTrace, trace_t: ForwardTrace) -> float:
 
 
 def _select_layers(n: int, layers) -> list:
+    """Block indices of a ``distill_layers`` selection over n layers (None: all)."""
     if layers is None:
         return list(range(n))
-    return [i for i in layers if 0 <= i < n]
+    for i in layers:
+        if not 0 <= i < n:
+            raise ShapeError(f"distill_layers index {i} out of range for {n} layers")
+    if not layers:
+        raise ShapeError(f"distill_layers selects none of the {n} layers")
+    return list(layers)
 
 
 def loss_hidden(trace_s: ForwardTrace, trace_t: ForwardTrace, layers=None) -> float:
@@ -214,69 +227,43 @@ def loss_total(
 
 def build_batch_loss(
     tape: Tape,
-    student_nodes: list,
-    teacher_traces: list,
-    targets: list,
+    student_nodes: TraceNodes,
+    teacher_trace: ForwardTrace | None,
+    targets: np.ndarray,
     w: DistillWeights,
     kl_direction: str = "teacher",
     distill_layers=None,
 ):
-    """Batch-averaged weighted loss over per-sequence trace nodes.
+    """Weighted loss of one batched student graph against the teacher trace
+    of the same inputs; ``targets`` holds one id per logits row.
 
     Components with zero weight are skipped entirely (and reported as 0.0);
     skipping the trace losses means the teacher is never consulted in pure-LM
     training. ``distill_layers`` restricts the attention/hidden sums to a
     subset of blocks (default: all). Returns (total_node, component_values).
     """
-    n = len(student_nodes)
-    comp_nodes, coeffs = [], []
-    values = {"L_emb": 0.0, "L_att": 0.0, "L_hid": 0.0, "L_ce": 0.0}
-
-    def batch_mean(nodes):
-        return tape.scale(tape.add_n(nodes), 1.0 / n)
-
+    s, t = student_nodes, teacher_trace
+    terms = {}  # component name -> (weight, node)
     if w.alpha1 > 0:
-        node = batch_mean(
-            [tape.mse(s.embedding, t.embedding_out) for s, t in zip(student_nodes, teacher_traces)]
-        )
-        values["L_emb"] = float(node.value)
-        comp_nodes.append(node)
-        coeffs.append(w.alpha1)
+        terms["L_emb"] = w.alpha1, tape.mse(s.embedding, t.embedding_out)
     if w.alpha2 > 0:
-        per_seq = []
-        for s, t in zip(student_nodes, teacher_traces):
-            mask = causal_mask(s.embedding.value.shape[0])
-            layer_terms = [
-                tape.attn_kl(s.attn_scores[i], t.attentions[i], mask, direction=kl_direction)
-                for i in _select_layers(len(s.attn_scores), distill_layers)
-            ]
-            per_seq.append(tape.add_n(layer_terms))
-        node = batch_mean(per_seq)
-        values["L_att"] = float(node.value)
-        comp_nodes.append(node)
-        coeffs.append(w.alpha2)
+        mask = causal_mask(s.attn_scores[0].value.shape[-1])
+        terms["L_att"] = w.alpha2, tape.add_n([
+            tape.attn_kl(s.attn_scores[i], t.attentions[i], mask, direction=kl_direction)
+            for i in _select_layers(len(s.attn_scores), distill_layers)
+        ])
     if w.alpha3 > 0:
-        per_seq = []
-        for s, t in zip(student_nodes, teacher_traces):
-            per_seq.append(
-                tape.add_n(
-                    [tape.mse(s.hidden[i], t.hidden[i])
-                     for i in _select_layers(len(s.hidden), distill_layers)]
-                )
-            )
-        node = batch_mean(per_seq)
-        values["L_hid"] = float(node.value)
-        comp_nodes.append(node)
-        coeffs.append(w.alpha3)
+        terms["L_hid"] = w.alpha3, tape.add_n([
+            tape.mse(s.hidden[i], t.hidden[i])
+            for i in _select_layers(len(s.hidden), distill_layers)
+        ])
     if w.alpha4 > 0:
-        node = batch_mean(
-            [tape.cross_entropy(s.logits, y) for s, y in zip(student_nodes, targets)]
-        )
-        values["L_ce"] = float(node.value)
-        comp_nodes.append(node)
-        coeffs.append(w.alpha4)
+        terms["L_ce"] = w.alpha4, tape.cross_entropy(s.logits, targets)
 
-    total = tape.affine_combination(comp_nodes, coeffs)
+    values = {"L_emb": 0.0, "L_att": 0.0, "L_hid": 0.0, "L_ce": 0.0}
+    values.update((name, float(node.value)) for name, (_, node) in terms.items())
+    total = tape.affine_combination([node for _, node in terms.values()],
+                                    [weight for weight, _ in terms.values()])
     for name, val in values.items():
         if not np.isfinite(val):
             raise NonFiniteLossError(f"non-finite loss component {name}: {val}")
@@ -334,6 +321,16 @@ def clip_global_norm(grads: dict, max_norm: float) -> float:
 # ---- training steps -------------------------------------------------------------
 
 
+def _update(tape: Tape, total, values: dict, optimizer: Adam, clip_norm: float,
+            step_index: int, t0: float) -> StepMetrics:
+    """backward -> clip -> Adam on a built loss; the step's metrics."""
+    grads = backward(tape, total)
+    grad_norm = clip_global_norm(grads, clip_norm)
+    optimizer.step(grads)
+    return StepMetrics(step=step_index, **values, L_total=float(total.value),
+                       grad_norm=grad_norm, wall_ms=(time.perf_counter() - t0) * 1e3)
+
+
 def train_step(
     student: TinyGPTModel,
     teacher: TinyGPTModel | None,
@@ -348,41 +345,31 @@ def train_step(
     """One optimization step on a (B, L) batch of token windows.
 
     Inputs are batch[:, :-1], next-token targets batch[:, 1:]. Both models
-    see the same inputs; only the student's parameters are updated.
+    see the same inputs, each as one graph; only the student's parameters
+    are updated.
     """
     t0 = time.perf_counter()
     if w.needs_teacher() and teacher is None:
         raise ValueError("trace losses require a teacher model")
+    batch = np.asarray(batch)
+    if batch.ndim != 2 or batch.shape[1] < 2:
+        raise ShapeError(f"train_step: batch must be (B, L) token windows with L >= 2, "
+                         f"got shape {batch.shape}")
+    inputs = batch[:, :-1]
     tape = Tape()
     params = {name: tape.leaf(arr, name) for name, arr in student.named_parameters()}
-    student_nodes, teacher_traces, targets = [], [], []
-    for row in batch:
-        inputs, target = row[:-1], row[1:]
-        student_nodes.append(student.forward_tape(tape, inputs, params))
-        teacher_traces.append(teacher.forward(inputs) if w.needs_teacher() else None)
-        targets.append(target)
+    nodes = student.forward_tape(tape, inputs, params)
+    trace = teacher.forward(inputs) if w.needs_teacher() else None
     total, values = build_batch_loss(
-        tape, student_nodes, teacher_traces, targets, w, kl_direction, distill_layers
+        tape, nodes, trace, batch[:, 1:].reshape(-1), w, kl_direction, distill_layers
     )
-    grads = backward(tape, total)
-    clip_global_norm(grads, clip_norm)
-    optimizer.step(grads)
-    wall_ms = (time.perf_counter() - t0) * 1e3
-    return StepMetrics(
-        step=step_index,
-        L_emb=values["L_emb"],
-        L_att=values["L_att"],
-        L_hid=values["L_hid"],
-        L_ce=values["L_ce"],
-        L_total=float(total.value),
-        wall_ms=wall_ms,
-    )
+    return _update(tape, total, values, optimizer, clip_norm, step_index, t0)
 
 
 def finetune_step(
     student_clf,
     teacher_clf,
-    sequences: list,
+    sequences,
     labels: np.ndarray,
     w: DistillWeights,
     optimizer: Adam,
@@ -390,46 +377,27 @@ def finetune_step(
     clip_norm: float = 1.0,
     step_index: int = 0,
 ) -> StepMetrics:
-    """Classification fine-tuning step: trace losses plus class cross entropy."""
+    """Classification fine-tuning step on equal-length sequences, one label
+    each: trace losses plus class cross entropy, with the class logits
+    standing in for the next-token logits."""
     t0 = time.perf_counter()
+    try:
+        tokens = np.asarray(sequences, dtype=np.int64)
+    except ValueError:
+        raise ShapeError(f"finetune_step: sequences must share one length, got lengths "
+                         f"{sorted({len(seq) for seq in sequences})}") from None
+    labels = np.asarray(labels)
+    if tokens.ndim != 2 or labels.shape != tokens.shape[:1]:
+        raise ShapeError(f"finetune_step: sequences of shape {tokens.shape} need one label "
+                         f"each, got labels of shape {labels.shape}")
     tape = Tape()
     params = {name: tape.leaf(arr, name) for name, arr in student_clf.named_parameters()}
-    student_nodes, teacher_traces, class_targets = [], [], []
-    for seq, label in zip(sequences, labels):
-        nodes, class_logits = student_clf.forward_tape(tape, seq, params)
-        if w.needs_teacher():
-            t_trace, _ = teacher_clf.forward(seq)
-        else:
-            t_trace = None
-        # reuse the LM-loss builder with the class logits standing in for
-        # next-token logits: one row, one label
-        nodes = TraceNodes(
-            embedding=nodes.embedding,
-            attn_scores=nodes.attn_scores,
-            attn_probs=nodes.attn_probs,
-            hidden=nodes.hidden,
-            logits=class_logits,
-            final_hidden=nodes.final_hidden,
-        )
-        student_nodes.append(nodes)
-        teacher_traces.append(t_trace)
-        class_targets.append(np.array([label]))
+    nodes, class_logits = student_clf.forward_tape(tape, tokens, params)
+    trace = teacher_clf.forward(tokens)[0] if w.needs_teacher() else None
     total, values = build_batch_loss(
-        tape, student_nodes, teacher_traces, class_targets, w, kl_direction
+        tape, replace(nodes, logits=class_logits), trace, labels, w, kl_direction
     )
-    grads = backward(tape, total)
-    clip_global_norm(grads, clip_norm)
-    optimizer.step(grads)
-    wall_ms = (time.perf_counter() - t0) * 1e3
-    return StepMetrics(
-        step=step_index,
-        L_emb=values["L_emb"],
-        L_att=values["L_att"],
-        L_hid=values["L_hid"],
-        L_ce=values["L_ce"],
-        L_total=float(total.value),
-        wall_ms=wall_ms,
-    )
+    return _update(tape, total, values, optimizer, clip_norm, step_index, t0)
 
 
 # ---- phases ------------------------------------------------------------------

@@ -3,9 +3,11 @@ dense or Kronecker-factored, with forward passes that capture the per-layer
 trace (embedding output, attention distributions, hidden states, logits)
 needed for intermediate-layer distillation.
 
-Compressed and uncompressed variants of the same config produce
-identically-shaped traces, so teacher/student differences can be taken
-directly without projections.
+A (B, T) batch of token windows is one graph: activations are (B*T, d) with
+each sequence's rows contiguous, and attention is (B*h, T, T). A 1-D
+sequence is a batch of one. Compressed and uncompressed variants of the
+same config produce identically-shaped traces, so teacher/student
+differences can be taken directly without projections.
 """
 
 from __future__ import annotations
@@ -56,17 +58,18 @@ class GPTConfig:
 
 @dataclass
 class ForwardTrace:
-    """Per-layer record of one forward pass.
+    """Per-layer record of one forward pass over B sequences of length T.
 
-    attentions[l] has shape (n_heads, T, T) with rows summing to 1 and exact
-    zeros above the diagonal; hidden[l] is the block output (after the
-    residual add by default).
+    attentions[l] has shape (B*n_heads, T, T) with rows summing to 1 and
+    exact zeros above the diagonal; hidden[l] is the block output (after the
+    residual add by default). Sequence b owns rows b*T:(b+1)*T of the 2-D
+    arrays and rows b*h:(b+1)*h of each attention array.
     """
 
-    embedding_out: np.ndarray  # (T, d)
-    attentions: list = field(default_factory=list)  # N x (h, T, T)
-    hidden: list = field(default_factory=list)  # N x (T, d)
-    logits: np.ndarray | None = None  # (T, v)
+    embedding_out: np.ndarray  # (B*T, d)
+    attentions: list = field(default_factory=list)  # N x (B*h, T, T)
+    hidden: list = field(default_factory=list)  # N x (B*T, d)
+    logits: np.ndarray | None = None  # (B*T, v)
 
 
 @dataclass
@@ -177,8 +180,11 @@ def layer_tensors(layer: LayerSpec, factors: tuple | None = None) -> tuple:
 def stored_factors(layer: LayerSpec, tensors: dict):
     """(m1, n1, m2, n2) of a layer that ``tensors`` holds as a 2-D (a, b)
     pair, else None."""
-    a, b = tensors.get(f"{layer.prefix}.a"), tensors.get(f"{layer.prefix}.b")
-    if layer.kind not in ("embedding", "linear") or a is None or b is None:
+    if layer.kind not in ("embedding", "linear"):
+        return None
+    (a_name, _), (b_name, _) = layer_tensors(layer, (0, 0, 0, 0))[:2]  # names only
+    a, b = tensors.get(a_name), tensors.get(b_name)
+    if a is None or b is None:
         return None
     return a.shape + b.shape if a.ndim == b.ndim == 2 else None
 
@@ -297,67 +303,77 @@ class TinyGPTModel:
     # ---- forward -----------------------------------------------------------
 
     def _check_tokens(self, tokens: np.ndarray) -> np.ndarray:
+        """``tokens`` as a (B, T) id array; a 1-D sequence is a batch of one."""
         tokens = np.asarray(tokens, dtype=np.int64)
-        if tokens.ndim != 1 or tokens.size < 1:
-            raise ShapeError(f"tokens must be a non-empty 1-D id sequence, got {tokens.shape}")
-        if tokens.size > self.config.max_seq_len:
+        if tokens.ndim == 1:
+            tokens = tokens[None, :]
+        if tokens.ndim != 2 or tokens.size < 1:
             raise ShapeError(
-                f"sequence length {tokens.size} exceeds max_seq_len {self.config.max_seq_len}"
+                f"tokens must be a non-empty 1-D sequence or (B, T) batch, got {tokens.shape}"
+            )
+        if tokens.shape[1] > self.config.max_seq_len:
+            raise ShapeError(
+                f"sequence length {tokens.shape[1]} exceeds max_seq_len {self.config.max_seq_len}"
             )
         return tokens
 
     def forward_tape(self, tape: Tape, tokens, params: dict | None = None) -> TraceNodes:
-        """Build the forward graph on ``tape``; returns trace handles.
+        """Build the forward graph of a 1-D sequence or a (B, T) batch on
+        ``tape``; returns trace handles with the ForwardTrace shapes.
 
         ``params`` maps parameter names to tape leaves; when omitted the
         current weights enter as constants (evaluation mode).
         """
         tokens = self._check_tokens(tokens)
-        t = tokens.size
+        b, t = tokens.shape
         cfg = self.config
         if params is None:
             params = {name: tape.constant(arr, name) for name, arr in self.named_parameters()}
+        # each layer's nodes in layer_tensors order, which is the argument
+        # order of Tape.linear, kron_linear, layernorm, gather_rows and kron_embed
+        layer_nodes = {
+            (layer.block, layer.role): (obj, [params[name] for name, _ in _named(layer, obj)])
+            for layer, obj in self.layers()
+        }
 
-        def apply_linear(prefix, layer, x):
-            bias = params.get(f"{prefix}.bias") if layer.bias is not None else None
-            if isinstance(layer, KroneckerLinear):
-                return tape.kron_linear(x, params[f"{prefix}.a"], params[f"{prefix}.b"], bias)
-            return tape.linear(x, params[f"{prefix}.weight"], bias)
+        def apply(block, role, x):
+            obj, args = layer_nodes[block, role]
+            if isinstance(obj, LayerNorm):
+                return tape.layernorm(x, *args)
+            if isinstance(obj, KroneckerLinear):
+                return tape.kron_linear(x, *args)
+            return tape.linear(x, *args)
 
-        if isinstance(self.tok_emb, KroneckerEmbedding):
-            tok = tape.kron_embed(params["tok_emb.a"], params["tok_emb.b"], tokens)
-        else:
-            tok = tape.gather_rows(params["tok_emb.weight"], tokens)
-        pos = tape.gather_rows(params["pos_emb.weight"], np.arange(t))
+        tok_obj, tok_args = layer_nodes[None, "tok_emb"]
+        embed = tape.kron_embed if isinstance(tok_obj, KroneckerEmbedding) else tape.gather_rows
+        tok = embed(*tok_args, tokens.reshape(-1))
+        pos = tape.gather_rows(*layer_nodes[None, "pos_emb"][1], np.tile(np.arange(t), b))
         x = tape.add(tok, pos)
         embedding_node = x
 
         mask = causal_mask(t)
         scale = 1.0 / np.sqrt(cfg.d_model / cfg.n_heads)
         scores_nodes, probs_nodes, hidden_nodes = [], [], []
-        for i, b in enumerate(self.blocks):
-            p = f"block{i}"
-            h0 = tape.layernorm(x, params[f"{p}.ln1.gain"], params[f"{p}.ln1.bias"])
-            q = apply_linear(f"{p}.wq", b.wq, h0)
-            k = apply_linear(f"{p}.wk", b.wk, h0)
-            v = apply_linear(f"{p}.wv", b.wv, h0)
-            scores = tape.attn_scores(q, k, cfg.n_heads, scale)
+        for i in range(cfg.n_layers):
+            h0 = apply(i, "ln1", x)
+            q, k, v = (apply(i, role, h0) for role in ("wq", "wk", "wv"))
+            scores = tape.attn_scores(q, k, cfg.n_heads, t, scale)
             probs = tape.masked_softmax(scores, mask)
             ctx = tape.attn_mix(probs, v, cfg.n_heads)
-            x = tape.add(x, apply_linear(f"{p}.wo", b.wo, ctx))
-            h1 = tape.layernorm(x, params[f"{p}.ln2.gain"], params[f"{p}.ln2.bias"])
-            ff = apply_linear(f"{p}.c_proj", b.c_proj, tape.gelu(apply_linear(f"{p}.c_fc", b.c_fc, h1)))
+            x = tape.add(x, apply(i, "wo", ctx))
+            ff = apply(i, "c_proj", tape.gelu(apply(i, "c_fc", apply(i, "ln2", x))))
             x = tape.add(x, ff)
             scores_nodes.append(scores)
             probs_nodes.append(probs)
             hidden_nodes.append(ff if self.hidden_pre_residual else x)
 
-        xf = tape.layernorm(x, params["ln_f.gain"], params["ln_f.bias"])
-        logits = apply_linear("lm_head", self.lm_head, xf)
+        xf = apply(None, "ln_f", x)
+        logits = apply(None, "lm_head", xf)
         return TraceNodes(embedding_node, scores_nodes, probs_nodes, hidden_nodes, logits, xf)
 
     def forward(self, tokens) -> ForwardTrace:
-        """Plain forward pass returning the full ILKD trace."""
+        """Plain forward pass of a 1-D sequence or a (B, T) batch, returning
+        the full ILKD trace."""
         return self.forward_tape(Tape(), tokens).values()
 
     def greedy_generate(self, prompt, n_tokens: int) -> np.ndarray:
@@ -377,20 +393,23 @@ class ClassifierModel:
         self.base = base
         self.head = head
 
+    def _head_layer(self) -> LayerSpec:
+        return LayerSpec(None, "classifier", "linear", self.head.projection.shape)
+
     def named_parameters(self) -> list:
-        projection = self.head.projection
-        head = LayerSpec(None, "classifier", "linear", projection.shape)
-        return self.base.named_parameters() + _named(head, projection)
+        return self.base.named_parameters() + _named(self._head_layer(), self.head.projection)
 
     def forward_tape(self, tape: Tape, tokens, params: dict | None = None):
+        """Trace handles and (B, n_classes) class logits of a 1-D sequence or a
+        (B, T) batch; each sequence is pooled at its last position."""
         tokens = self.base._check_tokens(tokens)
+        b, t = tokens.shape
         if params is None:
             params = {name: tape.constant(arr, name) for name, arr in self.named_parameters()}
         nodes = self.base.forward_tape(tape, tokens, params)
-        pooled = tape.gather_rows(nodes.final_hidden, np.array([tokens.size - 1]))
-        bias = params.get("classifier.bias") if self.head.projection.bias is not None else None
-        class_logits = tape.linear(pooled, params["classifier.weight"], bias)
-        return nodes, class_logits
+        pooled = tape.gather_rows(nodes.final_hidden, np.arange(b) * t + t - 1)
+        head = [params[name] for name, _ in _named(self._head_layer(), self.head.projection)]
+        return nodes, tape.linear(pooled, *head)
 
     def forward(self, tokens):
         nodes, class_logits = self.forward_tape(Tape(), tokens)

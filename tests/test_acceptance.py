@@ -183,12 +183,9 @@ def test_criterion_06_gradient_correctness():
     def total_loss():
         tape = Tape()
         params = {n: tape.leaf(a, n) for n, a in student.named_parameters()}
-        nodes, traces, targets = [], [], []
-        for row in batch:
-            nodes.append(student.forward_tape(tape, row[:-1], params))
-            traces.append(teacher.forward(row[:-1]))
-            targets.append(row[1:])
-        total, _ = build_batch_loss(tape, nodes, traces, targets, w)
+        nodes = student.forward_tape(tape, batch[:, :-1], params)
+        total, _ = build_batch_loss(tape, nodes, teacher.forward(batch[:, :-1]),
+                                    batch[:, 1:].reshape(-1), w)
         return tape, total
 
     tape, total = total_loss()

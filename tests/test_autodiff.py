@@ -133,7 +133,7 @@ def test_attention_pipeline_grads():
 
     def build(tape):
         qn, kn, vn = tape.leaf(q, "p0"), tape.leaf(k, "p1"), tape.leaf(v, "p2")
-        scores = tape.attn_scores(qn, kn, h, 1.0 / np.sqrt(d / h))
+        scores = tape.attn_scores(qn, kn, h, t_len, 1.0 / np.sqrt(d / h))
         probs = tape.masked_softmax(scores, mask)
         return tape.mse(tape.attn_mix(probs, vn, h), target)
 

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from kronlm import distill
+from kronlm.autodiff import Tape, backward
 from kronlm.distill import (
     Adam,
     DistillWeights,
     TrainConfig,
+    build_batch_loss,
     clip_global_norm,
     evaluate_lm,
     finetune_step,
@@ -305,6 +307,108 @@ def test_non_finite_gradient_never_reaches_adam(monkeypatch, small_teacher, smal
     assert all(not m.any() for m in opt.m.values())
 
 
+def loss_and_grads(student, teacher, batch, w, kl_direction="teacher"):
+    """Loss components and gradients of one batched graph, no update."""
+    tape = Tape()
+    params = {n: tape.leaf(a, n) for n, a in student.named_parameters()}
+    nodes = student.forward_tape(tape, batch[:, :-1], params)
+    total, values = build_batch_loss(tape, nodes, teacher.forward(batch[:, :-1]),
+                                     batch[:, 1:].reshape(-1), w, kl_direction)
+    return {**values, "L_total": float(total.value)}, backward(tape, total)
+
+
+@pytest.mark.parametrize("kl_direction", ["teacher", "student"])
+def test_batched_graph_equals_mean_of_single_sequence_graphs(small_teacher, small_student,
+                                                             kl_direction):
+    batch = make_batch(Rng(14), small_student.config.vocab_size, 3, 6)
+    w = DistillWeights.pretrain()
+    values, grads = loss_and_grads(small_student, small_teacher, batch, w, kl_direction)
+    rows = [loss_and_grads(small_student, small_teacher, batch[b : b + 1], w, kl_direction)
+            for b in range(3)]
+    for name, value in values.items():
+        mean = sum(v[name] for v, _ in rows) / 3
+        assert value > 0 and abs(value - mean) <= 1e-12 * abs(mean), name
+    assert set(grads) == set(dict(small_student.named_parameters()))
+    largest = max(np.max(np.abs(g)) for g in grads.values())
+    for name, g in grads.items():
+        mean = sum(gr[name] for _, gr in rows) / 3
+        # a key bias shifts each query's scores by a constant, which softmax
+        # ignores: its gradient is zero up to roundoff, so it is held to the
+        # scale of the largest gradient
+        ref = largest if name.endswith(".wk.bias") else np.max(np.abs(mean))
+        assert np.max(np.abs(g - mean)) <= 1e-12 * ref, name
+
+
+def test_lm_kd_train_step_builds_one_student_and_one_teacher_tape(monkeypatch, small_teacher,
+                                                                   small_student):
+    tapes = []
+    real_init = Tape.__init__
+
+    def counting_init(tape):
+        real_init(tape)
+        tapes.append(tape)
+
+    monkeypatch.setattr(Tape, "__init__", counting_init)
+    batch = make_batch(Rng(15), small_student.config.vocab_size, 4, 6)
+    opt = Adam(small_student.named_parameters(), lr=1e-3)
+    train_step(small_student, small_teacher, batch, DistillWeights.pretrain(), opt)
+    assert len(tapes) == 2
+
+
+def test_step_metrics_report_the_gradient_norm_before_clipping(small_teacher, small_student):
+    batch = make_batch(Rng(16), small_student.config.vocab_size, 2, 6)
+    w = DistillWeights.pretrain()
+    _, grads = loss_and_grads(small_student, small_teacher, batch, w)
+    norm = float(np.sqrt(sum(np.sum(g * g) for g in grads.values())))
+    opt = Adam(small_student.named_parameters(), lr=1e-3)
+    m = train_step(small_student, small_teacher, batch, w, opt, clip_norm=norm / 10)
+    assert m.grad_norm == pytest.approx(norm, rel=1e-12)
+
+
+def test_train_step_rejects_a_1d_batch(small_teacher, small_student):
+    opt = Adam(small_student.named_parameters(), lr=1e-3)
+    with pytest.raises(ShapeError, match=r"\(7,\)"):
+        train_step(small_student, small_teacher, np.arange(7) % 16, DistillWeights.pretrain(), opt)
+    assert opt.t == 0
+
+
+def _finetune(small_teacher, small_student, seqs, labels):
+    student_clf = attach_classifier(small_student, 2, rng=Rng(1))
+    teacher_clf = attach_classifier(small_teacher, 2, rng=Rng(1))
+    opt = Adam(student_clf.named_parameters(), lr=1e-3)
+    finetune_step(student_clf, teacher_clf, seqs, labels, DistillWeights.finetune(), opt)
+
+
+def test_finetune_step_rejects_a_label_count_mismatch(small_teacher, small_student):
+    seqs = [Rng(17).integers(0, 16, size=6) for _ in range(3)]
+    with pytest.raises(ShapeError, match=r"shape \(3, 6\) need one label each, got labels of shape \(1,\)"):
+        _finetune(small_teacher, small_student, seqs, np.array([1]))
+
+
+def test_finetune_step_rejects_ragged_sequences(small_teacher, small_student):
+    seqs = [np.arange(6) % 16, np.arange(4) % 16]
+    with pytest.raises(ShapeError, match=r"lengths \[4, 6\]"):
+        _finetune(small_teacher, small_student, seqs, np.array([0, 1]))
+
+
+@pytest.mark.parametrize("layers, message", [
+    ((9,), "index 9 out of range for 2 layers"),
+    ((0, 9), "index 9 out of range for 2 layers"),
+    ((-1,), "index -1 out of range for 2 layers"),
+    ((), "none of the 2 layers"),
+])
+def test_distill_layers_outside_the_model_raise(small_teacher, small_student, layers, message):
+    ts, tt = random_trace(Rng(32)), random_trace(Rng(33))
+    for oracle in (loss_hidden, loss_attention):
+        with pytest.raises(ShapeError, match=message):
+            oracle(ts, tt, layers=layers)
+    batch = make_batch(Rng(18), small_student.config.vocab_size, 2, 6)
+    opt = Adam(small_student.named_parameters(), lr=1e-3)
+    with pytest.raises(ShapeError, match=message):
+        train_step(small_student, small_teacher, batch, DistillWeights.pretrain(), opt,
+                   distill_layers=layers)
+
+
 def test_sample_batch_shapes_and_determinism():
     tokens = np.arange(1000) % 256
     b1 = sample_batch(tokens, 4, 16, Rng(7))
@@ -338,7 +442,8 @@ def test_run_phase_none_and_metrics_file(tmp_path, small_teacher, small_student)
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 5
     rec = json.loads(lines[0])
-    assert set(rec) == {"step", "L_emb", "L_att", "L_hid", "L_ce", "L_total", "wall_ms"}
+    assert set(rec) == {"step", "L_emb", "L_att", "L_hid", "L_ce", "L_total", "grad_norm",
+                        "wall_ms"}
 
 
 def test_run_phase_deterministic_metrics(small_teacher, small_student):

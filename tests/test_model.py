@@ -75,6 +75,8 @@ def test_forward_rejects_overlong_and_bad_ids(small_teacher):
         small_teacher.forward(np.arange(max_len + 1) % 4)
     with pytest.raises(TokenIdError):
         small_teacher.forward(np.array([0, small_teacher.config.vocab_size]))
+    with pytest.raises(ShapeError):
+        small_teacher.forward(np.zeros((1, 2, 3), dtype=np.int64))
 
 
 def test_compress_model_empty_schedule_bitwise(small_teacher):
@@ -214,6 +216,31 @@ def test_classifier_matches_manual_pool_oracle(small_teacher):
     feats = tape_trace.final_hidden.value[-1]
     expected = feats @ clf.head.projection.weight.T + clf.head.projection.bias
     assert np.max(np.abs(logits[0] - expected)) < 1e-12
+
+
+def test_batched_forward_rows_match_single_sequences(small_student):
+    clf = attach_classifier(small_student, 3, rng=Rng(5))
+    b, t, h = 3, 7, small_student.config.n_heads
+    batch = Rng(17).integers(0, small_student.config.vocab_size, size=(b, t))
+    trace, class_logits = clf.forward(batch)
+    assert trace.logits.shape == (b * t, small_student.config.vocab_size)
+    assert all(a.shape == (b * h, t, t) for a in trace.attentions)
+    assert class_logits.shape == (b, 3)
+
+    def close(got, want):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    for i, row in enumerate(batch):
+        one, one_logits = clf.forward(row)
+        rows = slice(i * t, (i + 1) * t)
+        close(trace.embedding_out[rows], one.embedding_out)
+        close(trace.logits[rows], one.logits)
+        for got, want in zip(trace.hidden, one.hidden):
+            close(got[rows], want)
+        for got, want in zip(trace.attentions, one.attentions):
+            close(got[i * h : (i + 1) * h], want)
+        close(class_logits[i : i + 1], one_logits)
 
 
 def test_greedy_generate_smoke(small_teacher):
