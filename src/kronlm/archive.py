@@ -122,10 +122,7 @@ def archive_read(path) -> dict:
             raise ArchiveError(f"{label}: unknown dtype tag {tag}")
         dims = struct.unpack(f"<{rank}Q", cur.take(8 * rank, f"{label} dims"))
         dtype = _TAG_DTYPES[tag]
-        n_bytes = int(np.prod(dims, dtype=np.uint64)) * dtype.itemsize if rank else dtype.itemsize
-        if rank == 0:
-            dims = ()
-            n_bytes = dtype.itemsize
+        n_bytes = int(np.prod(dims, dtype=np.uint64)) * dtype.itemsize  # rank 0: one element
         raw = cur.take(n_bytes, f"{label} data")
         if name in tensors:
             raise DuplicateNameError(f"duplicate tensor name {name!r}")

@@ -22,6 +22,13 @@ from .tensor_core import gelu, gelu_with_grad, log_softmax_rows, masked_softmax,
 GradStore = dict
 
 
+def _check_ids(ids: np.ndarray, limit: int, what: str):
+    """Raise TokenIdError naming the first id outside [0, limit)."""
+    if ids.size and (ids.min() < 0 or ids.max() >= limit):
+        bad = int(ids[(ids < 0) | (ids >= limit)][0])
+        raise TokenIdError(f"{what} id {bad} out of range [0, {limit})")
+
+
 class Node:
     __slots__ = ("value", "grad", "requires_grad", "name", "idx", "_parents", "_vjp")
 
@@ -145,10 +152,7 @@ class Tape:
 
     def gather_rows(self, table: Node, ids: np.ndarray) -> Node:
         ids = np.asarray(ids)
-        v = table.value.shape[0]
-        if ids.size and (ids.min() < 0 or ids.max() >= v):
-            bad = int(ids[(ids < 0) | (ids >= v)][0])
-            raise TokenIdError(f"token id {bad} out of range for table with {v} rows")
+        _check_ids(ids, table.value.shape[0], "token")
 
         def vjp(up):
             g = np.zeros_like(table.value)
@@ -167,9 +171,7 @@ class Tape:
         f = b_e.value.shape[1]
         if b_e.value.shape[0] != 1:
             raise ShapeError(f"kron_embed: b_e must be 1 x f, got {b_e.value.shape}")
-        if ids.size and (ids.min() < 0 or ids.max() >= v):
-            bad = int(ids[(ids < 0) | (ids >= v)][0])
-            raise TokenIdError(f"token id {bad} out of range for table with {v} rows")
+        _check_ids(ids, v, "token")
         rows = a_e.value[ids]  # (T, d/f)
         b_row = b_e.value[0]
         y = (rows[:, :, None] * b_row[None, None, :]).reshape(len(ids), dpf * f)
@@ -289,9 +291,7 @@ class Tape:
         rows, cols = logits.value.shape
         if targets.shape != (rows,):
             raise ShapeError(f"cross_entropy: targets shape {targets.shape} != ({rows},)")
-        if targets.size and (targets.min() < 0 or targets.max() >= cols):
-            bad = int(targets[(targets < 0) | (targets >= cols)][0])
-            raise TokenIdError(f"target id {bad} out of range for {cols} classes")
+        _check_ids(targets, cols, "target")
         logp = log_softmax_rows(logits.value)
         value = float(-logp[np.arange(rows), targets].mean())
 

@@ -71,7 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int, default=8)
     p.add_argument("--lr", type=float, default=2.5e-4)
     p.add_argument("--alphas", default=None,
-                   help="a1,a2,a3,a4 loss weights overriding the mode defaults")
+                   help="a1,a2,a3,a4 loss weights overriding the mode defaults "
+                        "(ignored by --mode none)")
     p.add_argument("--seq-len", type=int, default=64)
     p.add_argument("--steps-per-epoch", type=int, default=None)
     p.add_argument("--val-ratio", type=float, default=0.1)
@@ -181,17 +182,13 @@ def cmd_train(args) -> int:
         if len(parts) != 4:
             raise KronlmError(f"--alphas needs 4 comma-separated values, got {args.alphas!r}")
         weights = DistillWeights(*parts)
-    # explicit --alphas overrides the mode's default weights entirely
-    if args.mode == "none":
-        effective = None
-    elif weights is not None:
-        effective = weights
-    else:
-        effective = weights_for_mode(args.mode)
+    # explicit --alphas override the mode's default weights entirely
+    weights = weights_for_mode(args.mode, weights)
     teacher = None
-    if effective is not None and effective.needs_teacher():
+    if weights is not None and weights.needs_teacher():
         if args.teacher is None:
-            raise KronlmError(f"--mode {args.mode} needs --teacher for the trace losses")
+            asked = f"--alphas {args.alphas}" if args.alphas is not None else f"--mode {args.mode}"
+            raise KronlmError(f"{asked} needs --teacher for the trace losses")
         teacher = load_model(args.teacher)
     corpus = load_corpus(args.corpus, val_ratio=args.val_ratio)
     config = TrainConfig(
@@ -203,7 +200,7 @@ def cmd_train(args) -> int:
     )
     history = run_phase(
         args.mode, student, teacher, corpus.train, config,
-        weights=effective, metrics_path=args.metrics,
+        weights=weights, metrics_path=args.metrics,
         steps_per_epoch=args.steps_per_epoch,
     )
     out_path = args.output or args.student

@@ -1,6 +1,5 @@
-"""Intermediate-layer knowledge distillation: the four loss components,
-their weighted combination, the Adam optimizer, and the pre-train /
-fine-tune loops at desk scale.
+"""Intermediate-layer knowledge distillation: the weighted ILKD objective,
+the Adam optimizer, and the pre-train / fine-tune loops at desk scale.
 
 The total objective is
 
@@ -10,7 +9,10 @@ The total objective is
 with MSE taken as the mean over all entries, attention KL taken as
 KL(teacher || student) over causal-valid positions averaged within each
 layer (heads and rows) and summed over layers, and hidden-state MSE summed
-over layers. The teacher is frozen throughout.
+over layers. The teacher is frozen throughout. Each component is defined
+once, as a Tape op (``Tape.mse``, ``Tape.attn_kl``, ``Tape.cross_entropy``),
+and ``build_batch_loss`` combines them; every training step and every loss
+value the tests check goes through it.
 
 A training step is one graph per batch: one student ``forward_tape`` and one
 teacher ``forward`` over the (B, T) inputs, whose traces are (B*T, d)
@@ -59,17 +61,12 @@ class DistillWeights:
     def lm_only(cls) -> "DistillWeights":
         return cls(0.0, 0.0, 0.0, 1.0)
 
-    @classmethod
-    def kd_only(cls) -> "DistillWeights":
-        return cls(0.5, 0.5, 0.5, 0.0)
-
     def needs_teacher(self) -> bool:
         return self.alpha1 > 0 or self.alpha2 > 0 or self.alpha3 > 0
 
 
 @dataclass
 class TrainConfig:
-    phase: str = "pretrain"
     batch_size: int = 8
     learning_rate: float = 2.5e-4
     epochs: int = 1
@@ -90,12 +87,6 @@ class TrainConfig:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
 
-    @classmethod
-    def finetune_defaults(cls, **overrides) -> "TrainConfig":
-        base = dict(phase="finetune", batch_size=16, learning_rate=2e-5)
-        base.update(overrides)
-        return cls(**base)
-
 
 @dataclass
 class StepMetrics:
@@ -112,19 +103,7 @@ class StepMetrics:
         return json.dumps(asdict(self))
 
 
-# ---- component losses on plain traces ---------------------------------------
-
-
-def _check_same_shape(a, b, what):
-    if np.shape(a) != np.shape(b):
-        raise ShapeError(f"{what}: trace shapes differ, {np.shape(a)} vs {np.shape(b)}")
-
-
-def loss_embedding(trace_s: ForwardTrace, trace_t: ForwardTrace) -> float:
-    """MSE between student and teacher embedding-layer outputs."""
-    _check_same_shape(trace_s.embedding_out, trace_t.embedding_out, "loss_embedding")
-    d = trace_s.embedding_out - trace_t.embedding_out
-    return float(np.mean(d * d))
+# ---- the objective --------------------------------------------------------------
 
 
 def _select_layers(n: int, layers) -> list:
@@ -137,92 +116,6 @@ def _select_layers(n: int, layers) -> list:
     if not layers:
         raise ShapeError(f"distill_layers selects none of the {n} layers")
     return list(layers)
-
-
-def loss_hidden(trace_s: ForwardTrace, trace_t: ForwardTrace, layers=None) -> float:
-    """Per-layer hidden-state MSE, summed over layers.
-
-    ``layers`` restricts the sum to a subset of block indices (e.g. only the
-    compressed ones); the default covers every layer.
-    """
-    if len(trace_s.hidden) != len(trace_t.hidden):
-        raise ShapeError("loss_hidden: different layer counts")
-    total = 0.0
-    for i in _select_layers(len(trace_s.hidden), layers):
-        hs, ht = trace_s.hidden[i], trace_t.hidden[i]
-        _check_same_shape(hs, ht, "loss_hidden")
-        d = hs - ht
-        total += float(np.mean(d * d))
-    return total
-
-
-def kl_rows(p: np.ndarray, q: np.ndarray, mask: np.ndarray) -> float:
-    """Mean over rows (and heads) of KL(p_row || q_row) on masked entries."""
-    valid = np.broadcast_to(mask, p.shape)
-    safe_p = np.where((p > 0) & valid, p, 1.0)
-    safe_q = np.where((q > 0) & valid, q, 1.0)
-    terms = np.where((p > 0) & valid, p * (np.log(safe_p) - np.log(safe_q)), 0.0)
-    n_rows = int(np.prod(p.shape[:-1]))
-    return float(terms.sum() / n_rows)
-
-
-def loss_attention(
-    trace_s: ForwardTrace, trace_t: ForwardTrace, direction: str = "teacher", layers=None
-) -> float:
-    """Attention-distribution KL, averaged within each layer over heads and
-    positions (causal-valid entries only), summed over layers.
-
-    ``layers`` optionally restricts the sum to a subset of block indices.
-    """
-    if len(trace_s.attentions) != len(trace_t.attentions):
-        raise ShapeError("loss_attention: different layer counts")
-    total = 0.0
-    for i in _select_layers(len(trace_s.attentions), layers):
-        att_s, att_t = trace_s.attentions[i], trace_t.attentions[i]
-        _check_same_shape(att_s, att_t, "loss_attention")
-        mask = causal_mask(att_s.shape[-1])
-        if direction == "teacher":
-            total += kl_rows(att_t, att_s, mask)
-        elif direction == "student":
-            total += kl_rows(att_s, att_t, mask)
-        else:
-            raise ValueError(f"unknown KL direction {direction!r}")
-    return total
-
-
-def loss_cross_entropy(logits: np.ndarray, targets) -> float:
-    """Mean negative log-likelihood with a stable log-softmax."""
-    targets = np.asarray(targets)
-    if targets.shape != (logits.shape[0],):
-        raise ShapeError(f"loss_cross_entropy: targets {targets.shape} vs logits {logits.shape}")
-    logp = log_softmax_rows(logits)
-    return float(-logp[np.arange(len(targets)), targets].mean())
-
-
-def loss_total(
-    trace_s: ForwardTrace,
-    trace_t: ForwardTrace,
-    targets,
-    w: DistillWeights,
-    kl_direction: str = "teacher",
-) -> tuple[float, dict]:
-    """Weighted combination of the four components on plain traces."""
-    comps = {
-        "L_emb": loss_embedding(trace_s, trace_t),
-        "L_att": loss_attention(trace_s, trace_t, direction=kl_direction),
-        "L_hid": loss_hidden(trace_s, trace_t),
-        "L_ce": loss_cross_entropy(trace_s.logits, targets),
-    }
-    total = (
-        w.alpha1 * comps["L_emb"]
-        + w.alpha2 * comps["L_att"]
-        + w.alpha3 * comps["L_hid"]
-        + w.alpha4 * comps["L_ce"]
-    )
-    return float(total), comps
-
-
-# ---- tape-side loss construction ---------------------------------------------
 
 
 def build_batch_loss(
@@ -243,6 +136,9 @@ def build_batch_loss(
     subset of blocks (default: all). Returns (total_node, component_values).
     """
     s, t = student_nodes, teacher_trace
+    if t is not None and len(t.hidden) != len(s.hidden):
+        raise ShapeError(f"build_batch_loss: the teacher trace has {len(t.hidden)} layers, "
+                         f"the student has {len(s.hidden)}")
     terms = {}  # component name -> (weight, node)
     if w.alpha1 > 0:
         terms["L_emb"] = w.alpha1, tape.mse(s.embedding, t.embedding_out)
@@ -405,19 +301,24 @@ def finetune_step(
 PHASE_MODES = ("none", "lm", "kd", "lm+kd")
 
 
-def weights_for_mode(mode: str, base: DistillWeights | None = None) -> DistillWeights | None:
-    """Ablation-grid weights: none / lm / kd / lm+kd."""
+def weights_for_mode(mode: str, weights: DistillWeights | None = None) -> DistillWeights | None:
+    """Loss weights of an ablation-grid arm: none / lm / kd / lm+kd.
+
+    Mode 'none' trains nothing (None). For every other mode explicit
+    ``weights`` win entirely; without them the mode picks its defaults.
+    """
+    if mode not in PHASE_MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {PHASE_MODES}")
     if mode == "none":
         return None
-    if base is None:
-        base = DistillWeights.pretrain()
+    if weights is not None:
+        return weights
     if mode == "lm":
         return DistillWeights.lm_only()
+    pretrain = DistillWeights.pretrain()
     if mode == "kd":
-        return DistillWeights(base.alpha1, base.alpha2, base.alpha3, 0.0)
-    if mode == "lm+kd":
-        return base
-    raise ValueError(f"unknown mode {mode!r}; expected one of {PHASE_MODES}")
+        return replace(pretrain, alpha4=0.0)
+    return pretrain
 
 
 def sample_batch(tokens: np.ndarray, batch_size: int, seq_len: int, rng: Rng) -> np.ndarray:
@@ -441,8 +342,10 @@ def run_phase(
 ) -> list:
     """Run one training phase of the ablation grid; returns the metrics history.
 
-    mode 'none' performs zero training steps. Fixed config.seed makes the
-    whole run deterministic (batch order, updates, metrics values).
+    mode 'none' performs zero training steps; for the other modes explicit
+    ``weights`` replace the mode's defaults (see weights_for_mode). Fixed
+    config.seed makes the whole run deterministic (batch order, updates,
+    metrics values).
     """
     w = weights_for_mode(mode, weights)
     if w is None:

@@ -11,18 +11,17 @@ import pytest
 
 from conftest import synth_corpus_bytes
 from kronlm.archive import archive_read, archive_write
+from kronlm.autodiff import Tape
 from kronlm.corpus import load_corpus
 from kronlm.distill import (
     DistillWeights,
     TrainConfig,
+    build_batch_loss,
     evaluate_lm,
-    loss_attention,
-    loss_cross_entropy,
-    loss_embedding,
-    loss_hidden,
     perplexity,
     run_phase,
     train_step,
+    weights_for_mode,
     Adam,
 )
 from kronlm.errors import ArchiveError
@@ -40,10 +39,10 @@ from kronlm.layers import (
     KroneckerLinear,
 )
 from kronlm.model import GPTConfig, TinyGPTModel, compress_model, count_config_params
-from kronlm.tensor_core import Rng, causal_mask
+from kronlm.tensor_core import Rng
 
 from test_autodiff import materialized_path_grads
-from test_distill import random_trace
+from test_distill import attention_oracle, random_trace, trace_losses
 from test_kronecker import brute_force_det
 from test_layers import dense_forward, embed_lookup, kron_forward
 
@@ -168,8 +167,7 @@ def test_criterion_05_factored_path_equivalence():
 
 
 def test_criterion_06_gradient_correctness():
-    from kronlm.autodiff import Tape, backward
-    from kronlm.distill import build_batch_loss
+    from kronlm.autodiff import backward
     from kronlm.kronecker import kron_matmul_grads
 
     cfg = GPTConfig(n_layers=2, n_heads=2, d_model=8, d_ff=16, vocab_size=16,
@@ -230,32 +228,24 @@ def test_criterion_06_gradient_correctness():
 
 
 def test_criterion_07_loss_definitions():
-    ts, tt = random_trace(Rng(70)), random_trace(Rng(71))
+    # the oracles check build_batch_loss, the one loss every training step uses
+    student, (tt, _) = random_trace(Rng(70)), random_trace(Rng(71))
+    ts = student[0]
     ids = np.array([1, 3, 0, 2])
+    losses = trace_losses(student, tt, ids)
 
     d = ts.embedding_out - tt.embedding_out
-    assert abs(loss_embedding(ts, tt) - np.mean(d * d)) < 1e-10
+    assert abs(losses["L_emb"] - np.mean(d * d)) < 1e-10
 
-    mask = causal_mask(4)
-    expected_att = 0.0
-    for att_s, att_t in zip(ts.attentions, tt.attentions):
-        acc = 0.0
-        for head in range(att_s.shape[0]):
-            for i in range(att_s.shape[1]):
-                for j in range(i + 1):
-                    p, q = att_t[head, i, j], att_s[head, i, j]
-                    if p > 0:
-                        acc += p * np.log(p / q)
-        expected_att += acc / (att_s.shape[0] * att_s.shape[1])
-    assert abs(loss_attention(ts, tt) - expected_att) < 1e-10
+    assert abs(losses["L_att"] - attention_oracle(ts, tt)) < 1e-10
 
     expected_hid = sum(np.mean((a - b) ** 2) for a, b in zip(ts.hidden, tt.hidden))
-    assert abs(loss_hidden(ts, tt) - expected_hid) < 1e-10
+    assert abs(losses["L_hid"] - expected_hid) < 1e-10
 
     z = ts.logits - ts.logits.max(axis=1, keepdims=True)
     logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     expected_ce = -logp[np.arange(4), ids].mean()
-    assert abs(loss_cross_entropy(ts.logits, ids) - expected_ce) < 1e-10
+    assert abs(losses["L_ce"] - expected_ce) < 1e-10
 
     # Eq.-5-style linear combination holds at every logged training step
     cfg = GPTConfig(n_layers=2, n_heads=2, d_model=8, d_ff=16, vocab_size=16,
@@ -365,14 +355,17 @@ def test_kd_only_matches_teacher_traces_better_than_none(training_study):
     emb = {"kd": 0.0, "none": 0.0}
     att = {"kd": 0.0, "none": 0.0}
     hid = {"kd": 0.0, "none": 0.0}
+    w = weights_for_mode("kd")
     for i in range(8):
-        window = corpus.val[i * 64 : (i + 1) * 64].astype(np.int64)
-        t_trace = teacher.forward(window)
+        window = corpus.val[i * 64 : (i + 1) * 64 + 1].astype(np.int64)
+        t_trace = teacher.forward(window[:-1])
         for tag, model in (("kd", student_kd), ("none", student_none)):
-            s_trace = model.forward(window)
-            emb[tag] += loss_embedding(s_trace, t_trace)
-            att[tag] += loss_attention(s_trace, t_trace)
-            hid[tag] += loss_hidden(s_trace, t_trace)
+            tape = Tape()
+            nodes = model.forward_tape(tape, window[:-1])
+            _, losses = build_batch_loss(tape, nodes, t_trace, window[1:], w)
+            emb[tag] += losses["L_emb"]
+            att[tag] += losses["L_att"]
+            hid[tag] += losses["L_hid"]
     assert hid["kd"] < hid["none"]
     assert att["kd"] < att["none"]
     combined = {t: 0.5 * (emb[t] + att[t] + hid[t]) for t in ("kd", "none")}

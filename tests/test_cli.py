@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,6 +30,14 @@ def teacher_ckpt(tmp_path):
 
 def run_cli(*args):
     return main([str(a) for a in args])
+
+
+def read_metrics(path):
+    """The metrics JSONL records without wall_ms, the one nondeterministic field."""
+    recs = [json.loads(line) for line in path.read_text().splitlines()]
+    for r in recs:
+        r.pop("wall_ms")
+    return recs
 
 
 def test_compress_writes_report_with_consistent_totals(tmp_path, teacher_ckpt):
@@ -127,15 +136,49 @@ def test_train_alphas_0001_equals_mode_lm(tmp_path, teacher_ckpt, corpus_file):
                      "--output", out, "--metrics", metrics, "--seed", 5,
                      "--batch", 2, "--seq-len", 16, "--steps-per-epoch", 4, *extra)
         assert rc == 0
-        recs = [json.loads(line) for line in metrics.read_text().splitlines()]
-        for r in recs:
-            r.pop("wall_ms")  # timing is the one nondeterministic field
-        return out.read_bytes(), recs
+        return out.read_bytes(), read_metrics(metrics)
 
     ckpt_a, rec_a = train("alphas", "--mode", "lm+kd", "--alphas", "0,0,0,1")
     ckpt_b, rec_b = train("lm", "--mode", "lm")
     assert rec_a == rec_b
     assert ckpt_a == ckpt_b
+
+
+def test_train_alphas_override_every_mode(tmp_path, teacher_ckpt, corpus_file):
+    student_in = tmp_path / "student.knz"
+    run_cli("compress", "--input", teacher_ckpt, "--output", student_in)
+
+    def train(mode):
+        metrics = tmp_path / f"metrics_{mode}.jsonl"
+        rc = run_cli("train", "--teacher", teacher_ckpt, "--student", student_in,
+                     "--corpus", corpus_file, "--mode", mode, "--alphas", "1,1,1,1",
+                     "--metrics", metrics, "--output", tmp_path / f"{mode}.knz", "--seed", 4,
+                     "--batch", 2, "--seq-len", 16, "--steps-per-epoch", 3)
+        assert rc == 0
+        return read_metrics(metrics)
+
+    recs = train("kd")
+    for r in recs:
+        assert r["L_emb"] > 0 and r["L_att"] > 0 and r["L_hid"] > 0 and r["L_ce"] > 0
+        assert abs(r["L_total"] - (r["L_emb"] + r["L_att"] + r["L_hid"] + r["L_ce"])) < 1e-9
+    assert train("lm") == recs
+    assert train("lm+kd") == recs
+
+
+@pytest.mark.parametrize("teacher_layers", [1, 3])
+def test_train_teacher_of_another_depth_errors(tmp_path, teacher_ckpt, corpus_file, capsys,
+                                               teacher_layers):
+    student_in = tmp_path / "student.knz"
+    run_cli("compress", "--input", teacher_ckpt, "--output", student_in)
+    teacher_cfg = replace(CLI_CONFIG, n_layers=teacher_layers)
+    other = tmp_path / "other.knz"
+    save_model(TinyGPTModel.init_random(teacher_cfg, Rng(1)), other)
+    rc = run_cli("train", "--teacher", other, "--student", student_in, "--corpus", corpus_file,
+                 "--mode", "kd", "--output", tmp_path / "out.knz",
+                 "--batch", 2, "--seq-len", 16, "--steps-per-epoch", 1)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"teacher trace has {teacher_layers} layers, the student has 2" in err
 
 
 def test_train_metrics_reproduce_pretrain_weighting(tmp_path, teacher_ckpt, corpus_file):
@@ -161,6 +204,15 @@ def test_train_kd_mode_requires_teacher(tmp_path, teacher_ckpt, corpus_file, cap
     rc = run_cli("train", "--student", student_in, "--corpus", corpus_file, "--mode", "kd")
     assert rc != 0
     assert "teacher" in capsys.readouterr().err
+
+
+def test_train_trace_alphas_require_teacher(tmp_path, teacher_ckpt, corpus_file, capsys):
+    student_in = tmp_path / "student.knz"
+    run_cli("compress", "--input", teacher_ckpt, "--output", student_in)
+    rc = run_cli("train", "--student", student_in, "--corpus", corpus_file, "--mode", "lm",
+                 "--alphas", "1,1,1,1")
+    assert rc == 1
+    assert "--alphas 1,1,1,1 needs --teacher" in capsys.readouterr().err
 
 
 def test_train_deterministic_checkpoints(tmp_path, teacher_ckpt, corpus_file):

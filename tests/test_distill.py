@@ -1,5 +1,5 @@
-import copy
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,11 +14,6 @@ from kronlm.distill import (
     clip_global_norm,
     evaluate_lm,
     finetune_step,
-    loss_attention,
-    loss_cross_entropy,
-    loss_embedding,
-    loss_hidden,
-    loss_total,
     perplexity,
     run_phase,
     sample_batch,
@@ -26,62 +21,87 @@ from kronlm.distill import (
     weights_for_mode,
 )
 from kronlm.errors import NonFiniteLossError, ShapeError
-from kronlm.model import ForwardTrace, attach_classifier
+from kronlm.model import ForwardTrace, TraceNodes, attach_classifier
 from kronlm.tensor_core import Rng, causal_mask, masked_softmax
 
 
 def random_trace(rng, n_layers=2, h=2, t=4, d=6, v=8):
-    atts = []
-    for _ in range(n_layers):
-        scores = rng.normal(h, t * t).reshape(h, t, t)
-        atts.append(masked_softmax(scores, causal_mask(t)))
-    return ForwardTrace(
+    """A random trace and the attention scores whose masked softmax are its
+    attentions."""
+    scores = [rng.normal(h, t * t).reshape(h, t, t) for _ in range(n_layers)]
+    trace = ForwardTrace(
         embedding_out=rng.normal(t, d),
-        attentions=atts,
+        attentions=[masked_softmax(s, causal_mask(t)) for s in scores],
         hidden=[rng.normal(t, d) for _ in range(n_layers)],
         logits=rng.normal(t, v),
     )
+    return trace, scores
+
+
+ALL_FOUR = DistillWeights(1.0, 1.0, 1.0, 1.0)
+
+
+def trace_losses(student, teacher_trace, targets=None, w=ALL_FOUR, **options):
+    """build_batch_loss on a constant student graph: ``student`` is a
+    (trace, scores) pair from random_trace. Returns the components and
+    L_total."""
+    trace, scores = student
+    tape = Tape()
+    const = lambda arrays: [tape.constant(a) for a in arrays]
+    nodes = TraceNodes(embedding=tape.constant(trace.embedding_out), attn_scores=const(scores),
+                       attn_probs=const(trace.attentions), hidden=const(trace.hidden),
+                       logits=tape.constant(trace.logits))
+    if targets is None:
+        targets = np.zeros(len(trace.logits), dtype=np.int64)
+    total, values = build_batch_loss(tape, nodes, teacher_trace, targets, w, **options)
+    return {**values, "L_total": float(total.value)}
+
+
+def offset(student, **arrays):
+    """A copy of a (trace, scores) pair with some trace fields replaced."""
+    trace, scores = student
+    return replace(trace, **arrays), scores
 
 
 def test_loss_embedding_identical_zero():
-    tr = random_trace(Rng(0))
-    assert loss_embedding(tr, tr) == 0.0
+    student = random_trace(Rng(0))
+    assert trace_losses(student, student[0])["L_emb"] == 0.0
 
 
 def test_loss_embedding_constant_offset():
-    tr = random_trace(Rng(1))
-    off = copy.deepcopy(tr)
-    off.embedding_out = tr.embedding_out + 1.0
-    assert abs(loss_embedding(off, tr) - 1.0) < 1e-12
+    student = random_trace(Rng(1))
+    off = offset(student, embedding_out=student[0].embedding_out + 1.0)
+    assert abs(trace_losses(off, student[0])["L_emb"] - 1.0) < 1e-12
 
 
 def test_loss_embedding_formula_oracle():
-    ts, tt = random_trace(Rng(2)), random_trace(Rng(3))
+    student, (tt, _) = random_trace(Rng(2)), random_trace(Rng(3))
+    ts = student[0]
     expected = np.sum((ts.embedding_out - tt.embedding_out) ** 2) / ts.embedding_out.size
-    assert abs(loss_embedding(ts, tt) - expected) < 1e-12
+    assert abs(trace_losses(student, tt)["L_emb"] - expected) < 1e-12
 
 
 def test_loss_attention_identical_zero():
-    tr = random_trace(Rng(4))
-    assert loss_attention(tr, tr) == 0.0
+    # the tape takes log_softmax of the scores, not the log of their
+    # softmax, so identical distributions give 0 only up to roundoff
+    student = random_trace(Rng(4))
+    assert abs(trace_losses(student, student[0])["L_att"]) < 1e-15
 
 
 def test_loss_attention_closed_form_two_token_row():
     # teacher row [1, 0], student row [0.5, 0.5]: KL = ln 2 for that row
     t = 2
-    teacher = random_trace(Rng(5), n_layers=1, h=1, t=t)
-    student = copy.deepcopy(teacher)
-    teacher.attentions[0][0, 1] = np.array([1.0, 0.0])
-    student.attentions[0][0, 1] = np.array([0.5, 0.5])
-    teacher.attentions[0][0, 0] = np.array([1.0, 0.0])
-    student.attentions[0][0, 0] = np.array([1.0, 0.0])
+    teacher, _ = random_trace(Rng(5), n_layers=1, h=1, t=t)
+    student, scores = random_trace(Rng(5), n_layers=1, h=1, t=t)
+    teacher.attentions[0][0] = [[1.0, 0.0], [1.0, 0.0]]
+    scores[0][0, 1] = [0.0, 0.0]  # softmax [0.5, 0.5]; row 0 keeps only j = 0
     # layer mean over (1 head x 2 rows): (0 + ln 2) / 2
-    assert abs(loss_attention(student, teacher) - np.log(2.0) / 2) < 1e-12
+    assert abs(trace_losses((student, scores), teacher)["L_att"] - np.log(2.0) / 2) < 1e-12
 
 
-def test_loss_attention_formula_oracle():
-    ts, tt = random_trace(Rng(6)), random_trace(Rng(7))
-    mask = causal_mask(4)
+def attention_oracle(ts, tt):
+    """Sum over layers of the mean over heads and rows of KL(teacher || student),
+    entry by entry."""
     expected = 0.0
     for att_s, att_t in zip(ts.attentions, tt.attentions):
         acc = 0.0
@@ -92,59 +112,71 @@ def test_loss_attention_formula_oracle():
                     if p > 0:
                         acc += p * np.log(p / q)
         expected += acc / (att_s.shape[0] * att_s.shape[1])
-    assert abs(loss_attention(ts, tt) - expected) < 1e-10
+    return expected
+
+
+def test_loss_attention_formula_oracle():
+    student, (tt, _) = random_trace(Rng(6)), random_trace(Rng(7))
+    assert abs(trace_losses(student, tt)["L_att"] - attention_oracle(student[0], tt)) < 1e-10
 
 
 def test_loss_attention_positive_for_different_distributions():
-    ts, tt = random_trace(Rng(8)), random_trace(Rng(9))
-    assert loss_attention(ts, tt) > 0
+    student, (tt, _) = random_trace(Rng(8)), random_trace(Rng(9))
+    assert trace_losses(student, tt)["L_att"] > 0
 
 
 def test_loss_attention_student_direction_flag():
-    ts, tt = random_trace(Rng(20)), random_trace(Rng(21))
-    teacher_first = loss_attention(ts, tt, direction="teacher")
-    student_first = loss_attention(ts, tt, direction="student")
+    student, t = random_trace(Rng(20)), random_trace(Rng(21))
+    teacher_first = trace_losses(student, t[0], kl_direction="teacher")["L_att"]
+    student_first = trace_losses(student, t[0], kl_direction="student")["L_att"]
     # KL is asymmetric; flipping the direction equals swapping the traces
     assert teacher_first != student_first
-    assert abs(student_first - loss_attention(tt, ts, direction="teacher")) < 1e-12
+    swapped = trace_losses(t, student[0], kl_direction="teacher")["L_att"]
+    assert abs(student_first - swapped) < 1e-12
     with pytest.raises(ValueError):
-        loss_attention(ts, tt, direction="sideways")
+        trace_losses(student, t[0], kl_direction="sideways")
 
 
 def test_loss_hidden_identical_and_offset():
-    tr = random_trace(Rng(10))
-    assert loss_hidden(tr, tr) == 0.0
-    off = copy.deepcopy(tr)
-    off.hidden[0] = tr.hidden[0] + 2.0  # one layer offset by 2 -> MSE 4, others 0
-    assert abs(loss_hidden(off, tr) - 4.0) < 1e-12
+    student = random_trace(Rng(10))
+    tr = student[0]
+    assert trace_losses(student, tr)["L_hid"] == 0.0
+    off = offset(student, hidden=[tr.hidden[0] + 2.0, *tr.hidden[1:]])
+    # one layer offset by 2 -> MSE 4, others 0
+    assert abs(trace_losses(off, tr)["L_hid"] - 4.0) < 1e-12
 
 
 def test_loss_hidden_formula_oracle():
-    ts, tt = random_trace(Rng(11)), random_trace(Rng(12))
+    student, (tt, _) = random_trace(Rng(11)), random_trace(Rng(12))
     expected = sum(
-        np.sum((hs - ht) ** 2) / hs.size for hs, ht in zip(ts.hidden, tt.hidden)
+        np.sum((hs - ht) ** 2) / hs.size for hs, ht in zip(student[0].hidden, tt.hidden)
     )
-    assert abs(loss_hidden(ts, tt) - expected) < 1e-12
+    assert abs(trace_losses(student, tt)["L_hid"] - expected) < 1e-12
 
 
 def test_layer_subset_restricts_trace_losses():
-    ts, tt = random_trace(Rng(30)), random_trace(Rng(31))
-    d0 = ts.hidden[0] - tt.hidden[0]
-    assert abs(loss_hidden(ts, tt, layers=(0,)) - np.mean(d0 * d0)) < 1e-12
-    assert loss_hidden(ts, tt, layers=(0,)) + loss_hidden(ts, tt, layers=(1,)) == pytest.approx(
-        loss_hidden(ts, tt)
-    )
-    assert loss_attention(ts, tt, layers=(1,)) < loss_attention(ts, tt)
+    student, (tt, _) = random_trace(Rng(30)), random_trace(Rng(31))
+    layer = lambda *layers: trace_losses(student, tt, distill_layers=layers)
+    d0 = student[0].hidden[0] - tt.hidden[0]
+    assert abs(layer(0)["L_hid"] - np.mean(d0 * d0)) < 1e-12
+    everything = trace_losses(student, tt)
+    assert layer(0)["L_hid"] + layer(1)["L_hid"] == pytest.approx(everything["L_hid"])
+    assert layer(1)["L_att"] < everything["L_att"]
+
+
+def cross_entropy(logits, ids):
+    student = offset(random_trace(Rng(0), t=len(logits)), logits=logits)
+    return trace_losses(student, None, ids, DistillWeights.lm_only())["L_ce"]
 
 
 def test_loss_cross_entropy_cases():
     logits = np.full((3, 4), -1e3)
     for i in range(3):
         logits[i, i] = 1e3
-    assert loss_cross_entropy(logits, np.array([0, 1, 2])) < 1e-9
+    assert cross_entropy(logits, np.array([0, 1, 2])) < 1e-9
 
     uniform = np.zeros((5, 16))
-    assert abs(loss_cross_entropy(uniform, np.zeros(5, dtype=int)) - np.log(16)) < 1e-12
+    assert abs(cross_entropy(uniform, np.zeros(5, dtype=int)) - np.log(16)) < 1e-12
 
     rng = Rng(13)
     rl = rng.normal(6, 8)
@@ -152,31 +184,35 @@ def test_loss_cross_entropy_cases():
     z = rl - rl.max(axis=1, keepdims=True)
     logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     expected = -logp[np.arange(6), ids].mean()
-    assert abs(loss_cross_entropy(rl, ids) - expected) < 1e-10
+    assert abs(cross_entropy(rl, ids) - expected) < 1e-10
 
 
 def test_loss_total_degenerate_weights():
-    ts, tt = random_trace(Rng(14)), random_trace(Rng(15))
+    student, (tt, _) = random_trace(Rng(14)), random_trace(Rng(15))
     ids = np.array([0, 1, 2, 3])
-    total, comps = loss_total(ts, tt, ids, DistillWeights(0, 0, 0, 1.0))
-    assert abs(total - comps["L_ce"]) < 1e-12
-    total_self, comps_self = loss_total(ts, ts, ids, DistillWeights(0.5, 0.5, 0.5, 0.1))
-    assert abs(total_self - 0.1 * comps_self["L_ce"]) < 1e-12
+    losses = trace_losses(student, tt, ids, DistillWeights(0, 0, 0, 1.0))
+    assert abs(losses["L_total"] - losses["L_ce"]) < 1e-12
+    self_losses = trace_losses(student, student[0], ids, DistillWeights(0.5, 0.5, 0.5, 0.1))
+    assert abs(self_losses["L_total"] - 0.1 * self_losses["L_ce"]) < 1e-12
 
 
 def test_loss_total_pretrain_weights_hand_combination():
-    ts, tt = random_trace(Rng(16)), random_trace(Rng(17))
+    student, (tt, _) = random_trace(Rng(16)), random_trace(Rng(17))
     ids = np.array([2, 2, 1, 0])
     w = DistillWeights.pretrain()
     assert (w.alpha1, w.alpha2, w.alpha3, w.alpha4) == (0.5, 0.5, 0.5, 0.1)
-    total, comps = loss_total(ts, tt, ids, w)
-    hand = (
-        0.5 * loss_embedding(ts, tt)
-        + 0.5 * loss_attention(ts, tt)
-        + 0.5 * loss_hidden(ts, tt)
-        + 0.1 * loss_cross_entropy(ts.logits, ids)
-    )
+    total = trace_losses(student, tt, ids, w)["L_total"]
+    c = trace_losses(student, tt, ids)  # each component at weight 1
+    hand = 0.5 * c["L_emb"] + 0.5 * c["L_att"] + 0.5 * c["L_hid"] + 0.1 * c["L_ce"]
     assert abs(total - hand) < 1e-9
+
+
+@pytest.mark.parametrize("teacher_layers", [1, 3])
+def test_teacher_trace_of_another_depth_raises(teacher_layers):
+    student, (tt, _) = random_trace(Rng(18)), random_trace(Rng(19), n_layers=teacher_layers)
+    with pytest.raises(ShapeError, match=f"teacher trace has {teacher_layers} layers, "
+                                         "the student has 2"):
+        trace_losses(student, tt)
 
 
 def test_distill_weights_validation():
@@ -252,7 +288,7 @@ def test_train_step_kd_mode_requires_teacher(small_student):
     batch = make_batch(Rng(5), small_student.config.vocab_size, 2, 6)
     opt = Adam(small_student.named_parameters(), lr=1e-3)
     with pytest.raises(ValueError):
-        train_step(small_student, None, batch, DistillWeights.kd_only(), opt)
+        train_step(small_student, None, batch, weights_for_mode("kd"), opt)
 
 
 def test_non_finite_loss_names_component(small_teacher, small_student):
@@ -398,10 +434,10 @@ def test_finetune_step_rejects_ragged_sequences(small_teacher, small_student):
     ((), "none of the 2 layers"),
 ])
 def test_distill_layers_outside_the_model_raise(small_teacher, small_student, layers, message):
-    ts, tt = random_trace(Rng(32)), random_trace(Rng(33))
-    for oracle in (loss_hidden, loss_attention):
+    student, (tt, _) = random_trace(Rng(32)), random_trace(Rng(33))
+    for w in (DistillWeights(0, 1, 0, 0), DistillWeights(0, 0, 1, 0)):  # L_att, L_hid
         with pytest.raises(ShapeError, match=message):
-            oracle(ts, tt, layers=layers)
+            trace_losses(student, tt, w=w, distill_layers=layers)
     batch = make_batch(Rng(18), small_student.config.vocab_size, 2, 6)
     opt = Adam(small_student.named_parameters(), lr=1e-3)
     with pytest.raises(ShapeError, match=message):
