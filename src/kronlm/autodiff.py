@@ -302,18 +302,12 @@ class Tape:
 
         return self._op(value, (logits,), vjp)
 
-    def attn_kl(
-        self,
-        scores: Node,
-        teacher_probs: np.ndarray,
-        mask: np.ndarray,
-        direction: str = "teacher",
-    ) -> Node:
-        """KL between teacher attention rows and the softmax of ``scores``.
+    def attn_kl(self, scores: Node, teacher_probs: np.ndarray, mask: np.ndarray) -> Node:
+        """KL(teacher || student) between teacher attention rows and the
+        softmax of ``scores``.
 
         Only causal-valid positions enter; the result is averaged over all
-        (B*h) x T rows. ``direction='teacher'`` gives KL(teacher || student), the
-        default distillation direction; ``'student'`` flips the arguments.
+        (B*h) x T rows.
         """
         p = np.asarray(teacher_probs, dtype=np.float64)
         if p.shape != scores.value.shape:
@@ -323,27 +317,13 @@ class Tape:
         q = np.where(mask, np.exp(logq), 0.0)
         n_rows = p.shape[0] * p.shape[1]
         valid = np.broadcast_to(mask, p.shape)
-        if direction == "teacher":
-            with np.errstate(divide="ignore", invalid="ignore"):
-                terms = np.where(p > 0, p * (np.log(np.where(p > 0, p, 1.0)) - logq), 0.0)
-            value = float(terms.sum() / n_rows)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(p > 0, p * (np.log(np.where(p > 0, p, 1.0)) - logq), 0.0)
+        value = float(terms.sum() / n_rows)
 
-            def vjp(up):
-                return (up * np.where(valid, q - p, 0.0) / n_rows,)
+        def vjp(up):
+            return (up * np.where(valid, q - p, 0.0) / n_rows,)
 
-        elif direction == "student":
-            with np.errstate(divide="ignore", invalid="ignore"):
-                logp = np.where(p > 0, np.log(np.where(p > 0, p, 1.0)), 0.0)
-                terms = np.where(q > 0, q * (logq - logp), 0.0)
-            value = float(terms.sum() / n_rows)
-            row_kl = terms.sum(axis=-1, keepdims=True)
-
-            def vjp(up):
-                inner = np.where(q > 0, (logq - logp) - row_kl, 0.0)
-                return (up * np.where(valid, q * inner, 0.0) / n_rows,)
-
-        else:
-            raise ValueError(f"unknown KL direction {direction!r}")
         return self._op(value, (scores,), vjp)
 
 

@@ -27,7 +27,7 @@ from .distill import (
     weights_for_mode,
 )
 from .errors import KronlmError, PlanningError
-from .layers import CompressionSchedule, param_count
+from .layers import CompressionSchedule
 from .model import TinyGPTModel, compress_model, layer_tensors, param_layout, stored_factors
 
 
@@ -44,6 +44,13 @@ def _onoff(value: str) -> bool:
     if value not in ("on", "off"):
         raise argparse.ArgumentTypeError(f"expected on|off, got {value!r}")
     return value == "on"
+
+
+def _count(value: str) -> int:
+    """A count flag: an integer of at least 1."""
+    if not value.isdigit() or int(value) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value!r}")
+    return int(value)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,14 +74,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--student", required=True)
     p.add_argument("--corpus", required=True, nargs="+")
     p.add_argument("--mode", default="lm+kd", choices=["none", "lm", "kd", "lm+kd"])
-    p.add_argument("--epochs", type=int, default=1)
-    p.add_argument("--batch", type=int, default=8)
+    p.add_argument("--epochs", type=_count, default=1)
+    p.add_argument("--batch", type=_count, default=8)
     p.add_argument("--lr", type=float, default=2.5e-4)
     p.add_argument("--alphas", default=None,
                    help="a1,a2,a3,a4 loss weights overriding the mode defaults "
                         "(ignored by --mode none)")
-    p.add_argument("--seq-len", type=int, default=64)
-    p.add_argument("--steps-per-epoch", type=int, default=None)
+    p.add_argument("--seq-len", type=_count, default=64)
+    p.add_argument("--steps-per-epoch", type=_count, default=None)
     p.add_argument("--val-ratio", type=float, default=0.1)
     p.add_argument("--output", default=None, help="trained checkpoint path (default: --student)")
     p.add_argument("--metrics", default=None, help="JSONL metrics history path")
@@ -84,16 +91,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--corpus", required=True, nargs="+")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--seq-len", type=int, default=64)
+    p.add_argument("--seq-len", type=_count, default=64)
     p.add_argument("--val-ratio", type=float, default=0.1)
-    p.add_argument("--max-windows", type=int, default=None)
+    p.add_argument("--max-windows", type=_count, default=None)
     _add_seed(p)
 
     p = sub.add_parser("bench", help="dense vs factored matmul microbenchmark")
     p.add_argument("--shapes", default=None,
                    help="semicolon-separated m,n,m1,n1,m2,n2 tuples (default: shape table)")
-    p.add_argument("--rows", type=int, default=32)
-    p.add_argument("--repeats", type=int, default=5)
+    p.add_argument("--rows", type=_count, default=32)
+    p.add_argument("--repeats", type=_count, default=5)
     p.add_argument("--output", default=None, help="CSV path (default: stdout)")
     _add_seed(p)
     return parser
@@ -140,7 +147,7 @@ def _compression_report(student: TinyGPTModel, reports) -> dict:
             "params_after": after,
             "compression_factor": before / after,
         },
-        "excluded_lm_head_params": param_count(student.lm_head),
+        "excluded_lm_head_params": student.lm_head.weight.size,
     }
 
 
@@ -178,10 +185,13 @@ def cmd_train(args) -> int:
     student = load_model(args.student)
     weights = None
     if args.alphas is not None:
-        parts = [float(x) for x in args.alphas.split(",")]
-        if len(parts) != 4:
-            raise KronlmError(f"--alphas needs 4 comma-separated values, got {args.alphas!r}")
-        weights = DistillWeights(*parts)
+        try:
+            parts = [float(x) for x in args.alphas.split(",")]
+            if len(parts) != 4:
+                raise ValueError(f"need 4 comma-separated values, got {len(parts)}")
+            weights = DistillWeights(*parts)
+        except ValueError as exc:
+            raise KronlmError(f"bad --alphas {args.alphas!r}: {exc}") from None
     # explicit --alphas override the mode's default weights entirely
     weights = weights_for_mode(args.mode, weights)
     teacher = None

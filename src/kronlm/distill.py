@@ -8,22 +8,24 @@ The total objective is
 
 with MSE taken as the mean over all entries, attention KL taken as
 KL(teacher || student) over causal-valid positions averaged within each
-layer (heads and rows) and summed over layers, and hidden-state MSE summed
-over layers. The teacher is frozen throughout. Each component is defined
-once, as a Tape op (``Tape.mse``, ``Tape.attn_kl``, ``Tape.cross_entropy``),
-and ``build_batch_loss`` combines them; every training step and every loss
-value the tests check goes through it.
+layer (heads and rows) and summed over every block, and hidden-state MSE
+summed over every block. The teacher is frozen throughout. Each component
+is defined once, as a Tape op (``Tape.mse``, ``Tape.attn_kl``,
+``Tape.cross_entropy``), and ``build_batch_loss`` combines them; every
+training step and every loss value the tests check goes through it.
 
 A training step is one graph per batch: one student ``forward_tape`` and one
 teacher ``forward`` over the (B, T) inputs, whose traces are (B*T, d)
 activations and (B*h, T, T) attentions, and one loss node per component.
 Since every sequence has the same length, each batched mean equals the mean
-over sequences of the per-sequence losses.
+over sequences of the per-sequence losses. Each step clips the global
+gradient norm to ``CLIP_NORM`` and then takes one Adam step.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, replace
 
@@ -44,6 +46,8 @@ class DistillWeights:
 
     def __post_init__(self):
         a = (self.alpha1, self.alpha2, self.alpha3, self.alpha4)
+        if not all(math.isfinite(x) for x in a):
+            raise ValueError(f"loss weights must be finite, got {a}")
         if any(x < 0 for x in a):
             raise ValueError(f"loss weights must be non-negative, got {a}")
         if all(x == 0 for x in a):
@@ -71,21 +75,14 @@ class TrainConfig:
     learning_rate: float = 2.5e-4
     epochs: int = 1
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seq_len: int = 64
-    clip_norm: float = 1.0
-    kl_direction: str = "teacher"
-    distill_layers: tuple | None = None  # None = trace losses over all blocks
 
     def __post_init__(self):
         for name in ("batch_size", "epochs", "seq_len"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        for name in ("learning_rate", "beta1", "beta2", "eps"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be > 0")
 
 
 @dataclass
@@ -106,34 +103,20 @@ class StepMetrics:
 # ---- the objective --------------------------------------------------------------
 
 
-def _select_layers(n: int, layers) -> list:
-    """Block indices of a ``distill_layers`` selection over n layers (None: all)."""
-    if layers is None:
-        return list(range(n))
-    for i in layers:
-        if not 0 <= i < n:
-            raise ShapeError(f"distill_layers index {i} out of range for {n} layers")
-    if not layers:
-        raise ShapeError(f"distill_layers selects none of the {n} layers")
-    return list(layers)
-
-
 def build_batch_loss(
     tape: Tape,
     student_nodes: TraceNodes,
     teacher_trace: ForwardTrace | None,
     targets: np.ndarray,
     w: DistillWeights,
-    kl_direction: str = "teacher",
-    distill_layers=None,
 ):
     """Weighted loss of one batched student graph against the teacher trace
     of the same inputs; ``targets`` holds one id per logits row.
 
     Components with zero weight are skipped entirely (and reported as 0.0);
     skipping the trace losses means the teacher is never consulted in pure-LM
-    training. ``distill_layers`` restricts the attention/hidden sums to a
-    subset of blocks (default: all). Returns (total_node, component_values).
+    training. The attention and hidden sums run over every block. Returns
+    (total_node, component_values).
     """
     s, t = student_nodes, teacher_trace
     if t is not None and len(t.hidden) != len(s.hidden):
@@ -145,13 +128,12 @@ def build_batch_loss(
     if w.alpha2 > 0:
         mask = causal_mask(s.attn_scores[0].value.shape[-1])
         terms["L_att"] = w.alpha2, tape.add_n([
-            tape.attn_kl(s.attn_scores[i], t.attentions[i], mask, direction=kl_direction)
-            for i in _select_layers(len(s.attn_scores), distill_layers)
+            tape.attn_kl(scores, probs, mask)
+            for scores, probs in zip(s.attn_scores, t.attentions)
         ])
     if w.alpha3 > 0:
         terms["L_hid"] = w.alpha3, tape.add_n([
-            tape.mse(s.hidden[i], t.hidden[i])
-            for i in _select_layers(len(s.hidden), distill_layers)
+            tape.mse(hs, ht) for hs, ht in zip(s.hidden, t.hidden)
         ])
     if w.alpha4 > 0:
         terms["L_ce"] = w.alpha4, tape.cross_entropy(s.logits, targets)
@@ -169,16 +151,19 @@ def build_batch_loss(
 # ---- optimizer ----------------------------------------------------------------
 
 
+CLIP_NORM = 1.0  # every step scales the global gradient norm down to at most this
+
+
 class Adam:
     """Plain Adam with bias correction, updating parameter arrays in place."""
 
-    def __init__(self, params, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params, lr: float):
         self.params = list(params)  # [(name, array)]
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {name: np.zeros_like(p) for name, p in self.params}
         self.v = {name: np.zeros_like(p) for name, p in self.params}
@@ -217,11 +202,11 @@ def clip_global_norm(grads: dict, max_norm: float) -> float:
 # ---- training steps -------------------------------------------------------------
 
 
-def _update(tape: Tape, total, values: dict, optimizer: Adam, clip_norm: float,
-            step_index: int, t0: float) -> StepMetrics:
-    """backward -> clip -> Adam on a built loss; the step's metrics."""
+def _update(tape: Tape, total, values: dict, optimizer: Adam, step_index: int,
+            t0: float) -> StepMetrics:
+    """backward -> clip to CLIP_NORM -> Adam on a built loss; the step's metrics."""
     grads = backward(tape, total)
-    grad_norm = clip_global_norm(grads, clip_norm)
+    grad_norm = clip_global_norm(grads, CLIP_NORM)
     optimizer.step(grads)
     return StepMetrics(step=step_index, **values, L_total=float(total.value),
                        grad_norm=grad_norm, wall_ms=(time.perf_counter() - t0) * 1e3)
@@ -233,10 +218,7 @@ def train_step(
     batch: np.ndarray,
     w: DistillWeights,
     optimizer: Adam,
-    kl_direction: str = "teacher",
-    clip_norm: float = 1.0,
     step_index: int = 0,
-    distill_layers=None,
 ) -> StepMetrics:
     """One optimization step on a (B, L) batch of token windows.
 
@@ -256,10 +238,8 @@ def train_step(
     params = {name: tape.leaf(arr, name) for name, arr in student.named_parameters()}
     nodes = student.forward_tape(tape, inputs, params)
     trace = teacher.forward(inputs) if w.needs_teacher() else None
-    total, values = build_batch_loss(
-        tape, nodes, trace, batch[:, 1:].reshape(-1), w, kl_direction, distill_layers
-    )
-    return _update(tape, total, values, optimizer, clip_norm, step_index, t0)
+    total, values = build_batch_loss(tape, nodes, trace, batch[:, 1:].reshape(-1), w)
+    return _update(tape, total, values, optimizer, step_index, t0)
 
 
 def finetune_step(
@@ -269,8 +249,6 @@ def finetune_step(
     labels: np.ndarray,
     w: DistillWeights,
     optimizer: Adam,
-    kl_direction: str = "teacher",
-    clip_norm: float = 1.0,
     step_index: int = 0,
 ) -> StepMetrics:
     """Classification fine-tuning step on equal-length sequences, one label
@@ -290,10 +268,8 @@ def finetune_step(
     params = {name: tape.leaf(arr, name) for name, arr in student_clf.named_parameters()}
     nodes, class_logits = student_clf.forward_tape(tape, tokens, params)
     trace = teacher_clf.forward(tokens)[0] if w.needs_teacher() else None
-    total, values = build_batch_loss(
-        tape, replace(nodes, logits=class_logits), trace, labels, w, kl_direction
-    )
-    return _update(tape, total, values, optimizer, clip_norm, step_index, t0)
+    total, values = build_batch_loss(tape, replace(nodes, logits=class_logits), trace, labels, w)
+    return _update(tape, total, values, optimizer, step_index, t0)
 
 
 # ---- phases ------------------------------------------------------------------
@@ -338,7 +314,6 @@ def run_phase(
     weights: DistillWeights | None = None,
     metrics_path=None,
     steps_per_epoch: int | None = None,
-    log_every: int = 0,
 ) -> list:
     """Run one training phase of the ablation grid; returns the metrics history.
 
@@ -353,13 +328,7 @@ def run_phase(
     if steps_per_epoch is None:
         steps_per_epoch = max(1, len(train_tokens) // (config.batch_size * config.seq_len))
     rng = Rng(config.seed)
-    optimizer = Adam(
-        student.named_parameters(),
-        lr=config.learning_rate,
-        beta1=config.beta1,
-        beta2=config.beta2,
-        eps=config.eps,
-    )
+    optimizer = Adam(student.named_parameters(), lr=config.learning_rate)
     history = []
     sink = open(metrics_path, "w") if metrics_path else None
     try:
@@ -367,18 +336,10 @@ def run_phase(
         for _ in range(config.epochs):
             for _ in range(steps_per_epoch):
                 batch = sample_batch(train_tokens, config.batch_size, config.seq_len, rng)
-                metrics = train_step(
-                    student, teacher, batch, w, optimizer,
-                    kl_direction=config.kl_direction,
-                    clip_norm=config.clip_norm,
-                    step_index=step,
-                    distill_layers=config.distill_layers,
-                )
+                metrics = train_step(student, teacher, batch, w, optimizer, step_index=step)
                 history.append(metrics)
                 if sink:
                     sink.write(metrics.to_json() + "\n")
-                if log_every and step % log_every == 0:
-                    print(f"[{mode}] step {step}: total {metrics.L_total:.4f}")
                 step += 1
     finally:
         if sink:

@@ -37,10 +37,6 @@ class KroneckerPair:
     def shape(self) -> tuple[int, int]:
         return (self.a.shape[0] * self.b.shape[0], self.a.shape[1] * self.b.shape[1])
 
-    @property
-    def param_count(self) -> int:
-        return self.a.size + self.b.size
-
     def materialize(self) -> np.ndarray:
         return kron(self.a, self.b)
 

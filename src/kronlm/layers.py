@@ -1,5 +1,5 @@
-"""Neural sublayers in dense and Kronecker-factored forms, shape planning,
-and parameter accounting.
+"""Neural sublayers in dense and Kronecker-factored forms and shape
+planning.
 
 Biases and layer-norm parameters are never factored; they are O(d) and
 factoring them saves nothing. The factored embedding keeps one row per
@@ -66,18 +66,6 @@ class KroneckerEmbedding:
         if self.b_e.shape[0] != 1:
             raise ShapeError(f"b_e must be 1 x f, got {self.b_e.shape}")
 
-    @property
-    def vocab(self) -> int:
-        return self.a_e.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.a_e.shape[1] * self.b_e.shape[1]
-
-    @property
-    def factor(self) -> int:
-        return self.b_e.shape[1]
-
 
 def decompose_linear(
     layer: DenseLinear, shapes: tuple[int, int, int, int]
@@ -90,21 +78,6 @@ def decompose_linear(
     pair, report = nearest_kron(layer.weight, m1, n1, m2, n2)
     bias = None if layer.bias is None else layer.bias.copy()
     return KroneckerLinear(factors=pair, bias=bias), report
-
-
-def param_count(layer) -> int:
-    """Stored real parameters of a single layer object."""
-    if isinstance(layer, DenseLinear):
-        return layer.weight.size + (0 if layer.bias is None else layer.bias.size)
-    if isinstance(layer, KroneckerLinear):
-        return layer.factors.param_count + (0 if layer.bias is None else layer.bias.size)
-    if isinstance(layer, KroneckerEmbedding):
-        return layer.a_e.size + layer.b_e.size
-    if isinstance(layer, LayerNorm):
-        return layer.gain.size + layer.bias.size
-    if isinstance(layer, np.ndarray):
-        return layer.size
-    raise TypeError(f"param_count: unsupported layer type {type(layer).__name__}")
 
 
 def plan_shapes(m: int, n: int, target_factor: int) -> tuple[int, int, int, int]:
@@ -152,11 +125,6 @@ class CompressionSchedule:
     shape_wo: tuple[int, int, int, int] = ()
     shape_cfc: tuple[int, int, int, int] = ()
     shape_cproj: tuple[int, int, int, int] = ()
-    factor: int = 2
-
-    @staticmethod
-    def odd_layers(n_layers: int) -> tuple[int, ...]:
-        return tuple(i for i in range(n_layers) if i % 2 == 1)
 
     @staticmethod
     def for_dims(
@@ -171,7 +139,7 @@ class CompressionSchedule:
     ) -> "CompressionSchedule":
         if isinstance(layers, str):
             if layers == "odd":
-                idx = CompressionSchedule.odd_layers(n_layers)
+                idx = tuple(i for i in range(n_layers) if i % 2 == 1)
             elif layers == "even":
                 idx = tuple(i for i in range(n_layers) if i % 2 == 0)
             elif layers == "all":
@@ -204,7 +172,6 @@ class CompressionSchedule:
             shape_wo=shape_qkv,
             shape_cfc=shape_cfc,
             shape_cproj=(n1, m1, n2, m2),  # transpose of c_fc per the shape table
-            factor=factor,
         )
 
     def selects(self, layer_index: int) -> bool:

@@ -30,7 +30,6 @@ from .layers import (
     KroneckerLinear,
     LayerNorm,
     decompose_linear,
-    param_count,
 )
 from .tensor_core import Rng, causal_mask
 
@@ -289,8 +288,8 @@ class TinyGPTModel:
 
     def param_count(self, exclude_lm_head: bool = False) -> int:
         return sum(
-            param_count(obj) for layer, obj in self.layers()
-            if not (exclude_lm_head and layer.kind == "head")
+            arr.size for layer, obj in self.layers()
+            if not (exclude_lm_head and layer.kind == "head") for arr in _arrays(obj)
         )
 
     def state_hash(self) -> str:

@@ -162,8 +162,7 @@ def test_cross_entropy_grad():
     check_op(lambda tape: tape.cross_entropy(tape.leaf(logits, "p0"), ids), [logits])
 
 
-@pytest.mark.parametrize("direction", ["teacher", "student"])
-def test_attn_kl_grad(direction):
+def test_attn_kl_grad():
     rng = Rng(9)
     h, t_len = 2, 4
     mask = causal_mask(t_len)
@@ -171,7 +170,7 @@ def test_attn_kl_grad(direction):
     teacher_probs = masked_softmax(teacher_scores, mask)
     scores = rng.normal(h, t_len * t_len).reshape(h, t_len, t_len)
     check_op(
-        lambda tape: tape.attn_kl(tape.leaf(scores, "p0"), teacher_probs, mask, direction),
+        lambda tape: tape.attn_kl(tape.leaf(scores, "p0"), teacher_probs, mask),
         [scores],
     )
 

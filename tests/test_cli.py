@@ -215,6 +215,46 @@ def test_train_trace_alphas_require_teacher(tmp_path, teacher_ckpt, corpus_file,
     assert "--alphas 1,1,1,1 needs --teacher" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode, alphas", [
+    ("lm+kd", "nan,0,0,1"),
+    ("kd", "0,0,0,nan"),
+    ("lm+kd", "inf,0,0,1"),
+    ("lm+kd", "-1,0,0,1"),
+    ("lm+kd", "1,x,0,1"),
+    ("lm+kd", "1,1,1"),
+])
+def test_train_rejects_bad_alphas(tmp_path, teacher_ckpt, corpus_file, capsys, mode, alphas):
+    out = tmp_path / "out.knz"
+    rc = run_cli("train", "--teacher", teacher_ckpt, "--student", teacher_ckpt,
+                 "--corpus", corpus_file, "--mode", mode, f"--alphas={alphas}",
+                 "--output", out, "--batch", 2, "--seq-len", 16, "--steps-per-epoch", 1)
+    assert rc == 1
+    assert f"bad --alphas {alphas!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("train", "--epochs"), ("train", "--batch"), ("train", "--seq-len"),
+    ("train", "--steps-per-epoch"), ("eval", "--seq-len"), ("eval", "--max-windows"),
+    ("bench", "--rows"), ("bench", "--repeats"),
+])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_count_flags_below_one_are_rejected(tmp_path, teacher_ckpt, corpus_file, capsys,
+                                            command, flag, value):
+    valid = {
+        "train": ["--student", teacher_ckpt, "--corpus", corpus_file, "--mode", "lm",
+                  "--output", tmp_path / "out.knz", "--epochs", 1, "--batch", 2,
+                  "--seq-len", 16, "--steps-per-epoch", 1],
+        "eval": ["--checkpoint", teacher_ckpt, "--corpus", corpus_file, "--seq-len", 16,
+                 "--max-windows", 1],
+        "bench": ["--shapes", "12,12,6,12,2,1", "--rows", 2, "--repeats", 1],
+    }[command]
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(command, *valid, flag, value)  # the last occurrence of a flag wins
+    assert exit_info.value.code == 2
+    assert f"argument {flag}: expected an integer >= 1, got '{value}'" in capsys.readouterr().err
+
+
 def test_train_deterministic_checkpoints(tmp_path, teacher_ckpt, corpus_file):
     student_in = tmp_path / "student.knz"
     run_cli("compress", "--input", teacher_ckpt, "--output", student_in)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,9 +14,9 @@ from kronlm.layers import (
     KroneckerEmbedding,
     KroneckerLinear,
     decompose_linear,
-    param_count,
     plan_shapes,
 )
+from kronlm.model import LayerSpec, layer_tensors
 from kronlm.tensor_core import Rng
 
 # layer forwards run through the Tape ops the model builds its graph from
@@ -179,16 +181,19 @@ def test_decompose_idempotent_in_effect():
     assert np.max(np.abs(again.factors.materialize() - once)) < 1e-8
 
 
+def stored_params(factors=None) -> int:
+    """Stored parameters of a 768 x 768 linear layer with a bias, dense or
+    with the given factor shapes, as the checkpoint layout spells them out."""
+    layer = LayerSpec(0, "wq", "linear", (768, 768))
+    return sum(math.prod(shape) for _, shape in layer_tensors(layer, factors))
+
+
 def test_param_count_dense_768():
-    layer = DenseLinear(weight=np.zeros((768, 768)), bias=np.zeros(768))
-    assert param_count(layer) == 590_592
+    assert stored_params() == 590_592
 
 
 def test_param_count_kron_table_row():
-    layer = KroneckerLinear(
-        KroneckerPair(np.zeros((384, 768)), np.zeros((2, 1))), bias=np.zeros(768)
-    )
-    assert param_count(layer) == 294_914 + 768
+    assert stored_params(plan_shapes(768, 768, 2)) == 294_914 + 768
 
 
 def test_param_count_monotonic_for_planned_shapes():
