@@ -142,16 +142,12 @@ def archive_read(path) -> dict:
 # ---- model checkpoints -------------------------------------------------------
 
 _META_NAME = "__meta__"
-# GPTConfig fields stored in __meta__, in order; hidden_pre_residual follows
+# GPTConfig fields stored in __meta__, in order
 _META_FIELDS = ("n_layers", "n_heads", "d_model", "d_ff", "vocab_size", "max_seq_len", "seed")
 
 
 def save_model(model: TinyGPTModel, path) -> None:
-    cfg = model.config
-    meta = np.array(
-        [getattr(cfg, f) for f in _META_FIELDS] + [1.0 if model.hidden_pre_residual else 0.0],
-        dtype=np.float64,
-    )
+    meta = np.array([getattr(model.config, f) for f in _META_FIELDS], dtype=np.float64)
     tensors = [(_META_NAME, meta)] + [(n, a) for n, a in model.named_parameters()]
     archive_write(path, tensors)
 
@@ -188,13 +184,13 @@ def load_model(path) -> TinyGPTModel:
     meta = tensors.pop(_META_NAME, None)
     if meta is None:
         raise ArchiveError("checkpoint has no __meta__ record; not a model archive")
-    if meta.shape != (len(_META_FIELDS) + 1,):
+    if meta.shape != (len(_META_FIELDS),):
         raise ArchiveError(
-            f"checkpoint __meta__: expected shape ({len(_META_FIELDS) + 1},), found {meta.shape}"
+            f"checkpoint __meta__: expected shape ({len(_META_FIELDS)},), found {meta.shape}"
         )
     try:
         cfg = GPTConfig(**{f: int(x) for f, x in zip(_META_FIELDS, meta)})
     except (KronlmError, ValueError, ZeroDivisionError) as exc:
         raise ArchiveError(f"checkpoint __meta__ {meta.tolist()} is not a model config: {exc}") from exc
     _check_layout(cfg, tensors)
-    return TinyGPTModel.from_tensors(cfg, tensors, hidden_pre_residual=bool(meta[-1]))
+    return TinyGPTModel.from_tensors(cfg, tensors)

@@ -8,6 +8,10 @@ the same asymptotic cost as the forward pass.
 
 Softmax+cross-entropy and softmax+KL are fused primitives so their backward
 passes stay numerically stable.
+
+Every vjp returns a gradient for each of its parents. ``backward`` routes
+them: it runs the vjp of a node only when the node requires a gradient, and
+it drops the gradient of a parent that does not (a constant).
 """
 
 from __future__ import annotations
@@ -57,8 +61,8 @@ class Tape:
         self.nodes.append(node)
         return node
 
-    def leaf(self, value, name=None, requires_grad=True) -> Node:
-        return self._register(Node(np.asarray(value, dtype=np.float64), requires_grad, name))
+    def leaf(self, value, name=None) -> Node:
+        return self._register(Node(np.asarray(value, dtype=np.float64), True, name))
 
     def constant(self, value, name=None) -> Node:
         return self._register(Node(np.asarray(value, dtype=np.float64), False, name))
@@ -101,12 +105,7 @@ class Tape:
         if a.value.shape[1] != b.value.shape[0]:
             raise ShapeError(f"matmul shape mismatch: {a.value.shape} x {b.value.shape}")
 
-        def vjp(up):
-            ga = up @ b.value.T if a.requires_grad else None
-            gb = a.value.T @ up if b.requires_grad else None
-            return ga, gb
-
-        return self._op(a.value @ b.value, (a, b), vjp)
+        return self._op(a.value @ b.value, (a, b), lambda up: (up @ b.value.T, a.value.T @ up))
 
     # ---- layers ---------------------------------------------------------
 
@@ -119,12 +118,8 @@ class Tape:
             y = y + bias.value
 
         def vjp(up):
-            gx = up @ w.value if x.requires_grad else None
-            gw = up.T @ x.value if w.requires_grad else None
-            if bias is None:
-                return gx, gw
-            gb = up.sum(axis=0) if bias.requires_grad else None
-            return gx, gw, gb
+            grads = (up @ w.value, up.T @ x.value)
+            return grads if bias is None else grads + (up.sum(axis=0),)
 
         parents = (x, w) if bias is None else (x, w, bias)
         return self._op(y, parents, vjp)
@@ -138,14 +133,7 @@ class Tape:
 
         def vjp(up):
             ga, gb, gx = kron_matmul_grads(pair, x.value, up)
-            out = [
-                gx if x.requires_grad else None,
-                ga if a.requires_grad else None,
-                gb if b.requires_grad else None,
-            ]
-            if bias is not None:
-                out.append(up.sum(axis=0) if bias.requires_grad else None)
-            return tuple(out)
+            return (gx, ga, gb) if bias is None else (gx, ga, gb, up.sum(axis=0))
 
         parents = (x, a, b) if bias is None else (x, a, b, bias)
         return self._op(y, parents, vjp)
@@ -178,12 +166,9 @@ class Tape:
 
         def vjp(up):
             u = up.reshape(len(ids), dpf, f)
-            ga = None
-            if a_e.requires_grad:
-                ga = np.zeros_like(a_e.value)
-                np.add.at(ga, ids, u @ b_row)
-            gb = np.einsum("tjk,tj->k", u, rows)[None, :] if b_e.requires_grad else None
-            return ga, gb
+            ga = np.zeros_like(a_e.value)
+            np.add.at(ga, ids, u @ b_row)
+            return ga, np.einsum("tjk,tj->k", u, rows)[None, :]
 
         return self._op(y, (a_e, b_e), vjp)
 
@@ -202,16 +187,12 @@ class Tape:
 
         def vjp(up):
             dxhat = up * gain.value
-            gx = None
-            if x.requires_grad:
-                gx = inv * (
-                    dxhat
-                    - dxhat.mean(axis=-1, keepdims=True)
-                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-                )
-            gg = (up * xhat).sum(axis=0) if gain.requires_grad else None
-            gb = up.sum(axis=0) if bias.requires_grad else None
-            return gx, gg, gb
+            gx = inv * (
+                dxhat
+                - dxhat.mean(axis=-1, keepdims=True)
+                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+            )
+            return gx, (up * xhat).sum(axis=0), up.sum(axis=0)
 
         return self._op(y, (x, gain, bias), vjp)
 
@@ -237,13 +218,9 @@ class Tape:
 
         def vjp(up):
             up = up.reshape(b, n_heads, seq_len, seq_len)
-            gq = gk = None
-            if q.requires_grad:
-                gq = (np.matmul(up, kh) * scale).transpose(0, 2, 1, 3).reshape(rows, d)
-            if k.requires_grad:
-                gk = (np.matmul(up.transpose(0, 1, 3, 2), qh) * scale).transpose(0, 2, 1, 3)
-                gk = gk.reshape(rows, d)
-            return gq, gk
+            gq = (np.matmul(up, kh) * scale).transpose(0, 2, 1, 3).reshape(rows, d)
+            gk = (np.matmul(up.transpose(0, 1, 3, 2), qh) * scale).transpose(0, 2, 1, 3)
+            return gq, gk.reshape(rows, d)
 
         return self._op(s, (q, k), vjp)
 
@@ -266,11 +243,8 @@ class Tape:
 
         def vjp(up):
             uh = up.reshape(b, t, n_heads, dk).transpose(0, 2, 1, 3)
-            gp = gv = None
-            if probs.requires_grad:
-                gp = np.matmul(uh, vh.transpose(0, 1, 3, 2)).reshape(probs.value.shape)
-            if v.requires_grad:
-                gv = np.matmul(ph.transpose(0, 1, 3, 2), uh).transpose(0, 2, 1, 3).reshape(rows, d)
+            gp = np.matmul(uh, vh.transpose(0, 1, 3, 2)).reshape(probs.value.shape)
+            gv = np.matmul(ph.transpose(0, 1, 3, 2), uh).transpose(0, 2, 1, 3).reshape(rows, d)
             return gp, gv
 
         return self._op(y, (probs, v), vjp)
@@ -342,9 +316,8 @@ def backward(tape: Tape, loss: Node) -> GradStore:
             continue
         grads = node._vjp(node.grad)
         for parent, g in zip(node._parents, grads):
-            if g is None or not parent.requires_grad:
-                continue
-            parent.grad = g if parent.grad is None else parent.grad + g
+            if parent.requires_grad:  # a constant's gradient is dropped here
+                parent.grad = g if parent.grad is None else parent.grad + g
     store: GradStore = {}
     for node in tape.nodes:
         if node._vjp is None and node.requires_grad and node.name is not None:

@@ -19,6 +19,7 @@ from .archive import load_model, save_model
 from .bench import DEFAULT_SHAPES, rows_to_csv, run_bench
 from .corpus import load_corpus
 from .distill import (
+    PHASE_MODES,
     DistillWeights,
     TrainConfig,
     evaluate_lm,
@@ -53,6 +54,17 @@ def _count(value: str) -> int:
     return int(value)
 
 
+def _rate(value: str) -> float:
+    """A rate flag: a finite number above 0."""
+    try:
+        rate = float(value)
+    except ValueError:
+        rate = math.nan
+    if not (math.isfinite(rate) and rate > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {value!r}")
+    return rate
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kronlm")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -73,10 +85,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--teacher", default=None)
     p.add_argument("--student", required=True)
     p.add_argument("--corpus", required=True, nargs="+")
-    p.add_argument("--mode", default="lm+kd", choices=["none", "lm", "kd", "lm+kd"])
+    p.add_argument("--mode", default="lm+kd", choices=PHASE_MODES)
     p.add_argument("--epochs", type=_count, default=1)
     p.add_argument("--batch", type=_count, default=8)
-    p.add_argument("--lr", type=float, default=2.5e-4)
+    p.add_argument("--lr", type=_rate, default=2.5e-4)
     p.add_argument("--alphas", default=None,
                    help="a1,a2,a3,a4 loss weights overriding the mode defaults "
                         "(ignored by --mode none)")

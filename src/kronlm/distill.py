@@ -34,7 +34,7 @@ import numpy as np
 from .autodiff import Tape, backward
 from .errors import NonFiniteLossError, ShapeError
 from .model import ForwardTrace, TinyGPTModel, TraceNodes
-from .tensor_core import Rng, causal_mask, log_softmax_rows
+from .tensor_core import Rng, causal_mask
 
 
 @dataclass
@@ -81,8 +81,8 @@ class TrainConfig:
         for name in ("batch_size", "epochs", "seq_len"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
 
 
 @dataclass
@@ -352,21 +352,21 @@ def run_phase(
 
 def evaluate_lm(model: TinyGPTModel, tokens: np.ndarray, seq_len: int,
                 max_windows: int | None = None) -> float:
-    """Mean per-token cross entropy over non-overlapping windows."""
+    """Mean per-token cross entropy over non-overlapping windows of seq_len
+    targets: the mean over windows of ``Tape.cross_entropy``, the loss that
+    training takes. A target id outside the vocabulary raises TokenIdError."""
     n_windows = (len(tokens) - 1) // seq_len
     if max_windows is not None:
         n_windows = min(n_windows, max_windows)
     if n_windows < 1:
         raise ShapeError(f"eval stream too short: {len(tokens)} tokens for seq_len {seq_len}")
-    total_nll = 0.0
-    total_count = 0
+    total = 0.0
     for i in range(n_windows):
         window = tokens[i * seq_len : i * seq_len + seq_len + 1].astype(np.int64)
-        trace = model.forward(window[:-1])
-        logp = log_softmax_rows(trace.logits)
-        total_nll -= float(logp[np.arange(len(window) - 1), window[1:]].sum())
-        total_count += len(window) - 1
-    return total_nll / total_count
+        tape = Tape()
+        logits = model.forward_tape(tape, window[:-1]).logits
+        total += float(tape.cross_entropy(logits, window[1:]).value)
+    return total / n_windows
 
 
 def perplexity(mean_ce: float) -> float:

@@ -144,8 +144,6 @@ class CompressionSchedule:
                 idx = tuple(i for i in range(n_layers) if i % 2 == 0)
             elif layers == "all":
                 idx = tuple(range(n_layers))
-            elif layers == "none":
-                idx = ()
             else:
                 raise PlanningError(f"unknown layer selector {layers!r}")
         else:

@@ -60,9 +60,9 @@ class ForwardTrace:
     """Per-layer record of one forward pass over B sequences of length T.
 
     attentions[l] has shape (B*n_heads, T, T) with rows summing to 1 and
-    exact zeros above the diagonal; hidden[l] is the block output (after the
-    residual add by default). Sequence b owns rows b*T:(b+1)*T of the 2-D
-    arrays and rows b*h:(b+1)*h of each attention array.
+    exact zeros above the diagonal; hidden[l] is the block output, after the
+    residual add. Sequence b owns rows b*T:(b+1)*T of the 2-D arrays and rows
+    b*h:(b+1)*h of each attention array.
     """
 
     embedding_out: np.ndarray  # (B*T, d)
@@ -101,17 +101,6 @@ class Block:
     ln2: LayerNorm
     c_fc: DenseLinear | KroneckerLinear
     c_proj: DenseLinear | KroneckerLinear
-
-
-@dataclass
-class ClassifierHead:
-    """Last-token pooling followed by a dense projection to class logits."""
-
-    projection: DenseLinear
-
-    @property
-    def n_classes(self) -> int:
-        return self.projection.weight.shape[0]
 
 
 # ---- parameter layout ------------------------------------------------------
@@ -222,23 +211,18 @@ def _named(layer: LayerSpec, obj) -> list:
 
 
 class TinyGPTModel:
-    def __init__(self, config: GPTConfig, tok_emb, pos_emb, blocks, ln_f, lm_head,
-                 hidden_pre_residual: bool = False):
+    def __init__(self, config: GPTConfig, tok_emb, pos_emb, blocks, ln_f, lm_head):
         self.config = config
         self.tok_emb = tok_emb  # (v, d) ndarray or KroneckerEmbedding
         self.pos_emb = pos_emb  # (max_seq_len, d)
         self.blocks = blocks
         self.ln_f = ln_f
         self.lm_head = lm_head  # DenseLinear, never factored
-        # hidden-state trace: block output after the residual add by default;
-        # set True to record the FFN projection output instead
-        self.hidden_pre_residual = hidden_pre_residual
 
     # ---- construction ----------------------------------------------------
 
     @classmethod
-    def from_tensors(cls, config: GPTConfig, tensors: dict,
-                     hidden_pre_residual: bool = False) -> "TinyGPTModel":
+    def from_tensors(cls, config: GPTConfig, tensors: dict) -> "TinyGPTModel":
         """Model over the arrays of ``{name: array}``, taken as they are (no
         copy). Names follow param_layout; a layer held as an (a, b) pair is
         factored."""
@@ -252,7 +236,7 @@ class TinyGPTModel:
             for i in range(config.n_layers)
         ]
         top = {layer.role: obj for layer, obj in made.items() if layer.block is None}
-        return cls(config, blocks=blocks, hidden_pre_residual=hidden_pre_residual, **top)
+        return cls(config, blocks=blocks, **top)
 
     @classmethod
     def init_random(cls, config: GPTConfig, rng: Rng | None = None) -> "TinyGPTModel":
@@ -272,7 +256,7 @@ class TinyGPTModel:
 
     def copy(self) -> "TinyGPTModel":
         tensors = {name: arr.copy() for name, arr in self.named_parameters()}
-        return self.from_tensors(self.config, tensors, self.hidden_pre_residual)
+        return self.from_tensors(self.config, tensors)
 
     # ---- parameters --------------------------------------------------------
 
@@ -285,12 +269,6 @@ class TinyGPTModel:
 
     def named_parameters(self) -> list:
         return [pair for layer, obj in self.layers() for pair in _named(layer, obj)]
-
-    def param_count(self, exclude_lm_head: bool = False) -> int:
-        return sum(
-            arr.size for layer, obj in self.layers()
-            if not (exclude_lm_head and layer.kind == "head") for arr in _arrays(obj)
-        )
 
     def state_hash(self) -> str:
         h = hashlib.sha256()
@@ -364,7 +342,7 @@ class TinyGPTModel:
             x = tape.add(x, ff)
             scores_nodes.append(scores)
             probs_nodes.append(probs)
-            hidden_nodes.append(ff if self.hidden_pre_residual else x)
+            hidden_nodes.append(x)
 
         xf = apply(None, "ln_f", x)
         logits = apply(None, "lm_head", xf)
@@ -386,17 +364,18 @@ class TinyGPTModel:
 
 
 class ClassifierModel:
-    """A TinyGPTModel with a last-token classification head."""
+    """A TinyGPTModel with a last-token classification head: the final
+    features at each sequence's last position through a dense projection."""
 
-    def __init__(self, base: TinyGPTModel, head: ClassifierHead):
+    def __init__(self, base: TinyGPTModel, head: DenseLinear):
         self.base = base
         self.head = head
 
     def _head_layer(self) -> LayerSpec:
-        return LayerSpec(None, "classifier", "linear", self.head.projection.shape)
+        return LayerSpec(None, "classifier", "linear", self.head.shape)
 
     def named_parameters(self) -> list:
-        return self.base.named_parameters() + _named(self._head_layer(), self.head.projection)
+        return self.base.named_parameters() + _named(self._head_layer(), self.head)
 
     def forward_tape(self, tape: Tape, tokens, params: dict | None = None):
         """Trace handles and (B, n_classes) class logits of a 1-D sequence or a
@@ -407,7 +386,7 @@ class ClassifierModel:
             params = {name: tape.constant(arr, name) for name, arr in self.named_parameters()}
         nodes = self.base.forward_tape(tape, tokens, params)
         pooled = tape.gather_rows(nodes.final_hidden, np.arange(b) * t + t - 1)
-        head = [params[name] for name, _ in _named(self._head_layer(), self.head.projection)]
+        head = [params[name] for name, _ in _named(self._head_layer(), self.head)]
         return nodes, tape.linear(pooled, *head)
 
     def forward(self, tokens):
@@ -426,8 +405,7 @@ def attach_classifier(model: TinyGPTModel, n_classes: int, rng: Rng | None = Non
         raise ValueError("n_classes must be >= 2")
     d = model.config.d_model
     weight = np.zeros((n_classes, d)) if rng is None else rng.normal(n_classes, d, scale=INIT_STD)
-    head = ClassifierHead(DenseLinear(weight=weight, bias=np.zeros(n_classes)))
-    return ClassifierModel(model, head)
+    return ClassifierModel(model, DenseLinear(weight=weight, bias=np.zeros(n_classes)))
 
 
 # ---- compression -----------------------------------------------------------
@@ -465,7 +443,7 @@ def compress_model(
             raise type(exc)(f"{name}: {exc}") from exc
         tensors.update(_named(layer, factored))
         reports.append((name, report))
-    return TinyGPTModel.from_tensors(teacher.config, tensors, teacher.hidden_pre_residual), reports
+    return TinyGPTModel.from_tensors(teacher.config, tensors), reports
 
 
 def count_config_params(

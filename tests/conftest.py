@@ -49,6 +49,12 @@ def synth_corpus_bytes(n_bytes: int, seed: int = 0) -> bytes:
     return ("".join(pieces)[:n_bytes]).encode("utf-8")
 
 
+def stored_param_count(model, exclude_lm_head: bool = False) -> int:
+    """Sum of the sizes of the arrays a model holds, optionally without the LM head."""
+    return sum(arr.size for name, arr in model.named_parameters()
+               if not (exclude_lm_head and name.startswith("lm_head.")))
+
+
 @pytest.fixture(scope="session")
 def small_config():
     return GPTConfig(n_layers=2, n_heads=2, d_model=8, d_ff=16, vocab_size=16,

@@ -312,6 +312,7 @@ def training_study(tmp_path_factory):
     return {"ce": ce, "teacher": teacher, "students": students, "corpus": corpus}
 
 
+@pytest.mark.study
 def test_criterion_08_ablation_ordering(training_study):
     ce = training_study["ce"]
     assert ce["lm+kd"] <= 0.8 * ce["none"], ce
@@ -323,6 +324,7 @@ def test_criterion_08_ablation_ordering(training_study):
                f"lm+kd {ce['lm+kd']:.3f}; lm+kd beats none by {margin:.0f}% (>= 20% required)")
 
 
+@pytest.mark.study
 def test_criterion_09_student_within_15pct_of_teacher(training_study):
     ce = training_study["ce"]
     ppl_teacher = perplexity(ce["teacher"])
@@ -334,6 +336,7 @@ def test_criterion_09_student_within_15pct_of_teacher(training_study):
                "full-scale benchmark results are out of scope at this model size")
 
 
+@pytest.mark.study
 def test_trained_models_well_below_uniform_perplexity(training_study):
     # byte vocabulary: an untrained model sits at ppl ~256; trained desk
     # models must at least halve that
@@ -341,6 +344,7 @@ def test_trained_models_well_below_uniform_perplexity(training_study):
         assert perplexity(training_study["ce"][tag]) < 0.5 * 256, tag
 
 
+@pytest.mark.study
 def test_kd_only_matches_teacher_traces_better_than_none(training_study):
     # KD training must pull the student's traces toward the teacher's far
     # beyond what decomposition alone gives. The hidden/attention components

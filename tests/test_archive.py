@@ -214,6 +214,19 @@ def test_load_model_checks_factor_pairs(tmp_path, replace, message):
         load_model(path)
 
 
+def test_meta_holds_the_seven_config_fields_only(tmp_path):
+    cfg = GPTConfig(n_layers=1, n_heads=2, d_model=8, d_ff=16, vocab_size=16, max_seq_len=8,
+                    seed=5)
+    path = tmp_path / "m.knz"
+    save_model(TinyGPTModel.init_random(cfg), path)
+    tensors = archive_read(path)
+    assert tensors["__meta__"].tolist() == [1, 2, 8, 16, 16, 8, 5]
+    tensors["__meta__"] = np.append(tensors["__meta__"], 0.0)  # an eighth value
+    archive_write(path, tensors)
+    with pytest.raises(ArchiveError, match=r"__meta__: expected shape \(7,\), found \(8,\)"):
+        load_model(path)
+
+
 @pytest.mark.parametrize("value", [0.0, np.nan], ids=["zero_heads", "nan_heads"])
 def test_load_model_rejects_invalid_meta(tmp_path, value):
     cfg = GPTConfig(n_layers=1, n_heads=2, d_model=8, d_ff=16, vocab_size=16, max_seq_len=8)

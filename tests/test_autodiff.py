@@ -216,6 +216,47 @@ def test_untouched_leaf_gets_zero_grad():
     assert store["unused"].shape == (3,)
 
 
+_R = Rng(23)
+# op -> (graph over the parent nodes, parent values)
+PARENT_GRAD_OPS = {
+    "matmul": (lambda tape, a, b: tape.matmul(a, b), [_R.normal(3, 4), _R.normal(4, 2)]),
+    "linear": (lambda tape, x, w, bias: tape.linear(x, w, bias),
+               [_R.normal(5, 4), _R.normal(3, 4), _R.normal(3)]),
+    "kron_linear": (lambda tape, x, a, b, bias: tape.kron_linear(x, a, b, bias),
+                    [_R.normal(5, 4), _R.normal(3, 2), _R.normal(2, 2), _R.normal(6)]),
+    "kron_embed": (lambda tape, a, b: tape.kron_embed(a, b, np.array([1, 3, 3, 9])),
+                   [_R.normal(10, 3), _R.normal(1, 2)]),
+    "layernorm": (lambda tape, x, gain, bias: tape.layernorm(x, gain, bias),
+                  [_R.normal(4, 6), _R.normal(6), _R.normal(6)]),
+    "attn_scores": (lambda tape, q, k: tape.attn_scores(q, k, 2, 5, 0.5),
+                    [_R.normal(5, 8), _R.normal(5, 8)]),
+    "attn_mix": (lambda tape, probs, v: tape.attn_mix(probs, v, 2),
+                 [masked_softmax(_R.normal(2, 5, 5), causal_mask(5)), _R.normal(5, 8)]),
+}
+
+
+@pytest.mark.parametrize("op", sorted(PARENT_GRAD_OPS))
+def test_constant_parent_gets_no_grad_and_leaves_keep_theirs(op):
+    build, values = PARENT_GRAD_OPS[op]
+
+    def run(constant=None):
+        """The parent nodes after backward, parent ``constant`` entering as a constant."""
+        tape = Tape()
+        nodes = [tape.constant(v) if i == constant else tape.leaf(v, f"p{i}")
+                 for i, v in enumerate(values)]
+        out = build(tape, *nodes)
+        backward(tape, tape.mse(out, np.cos(np.arange(out.value.size)).reshape(out.value.shape)))
+        return nodes
+
+    all_leaves = run()
+    for constant in range(len(values)):
+        nodes = run(constant)
+        assert nodes[constant].grad is None
+        for i, (node, leaf) in enumerate(zip(nodes, all_leaves)):
+            if i != constant:
+                assert np.array_equal(node.grad, leaf.grad), (constant, i)
+
+
 def test_gather_rejects_out_of_range_and_names_id():
     tape = Tape()
     table = tape.leaf(np.ones((4, 2)), "t")

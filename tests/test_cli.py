@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import stored_param_count
 from kronlm.archive import load_model, save_model
 from kronlm.cli import main
 from kronlm.kronecker import kron
@@ -54,7 +55,7 @@ def test_compress_writes_report_with_consistent_totals(tmp_path, teacher_ckpt):
     )
     student = load_model(out)
     # analytic check: report totals equal recounted params (minus the LM head)
-    assert totals["params_after"] == student.param_count(exclude_lm_head=True)
+    assert totals["params_after"] == stored_param_count(student, exclude_lm_head=True)
 
 
 def test_compress_report_residuals_recomputable(tmp_path, teacher_ckpt):
@@ -255,6 +256,18 @@ def test_count_flags_below_one_are_rejected(tmp_path, teacher_ckpt, corpus_file,
     assert f"argument {flag}: expected an integer >= 1, got '{value}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1", "x"])
+def test_train_rejects_a_bad_lr(tmp_path, teacher_ckpt, corpus_file, capsys, value):
+    out = tmp_path / "out.knz"
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli("train", "--student", teacher_ckpt, "--corpus", corpus_file, "--mode", "lm",
+                "--output", out, "--batch", 2, "--seq-len", 16, "--steps-per-epoch", 1,
+                "--lr", value)
+    assert exit_info.value.code == 2
+    assert f"argument --lr: expected a finite number > 0, got '{value}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_deterministic_checkpoints(tmp_path, teacher_ckpt, corpus_file):
     student_in = tmp_path / "student.knz"
     run_cli("compress", "--input", teacher_ckpt, "--output", student_in)
@@ -284,6 +297,16 @@ def test_eval_plain_output(teacher_ckpt, corpus_file, capsys):
                    "--seq-len", 16, "--max-windows", 10) == 0
     text = capsys.readouterr().out
     assert "val_ce=" in text and "perplexity=" in text
+
+
+def test_eval_names_an_out_of_vocabulary_target(tmp_path, capsys):
+    ckpt = tmp_path / "vocab16.knz"
+    save_model(TinyGPTModel.init_random(replace(CLI_CONFIG, vocab_size=16)), ckpt)
+    corpus = tmp_path / "corpus.bin"
+    # 40 bytes: the validation tail is the last 4, and only its last target is >= 16
+    corpus.write_bytes(bytes(k % 15 + 1 for k in range(36)) + bytes([1, 2, 3, 200]))
+    assert run_cli("eval", "--checkpoint", ckpt, "--corpus", corpus, "--seq-len", 3) == 1
+    assert "target id 200 out of range [0, 16)" in capsys.readouterr().err
 
 
 def test_eval_missing_file_errors(tmp_path, corpus_file, capsys):

@@ -20,9 +20,9 @@ from kronlm.distill import (
     train_step,
     weights_for_mode,
 )
-from kronlm.errors import NonFiniteLossError, ShapeError
+from kronlm.errors import NonFiniteLossError, ShapeError, TokenIdError
 from kronlm.model import ForwardTrace, TraceNodes, attach_classifier
-from kronlm.tensor_core import Rng, causal_mask, masked_softmax
+from kronlm.tensor_core import Rng, causal_mask, log_softmax_rows, masked_softmax
 
 
 def random_trace(rng, n_layers=2, h=2, t=4, d=6, v=8):
@@ -204,6 +204,12 @@ def test_distill_weights_validation():
         with pytest.raises(ValueError, match="finite"):
             DistillWeights(bad, 0, 0, 1)
     assert DistillWeights.finetune().alpha4 == 0.02
+
+
+@pytest.mark.parametrize("lr", [np.nan, np.inf, 0.0, -1.0])
+def test_train_config_rejects_a_bad_learning_rate(lr):
+    with pytest.raises(ValueError, match="learning_rate must be finite and > 0"):
+        TrainConfig(learning_rate=lr)
 
 
 def test_weights_for_mode():
@@ -482,3 +488,14 @@ def test_evaluate_lm_and_perplexity(small_teacher):
     assert abs(perplexity(ce) - np.exp(ce)) < 1e-9
     with pytest.raises(ShapeError):
         evaluate_lm(small_teacher, tokens[:4], seq_len=8)
+    # the mean over windows equals the mean over all targets: every window has seq_len
+    windows = tokens[: 74 * 8 + 1]
+    logp = log_softmax_rows(small_teacher.forward(windows[:-1].reshape(74, 8)).logits)
+    oracle = -logp[np.arange(len(windows) - 1), windows[1:]].mean()
+    assert abs(ce - oracle) < 1e-12
+
+
+def test_evaluate_lm_names_an_out_of_vocabulary_target(small_teacher):
+    # the inputs are in range; only the last target is not
+    with pytest.raises(TokenIdError, match=r"target id 200 out of range \[0, 16\)"):
+        evaluate_lm(small_teacher, np.array([1, 2, 3, 200]), seq_len=3)
