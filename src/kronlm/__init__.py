@@ -7,7 +7,6 @@ from .kronecker import (
     compression_factor,
     kron,
     kron_matmul,
-    kron_matvec,
     nearest_kron,
     rearrange,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "evaluate_lm",
     "kron",
     "kron_matmul",
-    "kron_matvec",
     "nearest_kron",
     "perplexity",
     "rearrange",

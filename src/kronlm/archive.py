@@ -34,9 +34,10 @@ from .errors import (
     CrcError,
     DuplicateNameError,
     KronlmError,
+    ShapeError,
     TruncationError,
 )
-from .model import GPTConfig, TinyGPTModel, layer_tensors, param_layout, stored_factors
+from .model import GPTConfig, TinyGPTModel
 
 MAGIC = b"KTNZ"
 VERSION = 1
@@ -152,33 +153,6 @@ def save_model(model: TinyGPTModel, path) -> None:
     archive_write(path, tensors)
 
 
-def _check_layout(config: GPTConfig, tensors: dict) -> None:
-    """Raise ArchiveError unless ``tensors`` holds exactly the tensors that
-    param_layout names for ``config``, each with its shape."""
-    expected = []
-    for layer in param_layout(config):
-        factors = stored_factors(layer, tensors)
-        layer_expected = layer_tensors(layer, factors)
-        if factors is not None and (
-            (factors[0] * factors[2], factors[1] * factors[3]) != layer.shape
-            or (layer.kind == "embedding" and factors[2] != 1)  # one A row per token
-        ):
-            (a, a_shape), (b, b_shape) = layer_expected[:2]
-            raise ArchiveError(
-                f"checkpoint tensors {a!r} x {b!r}: expected a {layer.kind} product of "
-                f"shape {layer.shape}, found {a_shape} x {b_shape}"
-            )
-        expected += layer_expected
-    for name, shape in expected:
-        found = tensors[name].shape if name in tensors else "no tensor"
-        if found != shape:
-            raise ArchiveError(f"checkpoint tensor {name!r}: expected shape {shape}, found {found}")
-    names = {name for name, _ in expected}
-    for name, arr in tensors.items():
-        if name not in names:
-            raise ArchiveError(f"checkpoint holds unexpected tensor {name!r} of shape {arr.shape}")
-
-
 def load_model(path) -> TinyGPTModel:
     tensors = {k: v.astype(np.float64, copy=False) for k, v in archive_read(path).items()}
     meta = tensors.pop(_META_NAME, None)
@@ -192,5 +166,7 @@ def load_model(path) -> TinyGPTModel:
         cfg = GPTConfig(**{f: int(x) for f, x in zip(_META_FIELDS, meta)})
     except (KronlmError, ValueError, ZeroDivisionError) as exc:
         raise ArchiveError(f"checkpoint __meta__ {meta.tolist()} is not a model config: {exc}") from exc
-    _check_layout(cfg, tensors)
-    return TinyGPTModel.from_tensors(cfg, tensors)
+    try:
+        return TinyGPTModel.from_tensors(cfg, tensors)
+    except ShapeError as exc:
+        raise ArchiveError(f"checkpoint {exc}") from exc

@@ -7,7 +7,9 @@ layers receive gradients for their factors directly, in factored form, at
 the same asymptotic cost as the forward pass.
 
 Softmax+cross-entropy and softmax+KL are fused primitives so their backward
-passes stay numerically stable.
+passes stay numerically stable. Attention is causal and scaled by 1/sqrt(d/h)
+in one place: the attention ops work out the scale and the causal mask from
+their operands' shapes.
 
 Every vjp returns a gradient for each of its parents. ``backward`` routes
 them: it runs the vjp of a node only when the node requires a gradient, and
@@ -20,7 +22,14 @@ import numpy as np
 
 from .errors import ShapeError, TokenIdError
 from .kronecker import KroneckerPair, kron_matmul, kron_matmul_grads
-from .tensor_core import gelu, gelu_with_grad, log_softmax_rows, masked_softmax, softmax_rows
+from .tensor_core import (
+    causal_mask,
+    gelu,
+    gelu_with_grad,
+    log_softmax_rows,
+    masked_softmax,
+    softmax_rows,
+)
 
 # GradStore: map from leaf parameter name -> gradient array of identical shape
 GradStore = dict
@@ -204,14 +213,15 @@ class Tape:
 
     # ---- attention ------------------------------------------------------
 
-    def attn_scores(self, q: Node, k: Node, n_heads: int, seq_len: int, scale: float) -> Node:
-        """Per-head scaled dot products: (B*h, T, T) from q, k of shape (B*T, d),
-        the rows of each sequence contiguous."""
+    def attn_scores(self, q: Node, k: Node, n_heads: int, seq_len: int) -> Node:
+        """Per-head dot products scaled by 1/sqrt(d/h): (B*h, T, T) from q, k of
+        shape (B*T, d), the rows of each sequence contiguous."""
         rows, d = q.value.shape
         if rows % seq_len or k.value.shape != q.value.shape:
             raise ShapeError(f"attn_scores: q {q.value.shape}, k {k.value.shape} "
                              f"are not sequences of length {seq_len}")
         b, dk = rows // seq_len, d // n_heads
+        scale = 1.0 / np.sqrt(dk)
         qh = q.value.reshape(b, seq_len, n_heads, dk).transpose(0, 2, 1, 3)  # (B, h, T, dk)
         kh = k.value.reshape(b, seq_len, n_heads, dk).transpose(0, 2, 1, 3)
         s = (np.matmul(qh, kh.transpose(0, 1, 3, 2)) * scale).reshape(b * n_heads, seq_len, seq_len)
@@ -224,8 +234,10 @@ class Tape:
 
         return self._op(s, (q, k), vjp)
 
-    def masked_softmax(self, scores: Node, mask: np.ndarray) -> Node:
-        p = masked_softmax(scores.value, mask)
+    def masked_softmax(self, scores: Node) -> Node:
+        """Causal row softmax of (..., T, T) scores: entry j of row i is kept
+        where j <= i, and is exactly zero above the diagonal."""
+        p = masked_softmax(scores.value, causal_mask(scores.value.shape[-1]))
 
         def vjp(up):
             return (p * (up - (up * p).sum(axis=-1, keepdims=True)),)
@@ -276,16 +288,17 @@ class Tape:
 
         return self._op(value, (logits,), vjp)
 
-    def attn_kl(self, scores: Node, teacher_probs: np.ndarray, mask: np.ndarray) -> Node:
+    def attn_kl(self, scores: Node, teacher_probs: np.ndarray) -> Node:
         """KL(teacher || student) between teacher attention rows and the
-        softmax of ``scores``.
+        causal softmax of (B*h, T, T) ``scores``.
 
-        Only causal-valid positions enter; the result is averaged over all
-        (B*h) x T rows.
+        Only causal-valid positions (j <= i) enter; the result is averaged
+        over all (B*h) x T rows.
         """
         p = np.asarray(teacher_probs, dtype=np.float64)
         if p.shape != scores.value.shape:
             raise ShapeError(f"attn_kl shape mismatch: {p.shape} vs {scores.value.shape}")
+        mask = causal_mask(p.shape[-1])
         neg = np.where(mask, scores.value, -np.inf)
         logq = log_softmax_rows(neg)  # -inf at masked entries
         q = np.where(mask, np.exp(logq), 0.0)

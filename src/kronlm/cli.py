@@ -54,15 +54,46 @@ def _count(value: str) -> int:
     return int(value)
 
 
+def _number(value: str) -> float:
+    """``value`` as a float; NaN, which fails every range test, if it is none."""
+    try:
+        return float(value)
+    except ValueError:
+        return math.nan
+
+
 def _rate(value: str) -> float:
     """A rate flag: a finite number above 0."""
-    try:
-        rate = float(value)
-    except ValueError:
-        rate = math.nan
+    rate = _number(value)
     if not (math.isfinite(rate) and rate > 0):
         raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {value!r}")
     return rate
+
+
+def _ratio(value: str) -> float:
+    """A ratio flag: a number strictly between 0 and 1."""
+    ratio = _number(value)
+    if not 0 < ratio < 1:
+        raise argparse.ArgumentTypeError(f"expected a number in (0, 1), got {value!r}")
+    return ratio
+
+
+def _shapes(value: str) -> list:
+    """Semicolon-separated tuples of positive m,n,m1,n1,m2,n2 with
+    (m, n) = (m1*m2, n1*n2)."""
+    shapes = []
+    for chunk in value.split(";"):
+        try:
+            m, n, m1, n1, m2, n2 = (int(x) for x in chunk.split(","))
+            well_formed = min(m1, n1, m2, n2) > 0 and (m, n) == (m1 * m2, n1 * n2)
+        except ValueError:  # a non-integer, or not six values
+            well_formed = False
+        if not well_formed:
+            raise argparse.ArgumentTypeError(
+                f"bad shape tuple {chunk!r}: need positive integers m,n,m1,n1,m2,n2 "
+                "with m = m1*m2 and n = n1*n2")
+        shapes.append((m, n, m1, n1, m2, n2))
+    return shapes
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -94,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(ignored by --mode none)")
     p.add_argument("--seq-len", type=_count, default=64)
     p.add_argument("--steps-per-epoch", type=_count, default=None)
-    p.add_argument("--val-ratio", type=float, default=0.1)
+    p.add_argument("--val-ratio", type=_ratio, default=0.1)
     p.add_argument("--output", default=None, help="trained checkpoint path (default: --student)")
     p.add_argument("--metrics", default=None, help="JSONL metrics history path")
     _add_seed(p)
@@ -104,12 +135,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True, nargs="+")
     p.add_argument("--json", action="store_true")
     p.add_argument("--seq-len", type=_count, default=64)
-    p.add_argument("--val-ratio", type=float, default=0.1)
+    p.add_argument("--val-ratio", type=_ratio, default=0.1)
     p.add_argument("--max-windows", type=_count, default=None)
     _add_seed(p)
 
     p = sub.add_parser("bench", help="dense vs factored matmul microbenchmark")
-    p.add_argument("--shapes", default=None,
+    p.add_argument("--shapes", type=_shapes, default=None,
                    help="semicolon-separated m,n,m1,n1,m2,n2 tuples (default: shape table)")
     p.add_argument("--rows", type=_count, default=32)
     p.add_argument("--repeats", type=_count, default=5)
@@ -248,18 +279,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.shapes:
-        shapes = []
-        for chunk in args.shapes.split(";"):
-            parts = [int(x) for x in chunk.split(",")]
-            if len(parts) != 6:
-                raise KronlmError(f"bad shape tuple {chunk!r}: need m,n,m1,n1,m2,n2")
-            m, n, m1, n1, m2, n2 = parts
-            if m != m1 * m2 or n != n1 * n2:
-                raise KronlmError(f"shape tuple {chunk!r}: ({m},{n}) != ({m1}*{m2},{n1}*{n2})")
-            shapes.append(tuple(parts))
-    else:
-        shapes = DEFAULT_SHAPES
+    shapes = args.shapes or DEFAULT_SHAPES
     csv = rows_to_csv(run_bench(shapes, rows=args.rows, repeats=args.repeats, seed=args.seed))
     if args.output:
         with open(args.output, "w") as fh:

@@ -34,7 +34,7 @@ import numpy as np
 from .autodiff import Tape, backward
 from .errors import NonFiniteLossError, ShapeError
 from .model import ForwardTrace, TinyGPTModel, TraceNodes
-from .tensor_core import Rng, causal_mask
+from .tensor_core import Rng
 
 
 @dataclass
@@ -126,9 +126,8 @@ def build_batch_loss(
     if w.alpha1 > 0:
         terms["L_emb"] = w.alpha1, tape.mse(s.embedding, t.embedding_out)
     if w.alpha2 > 0:
-        mask = causal_mask(s.attn_scores[0].value.shape[-1])
         terms["L_att"] = w.alpha2, tape.add_n([
-            tape.attn_kl(scores, probs, mask)
+            tape.attn_kl(scores, probs)
             for scores, probs in zip(s.attn_scores, t.attentions)
         ])
     if w.alpha3 > 0:
@@ -255,6 +254,8 @@ def finetune_step(
     each: trace losses plus class cross entropy, with the class logits
     standing in for the next-token logits."""
     t0 = time.perf_counter()
+    if w.needs_teacher() and teacher_clf is None:
+        raise ValueError("trace losses require a teacher model")
     try:
         tokens = np.asarray(sequences, dtype=np.int64)
     except ValueError:

@@ -1,6 +1,6 @@
 """Kronecker algebra: the product itself, the Van Loan-Pitsianis
 rearrangement, nearest-Kronecker decomposition by a thin SVD, and factored
-matvec/matmul kernels that never materialize the full product.
+matmul kernels that never materialize the full product.
 
 All vec/reshape conventions are row-major. Under that convention, for
 W (m1*m2 x n1*n2) sliced into an m1 x n1 grid of m2 x n2 blocks,
@@ -73,15 +73,6 @@ def rearrange(w: np.ndarray, m1: int, n1: int, m2: int, n2: int) -> np.ndarray:
     )
 
 
-def unrearrange(r: np.ndarray, m1: int, n1: int, m2: int, n2: int) -> np.ndarray:
-    """Inverse of :func:`rearrange`."""
-    if r.shape != (m1 * n1, m2 * n2):
-        raise ShapeError(f"unrearrange: r has shape {r.shape}, expected ({m1 * n1}, {m2 * n2})")
-    return np.ascontiguousarray(
-        r.reshape(m1, n1, m2, n2).transpose(0, 2, 1, 3).reshape(m1 * m2, n1 * n2)
-    )
-
-
 def nearest_kron(
     w: np.ndarray, m1: int, n1: int, m2: int, n2: int
 ) -> tuple[KroneckerPair, DecompositionReport]:
@@ -141,14 +132,6 @@ def kron_matmul(pair: KroneckerPair, x: np.ndarray) -> np.ndarray:
         t = np.matmul(xt, pair.b.T)  # (rows, n1, m2)
         y = np.matmul(pair.a, t)  # (rows, m1, m2)
     return y.reshape(rows, m1 * m2)
-
-
-def kron_matvec(pair: KroneckerPair, x: np.ndarray) -> np.ndarray:
-    """(a (x) b) @ x for a single vector x of length n1*n2."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ShapeError(f"kron_matvec expects a vector, got shape {x.shape}")
-    return kron_matmul(pair, x[None, :])[0]
 
 
 def kron_matmul_grads(

@@ -122,9 +122,18 @@ class CompressionSchedule:
     embedding_factor: int = 2
     include_wo: bool = True
     shape_qkv: tuple[int, int, int, int] = ()
-    shape_wo: tuple[int, int, int, int] = ()
     shape_cfc: tuple[int, int, int, int] = ()
-    shape_cproj: tuple[int, int, int, int] = ()
+
+    @property
+    def shape_wo(self) -> tuple[int, int, int, int]:
+        """wo is square like q/k/v and takes their factor shapes."""
+        return self.shape_qkv
+
+    @property
+    def shape_cproj(self) -> tuple[int, int, int, int]:
+        """The transpose of c_fc's factor shapes, per the shape table."""
+        m1, n1, m2, n2 = self.shape_cfc
+        return (n1, m1, n2, m2)
 
     @staticmethod
     def for_dims(
@@ -158,18 +167,13 @@ class CompressionSchedule:
                 f"embedding factor {embedding_factor} is not a positive divisor of "
                 f"d_model {d_model}"
             )
-        shape_qkv = plan_shapes(d_model, d_model, factor)
-        shape_cfc = plan_shapes(d_ff, d_model, factor)
-        m1, n1, m2, n2 = shape_cfc
         return CompressionSchedule(
             layer_indices=idx,
             compress_embedding=compress_embedding,
             embedding_factor=embedding_factor,
             include_wo=include_wo,
-            shape_qkv=shape_qkv,
-            shape_wo=shape_qkv,
-            shape_cfc=shape_cfc,
-            shape_cproj=(n1, m1, n2, m2),  # transpose of c_fc per the shape table
+            shape_qkv=plan_shapes(d_model, d_model, factor),
+            shape_cfc=plan_shapes(d_ff, d_model, factor),
         )
 
     def selects(self, layer_index: int) -> bool:

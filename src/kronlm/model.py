@@ -31,7 +31,7 @@ from .layers import (
     LayerNorm,
     decompose_linear,
 )
-from .tensor_core import Rng, causal_mask
+from .tensor_core import Rng
 
 INIT_STD = 0.02
 
@@ -225,12 +225,34 @@ class TinyGPTModel:
     def from_tensors(cls, config: GPTConfig, tensors: dict) -> "TinyGPTModel":
         """Model over the arrays of ``{name: array}``, taken as they are (no
         copy). Names follow param_layout; a layer held as an (a, b) pair is
-        factored."""
-        made = {}
+        factored.
+
+        Raises ShapeError unless ``tensors`` holds exactly the tensors that
+        param_layout names for ``config``, each with its shape, and each
+        factor pair's product has its layer's dense shape.
+        """
+        made, names = {}, set()
         for layer in param_layout(config):
             factors = stored_factors(layer, tensors)
-            arrays = [tensors.get(name) for name, _ in layer_tensors(layer, factors)]
+            expected = layer_tensors(layer, factors)
+            if factors is not None and (
+                (factors[0] * factors[2], factors[1] * factors[3]) != layer.shape
+                or (layer.kind == "embedding" and factors[2] != 1)  # one A row per token
+            ):
+                (a, a_shape), (b, b_shape) = expected[:2]
+                raise ShapeError(f"tensors {a!r} x {b!r}: expected a {layer.kind} product of "
+                                 f"shape {layer.shape}, found {a_shape} x {b_shape}")
+            for name, shape in expected:
+                found = tensors[name].shape if name in tensors else "no tensor"
+                if found != shape:
+                    raise ShapeError(f"tensor {name!r}: expected shape {shape}, found {found}")
+                names.add(name)
+            arrays = [tensors[name] for name, _ in expected]
             made[layer] = _make_layer(layer.kind, arrays, factors is not None)
+        for name, arr in tensors.items():
+            if name not in names:
+                raise ShapeError(f"tensors include an unexpected tensor {name!r} "
+                                 f"of shape {arr.shape}")
         blocks = [
             Block(**{layer.role: obj for layer, obj in made.items() if layer.block == i})
             for i in range(config.n_layers)
@@ -239,9 +261,10 @@ class TinyGPTModel:
         return cls(config, blocks=blocks, **top)
 
     @classmethod
-    def init_random(cls, config: GPTConfig, rng: Rng | None = None) -> "TinyGPTModel":
-        if rng is None:
-            rng = Rng(config.seed)
+    def init_random(cls, config: GPTConfig) -> "TinyGPTModel":
+        """Weights drawn from ``config.seed`` alone, so the seed a checkpoint
+        records is the seed that drew it."""
+        rng = Rng(config.seed)
         tensors = {}
         # block weights are drawn before the model-level tables
         for layer in sorted(param_layout(config), key=lambda layer: layer.block is None):
@@ -328,14 +351,12 @@ class TinyGPTModel:
         x = tape.add(tok, pos)
         embedding_node = x
 
-        mask = causal_mask(t)
-        scale = 1.0 / np.sqrt(cfg.d_model / cfg.n_heads)
         scores_nodes, probs_nodes, hidden_nodes = [], [], []
         for i in range(cfg.n_layers):
             h0 = apply(i, "ln1", x)
             q, k, v = (apply(i, role, h0) for role in ("wq", "wk", "wv"))
-            scores = tape.attn_scores(q, k, cfg.n_heads, t, scale)
-            probs = tape.masked_softmax(scores, mask)
+            scores = tape.attn_scores(q, k, cfg.n_heads, t)
+            probs = tape.masked_softmax(scores)
             ctx = tape.attn_mix(probs, v, cfg.n_heads)
             x = tape.add(x, apply(i, "wo", ctx))
             ff = apply(i, "c_proj", tape.gelu(apply(i, "c_fc", apply(i, "ln2", x))))

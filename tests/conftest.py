@@ -13,7 +13,6 @@ import pytest
 
 from kronlm.layers import CompressionSchedule
 from kronlm.model import GPTConfig, TinyGPTModel, compress_model
-from kronlm.tensor_core import Rng
 
 # pseudo-English word stock for the synthetic corpus; Zipf-weighted draws
 # give the byte-level model strong local statistics to learn
@@ -63,7 +62,7 @@ def small_config():
 
 @pytest.fixture(scope="session")
 def small_teacher(small_config):
-    return TinyGPTModel.init_random(small_config, Rng(small_config.seed))
+    return TinyGPTModel.init_random(small_config)
 
 
 @pytest.fixture()

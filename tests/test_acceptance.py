@@ -171,8 +171,8 @@ def test_criterion_06_gradient_correctness():
     from kronlm.kronecker import kron_matmul_grads
 
     cfg = GPTConfig(n_layers=2, n_heads=2, d_model=8, d_ff=16, vocab_size=16,
-                    max_seq_len=10, seed=606)
-    teacher = TinyGPTModel.init_random(cfg, Rng(1))
+                    max_seq_len=10, seed=1)
+    teacher = TinyGPTModel.init_random(cfg)
     schedule = CompressionSchedule.for_dims(2, 8, 16, factor=2)
     student, _ = compress_model(teacher, schedule)
     batch = Rng(3).integers(0, 16, size=(2, 8)).astype(np.int64)
@@ -249,8 +249,8 @@ def test_criterion_07_loss_definitions():
 
     # Eq.-5-style linear combination holds at every logged training step
     cfg = GPTConfig(n_layers=2, n_heads=2, d_model=8, d_ff=16, vocab_size=16,
-                    max_seq_len=10, seed=707)
-    teacher = TinyGPTModel.init_random(cfg, Rng(4))
+                    max_seq_len=10, seed=4)
+    teacher = TinyGPTModel.init_random(cfg)
     student, _ = compress_model(
         teacher, CompressionSchedule.for_dims(2, 8, 16, factor=2)
     )
@@ -292,7 +292,7 @@ def training_study(tmp_path_factory):
     def held_out_ce(model):
         return evaluate_lm(model, corpus.val, seq_len=64, max_windows=80)
 
-    teacher = TinyGPTModel.init_random(cfg, Rng(0))
+    teacher = TinyGPTModel.init_random(cfg)
     run_phase("lm", teacher, None, corpus.train, tc, steps_per_epoch=STUDY_STEPS)
     ce = {"teacher": held_out_ce(teacher)}
     teacher_hash = teacher.state_hash()

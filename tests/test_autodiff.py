@@ -129,15 +129,28 @@ def test_attention_pipeline_grads():
     t_len, d, h = 5, 8, 2
     q, k, v = rng.normal(t_len, d), rng.normal(t_len, d), rng.normal(t_len, d)
     target = rng.normal(t_len, d)
-    mask = causal_mask(t_len)
 
     def build(tape):
         qn, kn, vn = tape.leaf(q, "p0"), tape.leaf(k, "p1"), tape.leaf(v, "p2")
-        scores = tape.attn_scores(qn, kn, h, t_len, 1.0 / np.sqrt(d / h))
-        probs = tape.masked_softmax(scores, mask)
+        probs = tape.masked_softmax(tape.attn_scores(qn, kn, h, t_len))
         return tape.mse(tape.attn_mix(probs, vn, h), target)
 
     check_op(build, [q, k, v])
+
+
+def test_attn_scores_scale_each_head_by_its_width():
+    rng = Rng(24)
+    b, t_len, d, h = 2, 3, 8, 2
+    q, k = rng.normal(b * t_len, d), rng.normal(b * t_len, d)
+    tape = Tape()
+    scores = tape.attn_scores(tape.leaf(q), tape.leaf(k), h, t_len).value
+    dk = d // h
+    for seq in range(b):
+        rows = slice(seq * t_len, (seq + 1) * t_len)
+        for head in range(h):
+            cols = slice(head * dk, (head + 1) * dk)
+            expected = q[rows, cols] @ k[rows, cols].T / np.sqrt(dk)
+            assert np.allclose(scores[seq * h + head], expected, rtol=0, atol=1e-12)
 
 
 def test_gather_and_kron_embed_grads():
@@ -165,12 +178,11 @@ def test_cross_entropy_grad():
 def test_attn_kl_grad():
     rng = Rng(9)
     h, t_len = 2, 4
-    mask = causal_mask(t_len)
     teacher_scores = rng.normal(h, t_len * t_len).reshape(h, t_len, t_len)
-    teacher_probs = masked_softmax(teacher_scores, mask)
+    teacher_probs = masked_softmax(teacher_scores, causal_mask(t_len))
     scores = rng.normal(h, t_len * t_len).reshape(h, t_len, t_len)
     check_op(
-        lambda tape: tape.attn_kl(tape.leaf(scores, "p0"), teacher_probs, mask),
+        lambda tape: tape.attn_kl(tape.leaf(scores, "p0"), teacher_probs),
         [scores],
     )
 
@@ -228,7 +240,7 @@ PARENT_GRAD_OPS = {
                    [_R.normal(10, 3), _R.normal(1, 2)]),
     "layernorm": (lambda tape, x, gain, bias: tape.layernorm(x, gain, bias),
                   [_R.normal(4, 6), _R.normal(6), _R.normal(6)]),
-    "attn_scores": (lambda tape, q, k: tape.attn_scores(q, k, 2, 5, 0.5),
+    "attn_scores": (lambda tape, q, k: tape.attn_scores(q, k, 2, 5),
                     [_R.normal(5, 8), _R.normal(5, 8)]),
     "attn_mix": (lambda tape, probs, v: tape.attn_mix(probs, v, 2),
                  [masked_softmax(_R.normal(2, 5, 5), causal_mask(5)), _R.normal(5, 8)]),

@@ -14,7 +14,6 @@ from kronlm.cli import main
 from kronlm.kronecker import kron
 from kronlm.layers import KroneckerEmbedding, KroneckerLinear
 from kronlm.model import GPTConfig, TinyGPTModel
-from kronlm.tensor_core import Rng
 
 CLI_CONFIG = GPTConfig(
     n_layers=2, n_heads=2, d_model=16, d_ff=32, vocab_size=256, max_seq_len=32, seed=21
@@ -23,7 +22,7 @@ CLI_CONFIG = GPTConfig(
 
 @pytest.fixture()
 def teacher_ckpt(tmp_path):
-    model = TinyGPTModel.init_random(CLI_CONFIG, Rng(CLI_CONFIG.seed))
+    model = TinyGPTModel.init_random(CLI_CONFIG)
     path = tmp_path / "teacher.knz"
     save_model(model, path)
     return path
@@ -173,7 +172,7 @@ def test_train_teacher_of_another_depth_errors(tmp_path, teacher_ckpt, corpus_fi
     run_cli("compress", "--input", teacher_ckpt, "--output", student_in)
     teacher_cfg = replace(CLI_CONFIG, n_layers=teacher_layers)
     other = tmp_path / "other.knz"
-    save_model(TinyGPTModel.init_random(teacher_cfg, Rng(1)), other)
+    save_model(TinyGPTModel.init_random(replace(teacher_cfg, seed=1)), other)
     rc = run_cli("train", "--teacher", other, "--student", student_in, "--corpus", corpus_file,
                  "--mode", "kd", "--output", tmp_path / "out.knz",
                  "--batch", 2, "--seq-len", 16, "--steps-per-epoch", 1)
@@ -334,8 +333,45 @@ def test_bench_param_ratio_for_1024_example(capsys):
 
 
 def test_bench_rejects_bad_shape(capsys):
-    assert run_cli("bench", "--shapes", "10,10,3,10,2,1") != 0
-    assert "shape" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli("bench", "--shapes", "10,10,3,10,2,1")
+    assert exit_info.value.code == 2
+    assert "argument --shapes: bad shape tuple '10,10,3,10,2,1'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, chunk", [
+    ("12,x,6,12,2,1", "12,x,6,12,2,1"),  # not an integer
+    ("12,12,6,12,2,1;", ""),  # an empty chunk after the trailing ';'
+    ("12,12,6,12,2", "12,12,6,12,2"),  # five values
+    ("12,12,6,12,2,1,1", "12,12,6,12,2,1,1"),  # seven values
+    ("12,12,6,12,2,1;0,0,0,0,0,0", "0,0,0,0,0,0"),  # a zero product
+    ("12,12,-6,12,-2,1", "12,12,-6,12,-2,1"),  # negative factors
+], ids=["non_integer", "trailing_semicolon", "five_values", "seven_values", "zero_dims",
+        "negative_dims"])
+def test_bench_rejects_malformed_shapes_naming_the_flag(capsys, value, chunk):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli("bench", "--shapes", value, "--rows", 2, "--repeats", 1)
+    assert exit_info.value.code == 2
+    assert f"argument --shapes: bad shape tuple {chunk!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("value", ["nan", "0", "1", "1.5", "x"])
+def test_val_ratio_outside_zero_one_is_rejected(tmp_path, teacher_ckpt, corpus_file, capsys,
+                                                command, value):
+    valid = {
+        "train": ["--student", teacher_ckpt, "--corpus", corpus_file, "--mode", "lm",
+                  "--output", tmp_path / "out.knz", "--batch", 2, "--seq-len", 16,
+                  "--steps-per-epoch", 1],
+        "eval": ["--checkpoint", teacher_ckpt, "--corpus", corpus_file, "--seq-len", 16,
+                 "--max-windows", 1],
+    }[command]
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(command, *valid, "--val-ratio", value)
+    assert exit_info.value.code == 2
+    assert (f"argument --val-ratio: expected a number in (0, 1), got '{value}'"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out.knz").exists()
 
 
 def test_knz_seed_env_fallback(tmp_path, teacher_ckpt, monkeypatch):

@@ -414,6 +414,23 @@ def test_finetune_step_rejects_ragged_sequences(small_teacher, small_student):
         _finetune(small_teacher, small_student, seqs, np.array([0, 1]))
 
 
+def test_finetune_step_trace_losses_require_a_teacher(monkeypatch, small_student):
+    tapes = []
+    real_init = Tape.__init__
+
+    def counting_init(tape):
+        real_init(tape)
+        tapes.append(tape)
+
+    monkeypatch.setattr(Tape, "__init__", counting_init)
+    student_clf = attach_classifier(small_student, 2, rng=Rng(1))
+    opt = Adam(student_clf.named_parameters(), lr=1e-3)
+    seqs = Rng(18).integers(0, 16, size=(2, 6))
+    with pytest.raises(ValueError, match="trace losses require a teacher model"):
+        finetune_step(student_clf, None, seqs, np.array([0, 1]), DistillWeights.finetune(), opt)
+    assert tapes == [] and opt.t == 0
+
+
 def test_sample_batch_shapes_and_determinism():
     tokens = np.arange(1000) % 256
     b1 = sample_batch(tokens, 4, 16, Rng(7))

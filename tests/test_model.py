@@ -19,7 +19,7 @@ from kronlm.tensor_core import Rng
 def exactly_factorable_teacher(config, schedule, seed=0):
     """A dense model whose selected weights are exact Kronecker products."""
     rng = Rng(seed)
-    model = TinyGPTModel.init_random(config, Rng(config.seed))
+    model = TinyGPTModel.init_random(config)
     v, d = config.vocab_size, config.d_model
     ve, de, one, f = schedule.embedding_shapes(v, d)
     model.tok_emb = kron(rng.normal(ve, de, scale=0.1), rng.normal(one, f, scale=0.5))
@@ -110,6 +110,20 @@ def test_compress_model_names_a_non_finite_weight(small_teacher):
     schedule = CompressionSchedule.for_dims(cfg.n_layers, cfg.d_model, cfg.d_ff)
     with pytest.raises(KronlmError, match=r"^block1\.wq\.weight: .*non-finite.*\(2, 3\)"):
         compress_model(teacher, schedule)
+
+
+@pytest.mark.parametrize("build", ["copy", "compress"])
+def test_copy_and_compress_check_tensors_against_the_layout(small_teacher, build):
+    teacher = small_teacher.copy()
+    cfg = teacher.config
+    d = cfg.d_model
+    teacher.blocks[0].ln1.gain = np.ones(d + 1)
+    message = rf"'block0\.ln1\.gain': expected shape \({d},\), found \({d + 1},\)"
+    with pytest.raises(ShapeError, match=message):
+        if build == "copy":
+            teacher.copy()
+        else:
+            compress_model(teacher, CompressionSchedule.for_dims(cfg.n_layers, d, cfg.d_ff))
 
 
 def test_compress_model_odd_layer_selection():
