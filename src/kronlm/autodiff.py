@@ -171,13 +171,16 @@ class Tape:
         _check_ids(ids, v, "token")
         rows = a_e.value[ids]  # (T, d/f)
         b_row = b_e.value[0]
-        y = (rows[:, :, None] * b_row[None, None, :]).reshape(len(ids), dpf * f)
+        y = np.empty((len(ids), dpf, f), dtype=np.result_type(rows, b_row))
+        for k in range(f):
+            np.multiply(rows, b_row[k], out=y[:, :, k])
+        y = y.reshape(len(ids), dpf * f)
 
         def vjp(up):
             u = up.reshape(len(ids), dpf, f)
             ga = np.zeros_like(a_e.value)
             np.add.at(ga, ids, u @ b_row)
-            return ga, np.einsum("tjk,tj->k", u, rows)[None, :]
+            return ga, np.array([[np.vdot(u[:, :, k], rows) for k in range(f)]])
 
         return self._op(y, (a_e, b_e), vjp)
 

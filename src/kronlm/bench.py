@@ -1,5 +1,5 @@
-"""Dense vs factored matmul microbenchmark: wall time, analytic flop
-counts, and parameter ratios across the standard shape table."""
+"""Dense vs factored matmul microbenchmark: forward and backward wall time,
+analytic flop counts, and parameter ratios across the standard shape table."""
 
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ from .kronecker import (
     kron,
     kron_matmul,
     kron_matmul_flops,
+    kron_matmul_grads,
 )
 from .tensor_core import Rng
 
@@ -46,6 +47,9 @@ class BenchRow:
     dense_ms: float
     kron_ms: float
     speedup: float
+    dense_bwd_ms: float
+    kron_bwd_ms: float
+    bwd_speedup: float
 
 
 def _time_call(fn, repeats: int) -> float:
@@ -57,6 +61,10 @@ def _time_call(fn, repeats: int) -> float:
     return best * 1e3
 
 
+def _ratio(dense_ms: float, kron_ms: float) -> float:
+    return dense_ms / kron_ms if kron_ms > 0 else float("inf")
+
+
 def run_bench(shapes=DEFAULT_SHAPES, rows: int = 32, repeats: int = 5, seed: int = 0) -> list:
     rng = Rng(seed)
     out = []
@@ -66,8 +74,11 @@ def run_bench(shapes=DEFAULT_SHAPES, rows: int = 32, repeats: int = 5, seed: int
         pair = KroneckerPair(a, b)
         w = kron(a, b)
         x = rng.normal(rows, n)
+        up = rng.normal(rows, m)
         dense_ms = _time_call(lambda: x @ w.T, repeats)
         kron_ms = _time_call(lambda: kron_matmul(pair, x), repeats)
+        dense_bwd_ms = _time_call(lambda: (up @ w, up.T @ x), repeats)
+        kron_bwd_ms = _time_call(lambda: kron_matmul_grads(pair, x, up), repeats)
         params_dense = m * n
         params_kron = m1 * n1 + m2 * n2
         fd = dense_matmul_flops(rows, m, n)
@@ -83,7 +94,10 @@ def run_bench(shapes=DEFAULT_SHAPES, rows: int = 32, repeats: int = 5, seed: int
                 flop_ratio=fd / fk,
                 dense_ms=dense_ms,
                 kron_ms=kron_ms,
-                speedup=dense_ms / kron_ms if kron_ms > 0 else float("inf"),
+                speedup=_ratio(dense_ms, kron_ms),
+                dense_bwd_ms=dense_bwd_ms,
+                kron_bwd_ms=kron_bwd_ms,
+                bwd_speedup=_ratio(dense_bwd_ms, kron_bwd_ms),
             )
         )
     return out

@@ -15,6 +15,11 @@ for every A (m1 x n1), B (m2 x n2). The nearest Kronecker pair is
 therefore the rank-1 truncation of the rearranged matrix. For every planned
 shape B is tiny (2x1, 1x2, 2x2 or 1xf), so the rearranged matrix has only a
 few columns and its thin SVD is exact and cheap.
+
+The factored kernels use the row-major identity (A (x) B) vec(X) =
+vec(A X B^T), X being the n1 x n2 reshape of one input row. They stack all
+rows, so every product with A, the bulk factor, is one BLAS GEMM; the tiny B
+is applied before or after it, whichever takes fewer multiply-adds.
 """
 
 from __future__ import annotations
@@ -109,29 +114,70 @@ def nearest_kron(
     return KroneckerPair(a=(scale * u).reshape(m1, n1), b=(scale * v).reshape(m2, n2)), report
 
 
+def _row_macs(m1: int, n1: int, m2: int, n2: int, a_first: bool) -> int:
+    """Multiply-adds per row: A X then (A X) B^T, or X B^T then A (X B^T)."""
+    return m1 * n2 * (n1 + m2) if a_first else n1 * m2 * (n2 + m1)
+
+
+def _a_first(m1: int, n1: int, m2: int, n2: int) -> bool:
+    """The multiplication order both kernels take: A first unless B first is cheaper."""
+    return _row_macs(m1, n1, m2, n2, True) <= _row_macs(m1, n1, m2, n2, False)
+
+
+def _spread(z: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """out[r, i, k] = sum_l z[r, l, i] * b[k, l], flattened to (rows, m * s).
+
+    Each out[:, :, k] is filled by scaled strided writes: a broadcast whose
+    innermost axis has b's tiny length would run numpy's loop over 1 or 2
+    elements at a time.
+    """
+    rows, n, m = z.shape
+    s = b.shape[0]
+    out = np.empty((rows, m, s), dtype=np.result_type(z, b))
+    for k in range(s):
+        np.multiply(z[:, 0], b[k, 0], out=out[:, :, k])
+        for l in range(1, n):
+            out[:, :, k] += b[k, l] * z[:, l]
+    return out.reshape(rows, m * s)
+
+
+def _contract(v: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """out[r * s + k, i] = sum_l v[r, i, l] * b[k, l], shape (rows * s, p).
+
+    One product with an inner dimension of b's tiny length over contiguous
+    rows of v; for s == 1 the reshapes around it are views.
+    """
+    rows, p, q = v.shape
+    s = b.shape[0]
+    out = (v.reshape(rows * p, q) @ b.T).reshape(rows, p, s)
+    return out.transpose(0, 2, 1).reshape(rows * s, p)
+
+
 def kron_matmul(pair: KroneckerPair, x: np.ndarray) -> np.ndarray:
     """Apply W = a (x) b to each row of x without materializing W.
 
     Row r of the output equals materialize(pair) @ x[r]. Uses the row-major
     identity (A (x) B) vec(X) = vec(A X B^T) with X = reshape(row, n1 x n2),
-    picking whichever multiplication order is cheaper.
+    in whichever multiplication order is cheaper. A, the bulk factor, is one
+    BLAS GEMM over all rows, (rows*n2, n1) @ A^T when A goes first and
+    (rows*m2, n1) @ A^T when B goes first; the tiny B is applied around it by
+    strided writes or a product with an inner dimension of 1 or 2.
     """
-    m1, n1 = pair.a.shape
-    m2, n2 = pair.b.shape
+    a, b = pair.a, pair.b
+    m1, n1 = a.shape
+    m2, n2 = b.shape
     if x.ndim != 2 or x.shape[1] != n1 * n2:
         raise ShapeError(
             f"kron_matmul: x has shape {getattr(x, 'shape', None)}, "
             f"expected (rows, {n1 * n2}) for factors ({m1}x{n1}, {m2}x{n2})"
         )
     rows = x.shape[0]
-    xt = x.reshape(rows, n1, n2)
-    if m1 * n1 * n2 + m1 * n2 * m2 <= n1 * n2 * m2 + m1 * n1 * m2:
-        t = np.matmul(pair.a, xt)  # (rows, m1, n2)
-        y = np.matmul(t, pair.b.T)  # (rows, m1, m2)
-    else:
-        t = np.matmul(xt, pair.b.T)  # (rows, n1, m2)
-        y = np.matmul(pair.a, t)  # (rows, m1, m2)
-    return y.reshape(rows, m1 * m2)
+    x3 = x.reshape(rows, n1, n2)
+    if _a_first(m1, n1, m2, n2):
+        xt = x3.transpose(0, 2, 1).reshape(rows * n2, n1)  # a view for n2 == 1
+        return _spread((xt @ a.T).reshape(rows, n2, m1), b)
+    yt = _contract(x3, b) @ a.T  # row r*m2 + k is column k of A X_r B^T
+    return yt.reshape(rows, m2, m1).transpose(0, 2, 1).reshape(rows, m1 * m2)
 
 
 def kron_matmul_grads(
@@ -139,25 +185,37 @@ def kron_matmul_grads(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of sum(upstream * kron_matmul(pair, x)) wrt (a, b, x).
 
-    Equal to the gradients through the materialized product, but computed in
-    factored form at the cost of a few small matmuls per row.
+    Equal to the gradients through the materialized product, computed in
+    factored form in the forward's multiplication order. With G_r the
+    (m1, m2) upstream of row r: grad_a = sum_r G_r B X_r^T,
+    grad_b = sum_r G_r^T A X_r and grad_x_r = A^T G_r B. Every product with
+    A is one GEMM over all rows, and grad_b is one product whose inner
+    dimension runs over all rows.
     """
-    m1, n1 = pair.a.shape
-    m2, n2 = pair.b.shape
+    a, b = pair.a, pair.b
+    m1, n1 = a.shape
+    m2, n2 = b.shape
     rows = x.shape[0]
     if upstream.shape != (rows, m1 * m2):
         raise ShapeError(
             f"kron_matmul_grads: upstream shape {upstream.shape} != ({rows}, {m1 * m2})"
         )
     g = upstream.reshape(rows, m1, m2)
-    xt = x.reshape(rows, n1, n2)
-    gb = np.matmul(g, pair.b)  # (rows, m1, n2)
-    # sum_r G_r B X_r^T and sum_r G_r^T (A X_r), as single GEMMs
-    grad_a = np.tensordot(gb, xt, axes=([0, 2], [0, 2]))
-    ax = np.matmul(pair.a, xt)  # (rows, m1, n2)
-    grad_b = np.tensordot(g, ax, axes=([0, 1], [0, 1]))
-    grad_x = np.matmul(pair.a.T, gb).reshape(rows, n1 * n2)  # A^T G_r B
-    return grad_a, grad_b, grad_x
+    x3 = x.reshape(rows, n1, n2)
+    if _a_first(m1, n1, m2, n2):
+        xt = x3.transpose(0, 2, 1).reshape(rows * n2, n1)
+        gb = _contract(g, b.T)  # row r*n2 + l is column l of G_r B
+        # row r*m1 + i is row i of A X_r
+        ax = (xt @ a.T).reshape(rows, n2, m1).transpose(0, 2, 1).reshape(rows * m1, n2)
+        grad_a = gb.T @ xt
+        grad_b = g.reshape(rows * m1, m2).T @ ax
+        grad_x = (gb @ a).reshape(rows, n2, n1).transpose(0, 2, 1).reshape(rows, n1 * n2)
+        return grad_a, grad_b, grad_x
+    gt = g.transpose(0, 2, 1).reshape(rows * m2, m1)  # a view for m2 == 1
+    grad_a = gt.T @ _contract(x3, b)
+    u = (gt @ a).reshape(rows, m2, n1)  # u[r, k] is column k of A^T G_r
+    grad_b = u.transpose(0, 2, 1).reshape(rows * n1, m2).T @ x3.reshape(rows * n1, n2)
+    return grad_a, grad_b, _spread(u, b.T)
 
 
 def compression_factor(m: int, n: int, m1: int, n1: int, m2: int, n2: int) -> float:
@@ -175,7 +233,5 @@ def dense_matmul_flops(rows: int, m: int, n: int) -> int:
 
 
 def kron_matmul_flops(rows: int, m1: int, n1: int, m2: int, n2: int) -> int:
-    """Mul+add count for the factored kernel (cheaper multiplication order)."""
-    path_a_first = m1 * n1 * n2 + m1 * n2 * m2
-    path_b_first = n1 * n2 * m2 + m1 * n1 * m2
-    return 2 * rows * min(path_a_first, path_b_first)
+    """Mul+add count for the factored kernel, in the order kron_matmul takes."""
+    return 2 * rows * _row_macs(m1, n1, m2, n2, _a_first(m1, n1, m2, n2))

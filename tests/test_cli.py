@@ -323,6 +323,9 @@ def test_bench_csv_rows_and_flop_columns(tmp_path, capsys):
     assert int(r["flops_dense"]) == 2 * 4 * 768 * 768
     assert int(r["flops_kron"]) == 2 * 4 * (384 * 768 + 384 * 2)
     assert float(r["dense_ms"]) > 0 and float(r["kron_ms"]) > 0
+    for row in rows:
+        for col in ("dense_bwd_ms", "kron_bwd_ms", "bwd_speedup"):
+            assert float(row[col]) > 0, (col, row)
 
 
 def test_bench_param_ratio_for_1024_example(capsys):

@@ -9,6 +9,7 @@ from kronlm.kronecker import (
     kron,
     kron_matmul,
     kron_matmul_flops,
+    kron_matmul_grads,
     nearest_kron,
     rearrange,
 )
@@ -240,6 +241,48 @@ def test_kron_matmul_shape_error():
     pair = KroneckerPair(np.eye(2), np.eye(3))
     with pytest.raises(ShapeError):
         kron_matmul(pair, np.zeros((2, 5)))
+
+
+# One B of each shape class, and both multiplication orders: 2x1 takes A
+# first, 1x2, 1xf and 1x1 take B first, and 2x2 takes A first when m1 < n1
+# and B first when m1 > n1.
+B_SHAPE_CLASSES = [
+    (5, 3, 2, 1), (5, 3, 1, 2), (3, 5, 2, 2), (5, 3, 2, 2), (5, 3, 1, 1), (5, 3, 1, 4),
+]
+
+
+def kernel_inputs(rng, m1, n1, m2, n2, rows, contiguous):
+    a, b = rng.normal(m1, n1), rng.normal(m2, n2)
+    wide = rng.normal(rows, n1 * n2 + 3)
+    x = np.ascontiguousarray(wide[:, : n1 * n2]) if contiguous else wide[:, 1 : 1 + n1 * n2]
+    return KroneckerPair(a, b), x, rng.normal(rows, m1 * m2)
+
+
+def assert_rel_close(got, expected, bound=1e-10):
+    assert got.shape == expected.shape
+    assert np.max(np.abs(got - expected)) <= bound * max(np.max(np.abs(expected)), 1e-30)
+
+
+@pytest.mark.parametrize("rows,contiguous", [(1, True), (7, True), (7, False)])
+@pytest.mark.parametrize("m1,n1,m2,n2", B_SHAPE_CLASSES)
+def test_kron_matmul_matches_materialized_on_every_b_shape(m1, n1, m2, n2, rows, contiguous):
+    pair, x, _ = kernel_inputs(Rng(40), m1, n1, m2, n2, rows, contiguous)
+    y = kron_matmul(pair, x)
+    assert_rel_close(y, x @ kron(pair.a, pair.b).T)
+    assert not np.shares_memory(y, x)
+
+
+@pytest.mark.parametrize("rows,contiguous", [(1, True), (7, True), (7, False)])
+@pytest.mark.parametrize("m1,n1,m2,n2", B_SHAPE_CLASSES)
+def test_kron_matmul_grads_match_materialized_on_every_b_shape(m1, n1, m2, n2, rows, contiguous):
+    pair, x, up = kernel_inputs(Rng(41), m1, n1, m2, n2, rows, contiguous)
+    grad_a, grad_b, grad_x = kron_matmul_grads(pair, x, up)
+    # dL/dW = up^T x, and W[i1*m2 + i2, j1*n2 + j2] = a[i1, j1] * b[i2, j2]
+    grad_w = (up.T @ x).reshape(m1, m2, n1, n2)
+    assert_rel_close(grad_x, up @ kron(pair.a, pair.b))
+    assert_rel_close(grad_a, np.einsum("ikjl,kl->ij", grad_w, pair.b))
+    assert_rel_close(grad_b, np.einsum("ikjl,ij->kl", grad_w, pair.a))
+    assert not np.shares_memory(grad_x, x) and not np.shares_memory(grad_x, up)
 
 
 # ---- compression factor -------------------------------------------------------------
