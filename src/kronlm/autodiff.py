@@ -9,7 +9,9 @@ the same asymptotic cost as the forward pass.
 Softmax+cross-entropy and softmax+KL are fused primitives so their backward
 passes stay numerically stable. Attention is causal and scaled by 1/sqrt(d/h)
 in one place: the attention ops work out the scale and the causal mask from
-their operands' shapes.
+their operands' shapes. Keys may outnumber queries, as in cached decoding:
+with Tk keys and Tq queries per sequence, query i sits at key position
+i + Tk - Tq.
 
 Every vjp returns a gradient for each of its parents. ``backward`` routes
 them: it runs the vjp of a node only when the node requires a gradient, and
@@ -217,30 +219,34 @@ class Tape:
     # ---- attention ------------------------------------------------------
 
     def attn_scores(self, q: Node, k: Node, n_heads: int, seq_len: int) -> Node:
-        """Per-head dot products scaled by 1/sqrt(d/h): (B*h, T, T) from q, k of
-        shape (B*T, d), the rows of each sequence contiguous."""
+        """Per-head dot products scaled by 1/sqrt(d/h): (B*h, Tq, Tk) from q of
+        shape (B*Tq, d), Tq = ``seq_len``, and k of shape (B*Tk, d), the rows of
+        each sequence contiguous. Tk >= Tq; the last Tq keys share the queries'
+        positions."""
         rows, d = q.value.shape
-        if rows % seq_len or k.value.shape != q.value.shape:
-            raise ShapeError(f"attn_scores: q {q.value.shape}, k {k.value.shape} "
-                             f"are not sequences of length {seq_len}")
-        b, dk = rows // seq_len, d // n_heads
+        b = rows // seq_len
+        t_k = k.value.shape[0] // max(b, 1)
+        if rows % seq_len or k.value.shape != (b * t_k, d) or t_k < seq_len:
+            raise ShapeError(f"attn_scores: q {q.value.shape}, k {k.value.shape} are not B "
+                             f"sequences of {seq_len} queries and at least {seq_len} keys each")
+        dk = d // n_heads
         scale = 1.0 / np.sqrt(dk)
-        qh = q.value.reshape(b, seq_len, n_heads, dk).transpose(0, 2, 1, 3)  # (B, h, T, dk)
-        kh = k.value.reshape(b, seq_len, n_heads, dk).transpose(0, 2, 1, 3)
-        s = (np.matmul(qh, kh.transpose(0, 1, 3, 2)) * scale).reshape(b * n_heads, seq_len, seq_len)
+        qh = q.value.reshape(b, seq_len, n_heads, dk).transpose(0, 2, 1, 3)  # (B, h, Tq, dk)
+        kh = k.value.reshape(b, t_k, n_heads, dk).transpose(0, 2, 1, 3)  # (B, h, Tk, dk)
+        s = (np.matmul(qh, kh.transpose(0, 1, 3, 2)) * scale).reshape(b * n_heads, seq_len, t_k)
 
         def vjp(up):
-            up = up.reshape(b, n_heads, seq_len, seq_len)
+            up = up.reshape(b, n_heads, seq_len, t_k)
             gq = (np.matmul(up, kh) * scale).transpose(0, 2, 1, 3).reshape(rows, d)
             gk = (np.matmul(up.transpose(0, 1, 3, 2), qh) * scale).transpose(0, 2, 1, 3)
-            return gq, gk.reshape(rows, d)
+            return gq, gk.reshape(b * t_k, d)
 
         return self._op(s, (q, k), vjp)
 
     def masked_softmax(self, scores: Node) -> Node:
-        """Causal row softmax of (..., T, T) scores: entry j of row i is kept
-        where j <= i, and is exactly zero above the diagonal."""
-        p = masked_softmax(scores.value, causal_mask(scores.value.shape[-1]))
+        """Causal row softmax of (..., Tq, Tk) scores: entry j of row i is kept
+        where j <= i + Tk - Tq, and is exactly zero beyond."""
+        p = masked_softmax(scores.value, causal_mask(*scores.value.shape[-2:]))
 
         def vjp(up):
             return (p * (up - (up * p).sum(axis=-1, keepdims=True)),)
@@ -248,16 +254,16 @@ class Tape:
         return self._op(p, (scores,), vjp)
 
     def attn_mix(self, probs: Node, v: Node, n_heads: int) -> Node:
-        """Weighted value mix: (B*h, T, T) probs x (B*T, d) values -> (B*T, d)."""
+        """Weighted value mix: (B*h, Tq, Tk) probs x (B*Tk, d) values -> (B*Tq, d)."""
         rows, d = v.value.shape
-        t = probs.value.shape[-1]
-        b, dk = rows // t, d // n_heads
-        ph = probs.value.reshape(b, n_heads, t, t)
-        vh = v.value.reshape(b, t, n_heads, dk).transpose(0, 2, 1, 3)  # (B, h, T, dk)
-        y = np.matmul(ph, vh).transpose(0, 2, 1, 3).reshape(rows, d)
+        t_q, t_k = probs.value.shape[-2:]
+        b, dk = rows // t_k, d // n_heads
+        ph = probs.value.reshape(b, n_heads, t_q, t_k)
+        vh = v.value.reshape(b, t_k, n_heads, dk).transpose(0, 2, 1, 3)  # (B, h, Tk, dk)
+        y = np.matmul(ph, vh).transpose(0, 2, 1, 3).reshape(b * t_q, d)
 
         def vjp(up):
-            uh = up.reshape(b, t, n_heads, dk).transpose(0, 2, 1, 3)
+            uh = up.reshape(b, t_q, n_heads, dk).transpose(0, 2, 1, 3)
             gp = np.matmul(uh, vh.transpose(0, 1, 3, 2)).reshape(probs.value.shape)
             gv = np.matmul(ph.transpose(0, 1, 3, 2), uh).transpose(0, 2, 1, 3).reshape(rows, d)
             return gp, gv

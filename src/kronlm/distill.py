@@ -238,6 +238,7 @@ def train_step(
     nodes = student.forward_tape(tape, inputs, params)
     trace = teacher.forward(inputs) if w.needs_teacher() else None
     total, values = build_batch_loss(tape, nodes, trace, batch[:, 1:].reshape(-1), w)
+    del trace  # the loss nodes hold what backward needs; free the rest before it runs
     return _update(tape, total, values, optimizer, step_index, t0)
 
 
@@ -257,7 +258,7 @@ def finetune_step(
     if w.needs_teacher() and teacher_clf is None:
         raise ValueError("trace losses require a teacher model")
     try:
-        tokens = np.asarray(sequences, dtype=np.int64)
+        tokens = np.asarray(sequences)  # ids are checked, not truncated, by forward_tape
     except ValueError:
         raise ShapeError(f"finetune_step: sequences must share one length, got lengths "
                          f"{sorted({len(seq) for seq in sequences})}") from None
@@ -270,6 +271,7 @@ def finetune_step(
     nodes, class_logits = student_clf.forward_tape(tape, tokens, params)
     trace = teacher_clf.forward(tokens)[0] if w.needs_teacher() else None
     total, values = build_batch_loss(tape, replace(nodes, logits=class_logits), trace, labels, w)
+    del trace  # the loss nodes hold what backward needs; free the rest before it runs
     return _update(tape, total, values, optimizer, step_index, t0)
 
 

@@ -8,6 +8,12 @@ each sequence's rows contiguous, and attention is (B*h, T, T). A 1-D
 sequence is a batch of one. Compressed and uncompressed variants of the
 same config produce identically-shaped traces, so teacher/student
 differences can be taken directly without projections.
+
+A trace also keeps each block's attention keys and values. Passed back as
+``forward_tape(..., past=trace)``, it makes the forward incremental: the new
+tokens take the positions after the cached ones and attend to the cached
+keys and values, which enter as constants. That is the evaluation-only
+path ``greedy_generate`` decodes on.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .autodiff import Node, Tape
-from .errors import KronlmError, ShapeError
+from .errors import KronlmError, ShapeError, TokenIdError
 from .kronecker import KroneckerPair, nearest_kron
 from .layers import (
     CompressionSchedule,
@@ -61,14 +67,22 @@ class ForwardTrace:
 
     attentions[l] has shape (B*n_heads, T, T) with rows summing to 1 and
     exact zeros above the diagonal; hidden[l] is the block output, after the
-    residual add. Sequence b owns rows b*T:(b+1)*T of the 2-D arrays and rows
+    residual add. keys[l] and values[l] are block l's attention keys and
+    values, the cache a later ``forward_tape(..., past=trace)`` reads.
+    Sequence b owns rows b*T:(b+1)*T of the 2-D arrays and rows
     b*h:(b+1)*h of each attention array.
+
+    After a pass over T new tokens with Tc cached ones, keys and values hold
+    all Tk = Tc + T positions, attentions are (B*h, T, Tk) with exact zeros
+    where key j > i + Tc, and the other arrays hold the T new positions.
     """
 
     embedding_out: np.ndarray  # (B*T, d)
-    attentions: list = field(default_factory=list)  # N x (B*h, T, T)
+    attentions: list = field(default_factory=list)  # N x (B*h, T, Tk)
     hidden: list = field(default_factory=list)  # N x (B*T, d)
     logits: np.ndarray | None = None  # (B*T, v)
+    keys: list = field(default_factory=list)  # N x (B*Tk, d)
+    values: list = field(default_factory=list)  # N x (B*Tk, d)
 
 
 @dataclass
@@ -81,6 +95,8 @@ class TraceNodes:
     hidden: list
     logits: Node
     final_hidden: Node = None  # post-final-layernorm features feeding the LM head
+    attn_keys: list = field(default_factory=list)
+    attn_values: list = field(default_factory=list)
 
     def values(self) -> ForwardTrace:
         return ForwardTrace(
@@ -88,6 +104,8 @@ class TraceNodes:
             attentions=[p.value for p in self.attn_probs],
             hidden=[h.value for h in self.hidden],
             logits=self.logits.value,
+            keys=[k.value for k in self.attn_keys],
+            values=[v.value for v in self.attn_values],
         )
 
 
@@ -175,6 +193,27 @@ def stored_factors(layer: LayerSpec, tensors: dict):
     if a is None or b is None:
         return None
     return a.shape + b.shape if a.ndim == b.ndim == 2 else None
+
+
+def _token_ids(tokens) -> np.ndarray:
+    """``tokens`` as an int64 array. Raises TokenIdError naming the first
+    float that is not a whole number in the int64 range, rather than
+    truncating it, and for ids that are not numbers at all."""
+    tokens = np.asarray(tokens)
+    if tokens.dtype.kind not in "biuf":
+        raise TokenIdError(f"token ids must be integers, got an array of dtype {tokens.dtype}")
+    if tokens.dtype.kind == "f":
+        bad = ~(np.abs(tokens) < 2.0**63) | (tokens != np.round(tokens))  # NaN is bad too
+        if bad.any():
+            raise TokenIdError(f"token id {tokens[bad][0]} is not a whole number in the int64 range")
+    return np.asarray(tokens, dtype=np.int64)
+
+
+def _append_rows(cached: np.ndarray, new: np.ndarray, b: int) -> np.ndarray:
+    """Each of b sequences' cached (Tc, d) rows followed by its new (T, d)
+    rows, as one (B*(Tc+T), d) array."""
+    d = new.shape[1]
+    return np.concatenate([cached.reshape(b, -1, d), new.reshape(b, -1, d)], axis=1).reshape(-1, d)
 
 
 def _arrays(obj) -> list:
@@ -302,31 +341,52 @@ class TinyGPTModel:
 
     # ---- forward -----------------------------------------------------------
 
-    def _check_tokens(self, tokens: np.ndarray) -> np.ndarray:
+    def _check_tokens(self, tokens) -> np.ndarray:
         """``tokens`` as a (B, T) id array; a 1-D sequence is a batch of one."""
-        tokens = np.asarray(tokens, dtype=np.int64)
+        tokens = _token_ids(tokens)
         if tokens.ndim == 1:
             tokens = tokens[None, :]
         if tokens.ndim != 2 or tokens.size < 1:
             raise ShapeError(
                 f"tokens must be a non-empty 1-D sequence or (B, T) batch, got {tokens.shape}"
             )
-        if tokens.shape[1] > self.config.max_seq_len:
-            raise ShapeError(
-                f"sequence length {tokens.shape[1]} exceeds max_seq_len {self.config.max_seq_len}"
-            )
         return tokens
 
-    def forward_tape(self, tape: Tape, tokens, params: dict | None = None) -> TraceNodes:
+    def _cached_length(self, past: ForwardTrace, b: int) -> int:
+        """Positions per sequence that ``past`` caches for a batch of ``b``."""
+        cfg = self.config
+        rows = len(past.keys[0]) if past.keys else 0
+        shapes = [a.shape for a in past.keys + past.values]
+        if (rows == 0 or rows % b or len(past.keys) != cfg.n_layers
+                or shapes != [(rows, cfg.d_model)] * (2 * cfg.n_layers)):
+            raise ShapeError(f"past: expected the keys and values of {cfg.n_layers} blocks as "
+                             f"(B*T, {cfg.d_model}) arrays, B = {b}, found {shapes}")
+        return rows // b
+
+    def forward_tape(self, tape: Tape, tokens, params: dict | None = None,
+                     past: ForwardTrace | None = None) -> TraceNodes:
         """Build the forward graph of a 1-D sequence or a (B, T) batch on
         ``tape``; returns trace handles with the ForwardTrace shapes.
 
         ``params`` maps parameter names to tape leaves; when omitted the
         current weights enter as constants (evaluation mode).
+
+        ``past``, a trace of an earlier pass over the same B sequences, makes
+        the pass incremental: the tokens take the positions after its cached
+        ones and attend to its keys and values too. Evaluation only, so it
+        cannot be combined with ``params``: no gradient reaches the cache.
         """
+        if past is not None and params is not None:
+            raise ValueError("past is evaluation-only: no gradient reaches its cached keys "
+                             "and values, so it cannot be combined with params")
         tokens = self._check_tokens(tokens)
         b, t = tokens.shape
         cfg = self.config
+        start = 0 if past is None else self._cached_length(past, b)
+        if start + t > cfg.max_seq_len:
+            cached = f" ({start} cached + {t} new)" if start else ""
+            raise ShapeError(f"sequence length {start + t}{cached} exceeds "
+                             f"max_seq_len {cfg.max_seq_len}")
         if params is None:
             params = {name: tape.constant(arr, name) for name, arr in self.named_parameters()}
         # each layer's nodes in layer_tensors order, which is the argument
@@ -347,14 +407,18 @@ class TinyGPTModel:
         tok_obj, tok_args = layer_nodes[None, "tok_emb"]
         embed = tape.kron_embed if isinstance(tok_obj, KroneckerEmbedding) else tape.gather_rows
         tok = embed(*tok_args, tokens.reshape(-1))
-        pos = tape.gather_rows(*layer_nodes[None, "pos_emb"][1], np.tile(np.arange(t), b))
+        positions = np.tile(np.arange(start, start + t), b)
+        pos = tape.gather_rows(*layer_nodes[None, "pos_emb"][1], positions)
         x = tape.add(tok, pos)
         embedding_node = x
 
-        scores_nodes, probs_nodes, hidden_nodes = [], [], []
+        scores_nodes, probs_nodes, hidden_nodes, key_nodes, value_nodes = [], [], [], [], []
         for i in range(cfg.n_layers):
             h0 = apply(i, "ln1", x)
             q, k, v = (apply(i, role, h0) for role in ("wq", "wk", "wv"))
+            if past is not None:
+                k = tape.constant(_append_rows(past.keys[i], k.value, b))
+                v = tape.constant(_append_rows(past.values[i], v.value, b))
             scores = tape.attn_scores(q, k, cfg.n_heads, t)
             probs = tape.masked_softmax(scores)
             ctx = tape.attn_mix(probs, v, cfg.n_heads)
@@ -364,10 +428,13 @@ class TinyGPTModel:
             scores_nodes.append(scores)
             probs_nodes.append(probs)
             hidden_nodes.append(x)
+            key_nodes.append(k)
+            value_nodes.append(v)
 
         xf = apply(None, "ln_f", x)
         logits = apply(None, "lm_head", xf)
-        return TraceNodes(embedding_node, scores_nodes, probs_nodes, hidden_nodes, logits, xf)
+        return TraceNodes(embedding_node, scores_nodes, probs_nodes, hidden_nodes, logits, xf,
+                          key_nodes, value_nodes)
 
     def forward(self, tokens) -> ForwardTrace:
         """Plain forward pass of a 1-D sequence or a (B, T) batch, returning
@@ -375,13 +442,29 @@ class TinyGPTModel:
         return self.forward_tape(Tape(), tokens).values()
 
     def greedy_generate(self, prompt, n_tokens: int) -> np.ndarray:
-        """Greedy argmax continuation; smoke-test utility only."""
-        ids = list(np.asarray(prompt, dtype=np.int64))
-        for _ in range(n_tokens):
-            window = ids[-self.config.max_seq_len:]
-            trace = self.forward(np.array(window))
-            ids.append(int(np.argmax(trace.logits[-1])))
-        return np.array(ids, dtype=np.int64)
+        """The 1-D ``prompt`` followed by ``n_tokens`` greedy (argmax) tokens.
+
+        The prompt runs through ``forward``; each further token is a one-row
+        ``forward_tape`` over the keys and values cached by the passes before.
+        Positions are absolute, so once the ids fill ``max_seq_len`` each step
+        runs ``forward`` over the last ``max_seq_len`` ids instead.
+        """
+        if n_tokens < 0:
+            raise ValueError(f"n_tokens must be >= 0, got {n_tokens}")
+        prompt = _token_ids(prompt)
+        if prompt.ndim != 1 or prompt.size < 1:
+            raise ShapeError(f"prompt must be a non-empty 1-D sequence, got shape {prompt.shape}")
+        max_len = self.config.max_seq_len
+        ids = np.concatenate([prompt, np.zeros(n_tokens, dtype=np.int64)])
+        trace = None
+        for end in range(len(prompt), len(ids)):
+            # the cache holds min(end - 1, max_len) positions; a model without blocks, none
+            if trace is None or end > max_len or not trace.keys:
+                trace = self.forward(ids[max(0, end - max_len):end])
+            else:
+                trace = self.forward_tape(Tape(), ids[end - 1:end], past=trace).values()
+            ids[end] = np.argmax(trace.logits[-1])
+        return ids
 
 
 class ClassifierModel:

@@ -48,8 +48,8 @@ def masked_softmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Row softmax over the last axis restricted to ``mask`` (True = keep).
 
     Masked entries are exactly zero in the output. Every row must keep at
-    least one entry. Works on (T, T) or stacked (h, T, T) scores with a
-    (T, T) mask broadcast over heads.
+    least one entry. Works on (Tq, Tk) or stacked (h, Tq, Tk) scores with a
+    (Tq, Tk) mask broadcast over heads.
     """
     neg = np.where(mask, scores, -np.inf)
     z = neg - neg.max(axis=-1, keepdims=True)
@@ -82,6 +82,8 @@ def gelu_with_grad(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return value, grad
 
 
-def causal_mask(t: int) -> np.ndarray:
-    """Boolean (t, t) lower-triangular mask: True where j <= i."""
-    return np.tril(np.ones((t, t), dtype=bool))
+def causal_mask(t_q: int, t_k: int | None = None) -> np.ndarray:
+    """Boolean (t_q, t_k) causal mask, t_k defaulting to t_q: True where
+    j <= i + t_k - t_q, so query i sits at key position i + t_k - t_q."""
+    t_k = t_q if t_k is None else t_k
+    return np.tril(np.ones((t_q, t_k), dtype=bool), k=t_k - t_q)

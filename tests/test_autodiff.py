@@ -153,6 +153,63 @@ def test_attn_scores_scale_each_head_by_its_width():
             assert np.allclose(scores[seq * h + head], expected, rtol=0, atol=1e-12)
 
 
+def test_causal_mask_offsets_rectangular_attention():
+    rng = Rng(25)
+    b, h, t_q, t_k, d = 2, 2, 3, 7, 8
+    tape = Tape()
+    q, k = tape.leaf(rng.normal(b * t_q, d)), tape.leaf(rng.normal(b * t_k, d))
+    probs = tape.masked_softmax(tape.attn_scores(q, k, h, t_q)).value
+    assert probs.shape == (b * h, t_q, t_k)
+    assert np.max(np.abs(probs.sum(axis=-1) - 1.0)) < 1e-12
+    for i in range(t_q):
+        assert np.all(probs[:, i, i + t_k - t_q + 1:] == 0.0)
+        assert np.all(probs[:, i, : i + t_k - t_q + 1] > 0.0)
+    assert np.array_equal(causal_mask(t_q, t_k), np.arange(t_k) <= np.arange(t_q)[:, None] + 4)
+    assert np.array_equal(causal_mask(5), causal_mask(5, 5))
+
+
+def square_attention(q, k, v, n_heads, t, up):
+    """The square attention formulas (Tq = Tk = t) as written before keys
+    could outnumber queries: (scores, probs, mix) and each op's vjp of ``up``
+    and of the upstreams the next op passes back."""
+    rows, d = q.shape
+    b, dk = rows // t, d // n_heads
+    scale = 1.0 / np.sqrt(dk)
+    qh = q.reshape(b, t, n_heads, dk).transpose(0, 2, 1, 3)
+    kh = k.reshape(b, t, n_heads, dk).transpose(0, 2, 1, 3)
+    s = (np.matmul(qh, kh.transpose(0, 1, 3, 2)) * scale).reshape(b * n_heads, t, t)
+    p = masked_softmax(s, np.tril(np.ones((t, t), dtype=bool)))
+    ph = p.reshape(b, n_heads, t, t)
+    vh = v.reshape(b, t, n_heads, dk).transpose(0, 2, 1, 3)
+    y = np.matmul(ph, vh).transpose(0, 2, 1, 3).reshape(rows, d)
+    uh = up.reshape(b, t, n_heads, dk).transpose(0, 2, 1, 3)
+    gp = np.matmul(uh, vh.transpose(0, 1, 3, 2)).reshape(p.shape)
+    gv = np.matmul(ph.transpose(0, 1, 3, 2), uh).transpose(0, 2, 1, 3).reshape(rows, d)
+    gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
+    gsh = gs.reshape(b, n_heads, t, t)
+    gq = (np.matmul(gsh, kh) * scale).transpose(0, 2, 1, 3).reshape(rows, d)
+    gk = (np.matmul(gsh.transpose(0, 1, 3, 2), qh) * scale).transpose(0, 2, 1, 3).reshape(rows, d)
+    return (s, p, y), (gq, gk, gp, gv, gs)
+
+
+def test_square_attention_is_bit_identical_to_the_square_formulas():
+    rng = Rng(26)
+    b, h, t, d = 2, 2, 5, 8
+    q, k, v, up = (rng.normal(b * t, d) for _ in range(4))
+    tape = Tape()
+    qn, kn, vn = tape.leaf(q), tape.leaf(k), tape.leaf(v)
+    scores = tape.attn_scores(qn, kn, h, t)
+    probs = tape.masked_softmax(scores)
+    mix = tape.attn_mix(probs, vn, h)
+    gp, gv = mix._vjp(up)
+    (gs,) = probs._vjp(gp)
+    gq, gk = scores._vjp(gs)
+    values, grads = square_attention(q, k, v, h, t, up)
+    for got, want in zip((scores.value, probs.value, mix.value, gq, gk, gp, gv, gs),
+                         values + grads):
+        assert np.array_equal(got, want)
+
+
 def test_gather_and_kron_embed_grads():
     rng = Rng(7)
     table = rng.normal(10, 6)
@@ -244,7 +301,28 @@ PARENT_GRAD_OPS = {
                     [_R.normal(5, 8), _R.normal(5, 8)]),
     "attn_mix": (lambda tape, probs, v: tape.attn_mix(probs, v, 2),
                  [masked_softmax(_R.normal(2, 5, 5), causal_mask(5)), _R.normal(5, 8)]),
+    # rectangular attention, as in cached decoding: 2 sequences of 2 queries over 5 keys
+    "attn_scores_rect": (lambda tape, q, k: tape.attn_scores(q, k, 2, 2),
+                         [_R.normal(4, 8), _R.normal(10, 8)]),
+    "attn_mix_rect": (lambda tape, probs, v: tape.attn_mix(probs, v, 2),
+                      [masked_softmax(_R.normal(4, 2, 5), causal_mask(2, 5)), _R.normal(10, 8)]),
 }
+
+
+def cos_target(out):
+    return np.cos(np.arange(out.value.size)).reshape(out.value.shape)
+
+
+@pytest.mark.parametrize("op", sorted(PARENT_GRAD_OPS))
+def test_parent_grads_match_finite_differences(op):
+    build, values = PARENT_GRAD_OPS[op]
+    values = [v.copy() for v in values]
+
+    def loss(tape):
+        out = build(tape, *(tape.leaf(v, f"p{i}") for i, v in enumerate(values)))
+        return tape.mse(out, cos_target(out))
+
+    check_op(loss, values)
 
 
 @pytest.mark.parametrize("op", sorted(PARENT_GRAD_OPS))
@@ -257,7 +335,7 @@ def test_constant_parent_gets_no_grad_and_leaves_keep_theirs(op):
         nodes = [tape.constant(v) if i == constant else tape.leaf(v, f"p{i}")
                  for i, v in enumerate(values)]
         out = build(tape, *nodes)
-        backward(tape, tape.mse(out, np.cos(np.arange(out.value.size)).reshape(out.value.shape)))
+        backward(tape, tape.mse(out, cos_target(out)))
         return nodes
 
     all_leaves = run()

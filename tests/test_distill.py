@@ -414,6 +414,12 @@ def test_finetune_step_rejects_ragged_sequences(small_teacher, small_student):
         _finetune(small_teacher, small_student, seqs, np.array([0, 1]))
 
 
+def test_finetune_step_rejects_non_integer_ids(small_teacher, small_student):
+    seqs = np.array([[1.0, 2.0, 3.5], [1.0, 2.0, 3.0]])
+    with pytest.raises(TokenIdError, match="3.5"):
+        _finetune(small_teacher, small_student, seqs, np.array([0, 1]))
+
+
 def test_finetune_step_trace_losses_require_a_teacher(monkeypatch, small_student):
     tapes = []
     real_init = Tape.__init__

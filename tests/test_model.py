@@ -1,3 +1,6 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -245,6 +248,102 @@ def test_greedy_generate_smoke(small_teacher):
     assert np.all(out < small_teacher.config.vocab_size)
     # deterministic
     assert np.array_equal(out, small_teacher.greedy_generate(np.array([1, 2]), 4))
+
+
+def last_rows(arr, b, n):
+    """The last n rows of each of b sequences of a (B*T, ...) array."""
+    return arr.reshape(b, -1, *arr.shape[1:])[:, -n:].reshape(-1, *arr.shape[1:])
+
+
+@pytest.mark.parametrize("b", [1, 2])
+@pytest.mark.parametrize("compressed", [False, True], ids=["dense", "compressed"])
+def test_cached_forward_matches_the_full_forward(small_teacher, small_student, compressed, b):
+    model = small_student if compressed else small_teacher
+    t, t_past = 9, 5
+    tokens = Rng(31 + b).integers(0, model.config.vocab_size, size=(b, t))
+    full = model.forward(tokens)
+
+    def close(got, want):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def check(trace, n):
+        """``trace`` holds the last n of the t positions and caches all t."""
+        close(trace.embedding_out, last_rows(full.embedding_out, b, n))
+        close(trace.logits, last_rows(full.logits, b, n))
+        for got, want in zip(trace.hidden, full.hidden):
+            close(got, last_rows(want, b, n))
+        for got, want in zip(trace.attentions, full.attentions):
+            close(got, want[:, -n:])
+        for got, want in zip(trace.keys + trace.values, full.keys + full.values):
+            close(got, want)
+
+    check(model.forward_tape(Tape(), tokens[:, t_past:], past=model.forward(tokens[:, :t_past]))
+          .values(), t - t_past)
+    trace = model.forward(tokens[:, :t_past])
+    for end in range(t_past + 1, t + 1):  # one row per step, as greedy_generate decodes
+        trace = model.forward_tape(Tape(), tokens[:, end - 1 : end], past=trace).values()
+    check(trace, 1)
+
+
+def uncached_greedy(model, prompt, n_tokens):
+    """greedy_generate as a loop of full forwards over the last max_seq_len ids."""
+    ids = list(prompt)
+    for _ in range(n_tokens):
+        logits = model.forward(np.array(ids[-model.config.max_seq_len :])).logits
+        ids.append(int(np.argmax(logits[-1])))
+    return np.array(ids, dtype=np.int64)
+
+
+@pytest.mark.parametrize("prompt_len", [3, 14])
+@pytest.mark.parametrize("kind", ["dense", "compressed", "no_blocks"])
+def test_greedy_generate_matches_the_uncached_loop(small_teacher, small_student, kind,
+                                                   prompt_len):
+    model = {"dense": small_teacher, "compressed": small_student,
+             "no_blocks": TinyGPTModel.init_random(replace(small_teacher.config, n_layers=0))}[kind]
+    prompt = Rng(prompt_len).integers(0, model.config.vocab_size, size=prompt_len)
+    n_tokens = 2 * model.config.max_seq_len  # the window slides past max_seq_len
+    out = model.greedy_generate(prompt, n_tokens)
+    assert out.dtype == np.int64
+    assert np.array_equal(out, uncached_greedy(model, prompt, n_tokens))
+
+
+def test_cached_forward_rejects_overlong_and_params(small_teacher):
+    max_len = small_teacher.config.max_seq_len
+    past = small_teacher.forward(np.arange(max_len - 2))
+    with pytest.raises(ShapeError, match=f"max_seq_len {max_len}"):
+        small_teacher.forward_tape(Tape(), np.array([1, 2, 3]), past=past)
+    params = {name: Tape().leaf(arr, name) for name, arr in small_teacher.named_parameters()}
+    with pytest.raises(ValueError, match="past"):
+        small_teacher.forward_tape(Tape(), np.array([1]), params, past=past)
+    with pytest.raises(ShapeError, match="past"):  # a cache of one sequence for a batch of two
+        small_teacher.forward_tape(Tape(), np.array([[1], [2]]), past=small_teacher.forward([1]))
+
+
+def test_greedy_generate_rejects_a_negative_count(small_teacher):
+    with pytest.raises(ValueError, match="n_tokens"):
+        small_teacher.greedy_generate([1, 2], -3)
+
+
+def test_greedy_generate_rejects_a_2d_prompt_by_shape(small_teacher):
+    with pytest.raises(ShapeError, match=r"\(2, 2\)"):
+        small_teacher.greedy_generate([[1, 2], [3, 4]], 2)
+
+
+def test_non_integer_ids_are_rejected_and_whole_floats_pass(small_teacher):
+    with pytest.raises(TokenIdError, match="1.7"):
+        small_teacher.greedy_generate([1.7, 2], 2)
+    with pytest.raises(TokenIdError, match="2.5"):
+        small_teacher.forward(np.array([1.0, 2.5, 3.5]))
+    for bad in (np.nan, np.inf, 1e30):
+        with pytest.raises(TokenIdError, match=re.escape(str(bad))):
+            small_teacher.forward([1.0, bad])
+    with pytest.raises(TokenIdError, match="dtype"):
+        small_teacher.forward(["a"])
+    assert np.array_equal(small_teacher.forward(np.array([1.0, 2.0])).logits,
+                          small_teacher.forward([1, 2]).logits)
+    assert np.array_equal(small_teacher.greedy_generate(np.array([1.0, 2.0]), 3),
+                          small_teacher.greedy_generate([1, 2], 3))
 
 
 def test_param_count_matches_analytic_counter():
