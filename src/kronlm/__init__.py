@@ -11,7 +11,7 @@ from .kronecker import (
     rearrange,
 )
 from .layers import CompressionSchedule, DenseLinear, KroneckerEmbedding, KroneckerLinear
-from .model import GPTConfig, TinyGPTModel, attach_classifier, compress_model, count_config_params
+from .model import GPTConfig, TinyGPTModel, compress_model, count_config_params
 from .tensor_core import Rng
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "Rng",
     "TinyGPTModel",
     "TrainConfig",
-    "attach_classifier",
     "compress_model",
     "compression_factor",
     "count_config_params",

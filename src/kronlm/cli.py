@@ -1,9 +1,9 @@
 """Command-line front end: compress | train | eval | bench.
 
-Every command takes --seed (falling back to the KNZ_SEED environment
-variable) and is end-to-end deterministic for a fixed seed, apart from the
-wall-clock fields in metrics and benchmark output. compress draws nothing
-random, so its output does not depend on the seed. Exit code 0 on success;
+train, compress and bench take --seed (default: the KNZ_SEED environment
+variable, else 0). Every command is deterministic for a fixed seed, apart
+from wall-clock fields in metrics and benchmark output; compress and eval draw
+nothing random, so neither output depends on a seed. Exit code 0 on success;
 failures print a diagnostic to stderr and exit nonzero.
 """
 
@@ -137,7 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seq-len", type=_count, default=64)
     p.add_argument("--val-ratio", type=_ratio, default=0.1)
     p.add_argument("--max-windows", type=_count, default=None)
-    _add_seed(p)
 
     p = sub.add_parser("bench", help="dense vs factored matmul microbenchmark")
     p.add_argument("--shapes", type=_shapes, default=None,
@@ -156,6 +155,12 @@ def _layer_selector(raw: str):
         return tuple(int(tok) for tok in raw.split(",") if tok.strip() != "")
     except ValueError as exc:
         raise PlanningError(f"bad --layers value {raw!r}: {exc}") from exc
+
+
+def _check_seq_len(seq_len: int, model: TinyGPTModel, path) -> None:
+    if seq_len > model.config.max_seq_len:
+        raise KronlmError(f"--seq-len {seq_len} exceeds max_seq_len "
+                          f"{model.config.max_seq_len} of {path}")
 
 
 def _compression_report(student: TinyGPTModel, reports) -> dict:
@@ -199,6 +204,11 @@ def cmd_compress(args) -> int:
         raise PlanningError(f"--factor must exceed 1, got {args.factor}")
     teacher = load_model(args.input)
     cfg = teacher.config
+    f = args.factor if args.embedding_factor is None else args.embedding_factor
+    if args.embedding and (f < 1 or cfg.d_model % f):  # name the flag that set f
+        flag = "--factor" if args.embedding_factor is None else "--embedding-factor"
+        raise PlanningError(f"{flag} {f}: embedding factor {f} is not a positive divisor "
+                            f"of d_model {cfg.d_model}")
     schedule = CompressionSchedule.for_dims(
         n_layers=cfg.n_layers,
         d_model=cfg.d_model,
@@ -243,6 +253,14 @@ def cmd_train(args) -> int:
             asked = f"--alphas {args.alphas}" if args.alphas is not None else f"--mode {args.mode}"
             raise KronlmError(f"{asked} needs --teacher for the trace losses")
         teacher = load_model(args.teacher)
+        for field in ("n_layers", "n_heads", "d_model", "vocab_size"):
+            want, found = getattr(student.config, field), getattr(teacher.config, field)
+            if found != want:
+                raise KronlmError(f"--teacher {args.teacher}: {field} {found} differs from "
+                                  f"the student's {want}")
+        _check_seq_len(args.seq_len, teacher, args.teacher)
+    if weights is not None:  # mode none runs no window
+        _check_seq_len(args.seq_len, student, args.student)
     corpus = load_corpus(args.corpus, val_ratio=args.val_ratio)
     config = TrainConfig(
         batch_size=args.batch,
@@ -268,6 +286,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model = load_model(args.checkpoint)
+    _check_seq_len(args.seq_len, model, args.checkpoint)
     corpus = load_corpus(args.corpus, val_ratio=args.val_ratio)
     ce = evaluate_lm(model, corpus.val, seq_len=args.seq_len, max_windows=args.max_windows)
     pp = perplexity(ce)

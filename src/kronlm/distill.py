@@ -1,5 +1,6 @@
 """Intermediate-layer knowledge distillation: the weighted ILKD objective,
-the Adam optimizer, and the pre-train / fine-tune loops at desk scale.
+the Adam optimizer, the training step and phase loop, and LM evaluation at
+desk scale.
 
 The total objective is
 
@@ -33,7 +34,7 @@ import numpy as np
 
 from .autodiff import Tape, backward
 from .errors import NonFiniteLossError, ShapeError
-from .model import ForwardTrace, TinyGPTModel, TraceNodes
+from .model import ForwardTrace, TinyGPTModel, TraceNodes, _token_ids
 from .tensor_core import Rng
 
 
@@ -56,10 +57,6 @@ class DistillWeights:
     @classmethod
     def pretrain(cls) -> "DistillWeights":
         return cls(0.5, 0.5, 0.5, 0.1)
-
-    @classmethod
-    def finetune(cls) -> "DistillWeights":
-        return cls(0.5, 0.5, 0.5, 0.02)
 
     @classmethod
     def lm_only(cls) -> "DistillWeights":
@@ -198,17 +195,7 @@ def clip_global_norm(grads: dict, max_norm: float) -> float:
     return total
 
 
-# ---- training steps -------------------------------------------------------------
-
-
-def _update(tape: Tape, total, values: dict, optimizer: Adam, step_index: int,
-            t0: float) -> StepMetrics:
-    """backward -> clip to CLIP_NORM -> Adam on a built loss; the step's metrics."""
-    grads = backward(tape, total)
-    grad_norm = clip_global_norm(grads, CLIP_NORM)
-    optimizer.step(grads)
-    return StepMetrics(step=step_index, **values, L_total=float(total.value),
-                       grad_norm=grad_norm, wall_ms=(time.perf_counter() - t0) * 1e3)
+# ---- the training step ----------------------------------------------------------
 
 
 def train_step(
@@ -223,7 +210,7 @@ def train_step(
 
     Inputs are batch[:, :-1], next-token targets batch[:, 1:]. Both models
     see the same inputs, each as one graph; only the student's parameters
-    are updated.
+    are updated: backward, clip to CLIP_NORM, then one Adam step.
     """
     t0 = time.perf_counter()
     if w.needs_teacher() and teacher is None:
@@ -239,40 +226,11 @@ def train_step(
     trace = teacher.forward(inputs) if w.needs_teacher() else None
     total, values = build_batch_loss(tape, nodes, trace, batch[:, 1:].reshape(-1), w)
     del trace  # the loss nodes hold what backward needs; free the rest before it runs
-    return _update(tape, total, values, optimizer, step_index, t0)
-
-
-def finetune_step(
-    student_clf,
-    teacher_clf,
-    sequences,
-    labels: np.ndarray,
-    w: DistillWeights,
-    optimizer: Adam,
-    step_index: int = 0,
-) -> StepMetrics:
-    """Classification fine-tuning step on equal-length sequences, one label
-    each: trace losses plus class cross entropy, with the class logits
-    standing in for the next-token logits."""
-    t0 = time.perf_counter()
-    if w.needs_teacher() and teacher_clf is None:
-        raise ValueError("trace losses require a teacher model")
-    try:
-        tokens = np.asarray(sequences)  # ids are checked, not truncated, by forward_tape
-    except ValueError:
-        raise ShapeError(f"finetune_step: sequences must share one length, got lengths "
-                         f"{sorted({len(seq) for seq in sequences})}") from None
-    labels = np.asarray(labels)
-    if tokens.ndim != 2 or labels.shape != tokens.shape[:1]:
-        raise ShapeError(f"finetune_step: sequences of shape {tokens.shape} need one label "
-                         f"each, got labels of shape {labels.shape}")
-    tape = Tape()
-    params = {name: tape.leaf(arr, name) for name, arr in student_clf.named_parameters()}
-    nodes, class_logits = student_clf.forward_tape(tape, tokens, params)
-    trace = teacher_clf.forward(tokens)[0] if w.needs_teacher() else None
-    total, values = build_batch_loss(tape, replace(nodes, logits=class_logits), trace, labels, w)
-    del trace  # the loss nodes hold what backward needs; free the rest before it runs
-    return _update(tape, total, values, optimizer, step_index, t0)
+    grads = backward(tape, total)
+    grad_norm = clip_global_norm(grads, CLIP_NORM)
+    optimizer.step(grads)
+    return StepMetrics(step=step_index, **values, L_total=float(total.value),
+                       grad_norm=grad_norm, wall_ms=(time.perf_counter() - t0) * 1e3)
 
 
 # ---- phases ------------------------------------------------------------------
@@ -356,8 +314,9 @@ def run_phase(
 def evaluate_lm(model: TinyGPTModel, tokens: np.ndarray, seq_len: int,
                 max_windows: int | None = None) -> float:
     """Mean per-token cross entropy over non-overlapping windows of seq_len
-    targets: the mean over windows of ``Tape.cross_entropy``, the loss that
-    training takes. A target id outside the vocabulary raises TokenIdError."""
+    targets, through ``Tape.cross_entropy`` as in training. An id that is not
+    a whole number, or a target outside the vocabulary, raises TokenIdError."""
+    tokens = _token_ids(tokens)
     n_windows = (len(tokens) - 1) // seq_len
     if max_windows is not None:
         n_windows = min(n_windows, max_windows)
@@ -365,7 +324,7 @@ def evaluate_lm(model: TinyGPTModel, tokens: np.ndarray, seq_len: int,
         raise ShapeError(f"eval stream too short: {len(tokens)} tokens for seq_len {seq_len}")
     total = 0.0
     for i in range(n_windows):
-        window = tokens[i * seq_len : i * seq_len + seq_len + 1].astype(np.int64)
+        window = tokens[i * seq_len : i * seq_len + seq_len + 1]
         tape = Tape()
         logits = model.forward_tape(tape, window[:-1]).logits
         total += float(tape.cross_entropy(logits, window[1:]).value)

@@ -94,7 +94,6 @@ class TraceNodes:
     attn_probs: list
     hidden: list
     logits: Node
-    final_hidden: Node = None  # post-final-layernorm features feeding the LM head
     attn_keys: list = field(default_factory=list)
     attn_values: list = field(default_factory=list)
 
@@ -431,9 +430,8 @@ class TinyGPTModel:
             key_nodes.append(k)
             value_nodes.append(v)
 
-        xf = apply(None, "ln_f", x)
-        logits = apply(None, "lm_head", xf)
-        return TraceNodes(embedding_node, scores_nodes, probs_nodes, hidden_nodes, logits, xf,
+        logits = apply(None, "lm_head", apply(None, "ln_f", x))
+        return TraceNodes(embedding_node, scores_nodes, probs_nodes, hidden_nodes, logits,
                           key_nodes, value_nodes)
 
     def forward(self, tokens) -> ForwardTrace:
@@ -465,51 +463,6 @@ class TinyGPTModel:
                 trace = self.forward_tape(Tape(), ids[end - 1:end], past=trace).values()
             ids[end] = np.argmax(trace.logits[-1])
         return ids
-
-
-class ClassifierModel:
-    """A TinyGPTModel with a last-token classification head: the final
-    features at each sequence's last position through a dense projection."""
-
-    def __init__(self, base: TinyGPTModel, head: DenseLinear):
-        self.base = base
-        self.head = head
-
-    def _head_layer(self) -> LayerSpec:
-        return LayerSpec(None, "classifier", "linear", self.head.shape)
-
-    def named_parameters(self) -> list:
-        return self.base.named_parameters() + _named(self._head_layer(), self.head)
-
-    def forward_tape(self, tape: Tape, tokens, params: dict | None = None):
-        """Trace handles and (B, n_classes) class logits of a 1-D sequence or a
-        (B, T) batch; each sequence is pooled at its last position."""
-        tokens = self.base._check_tokens(tokens)
-        b, t = tokens.shape
-        if params is None:
-            params = {name: tape.constant(arr, name) for name, arr in self.named_parameters()}
-        nodes = self.base.forward_tape(tape, tokens, params)
-        pooled = tape.gather_rows(nodes.final_hidden, np.arange(b) * t + t - 1)
-        head = [params[name] for name, _ in _named(self._head_layer(), self.head)]
-        return nodes, tape.linear(pooled, *head)
-
-    def forward(self, tokens):
-        nodes, class_logits = self.forward_tape(Tape(), tokens)
-        return nodes.values(), class_logits.value
-
-    state_hash = TinyGPTModel.state_hash
-
-
-def attach_classifier(model: TinyGPTModel, n_classes: int, rng: Rng | None = None) -> ClassifierModel:
-    """Wrap a model with a last-token classifier projection.
-
-    Zero-initialized (uniform class logits) unless an rng is supplied.
-    """
-    if n_classes < 2:
-        raise ValueError("n_classes must be >= 2")
-    d = model.config.d_model
-    weight = np.zeros((n_classes, d)) if rng is None else rng.normal(n_classes, d, scale=INIT_STD)
-    return ClassifierModel(model, DenseLinear(weight=weight, bias=np.zeros(n_classes)))
 
 
 # ---- compression -----------------------------------------------------------

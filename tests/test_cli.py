@@ -98,6 +98,15 @@ def test_compress_embedding_factor_zero_errors(tmp_path, teacher_ckpt, capsys):
     assert "embedding factor 0" in capsys.readouterr().err
 
 
+def test_compress_factor_is_named_when_it_sets_the_embedding_factor(tmp_path, teacher_ckpt,
+                                                                     capsys):
+    rc = run_cli("compress", "--input", teacher_ckpt, "--output", tmp_path / "x.knz",
+                 "--factor", 3)
+    assert rc == 1
+    assert "--factor 3: embedding factor 3 is not a positive divisor of d_model 16" in (
+        capsys.readouterr().err)
+
+
 def test_compress_factor_one_errors(tmp_path, teacher_ckpt, capsys):
     rc = run_cli("compress", "--input", teacher_ckpt, "--output", tmp_path / "x.knz",
                  "--factor", 1)
@@ -178,7 +187,23 @@ def test_train_teacher_of_another_depth_errors(tmp_path, teacher_ckpt, corpus_fi
                  "--batch", 2, "--seq-len", 16, "--steps-per-epoch", 1)
     assert rc == 1
     err = capsys.readouterr().err
-    assert f"teacher trace has {teacher_layers} layers, the student has 2" in err
+    assert f"--teacher {other}: n_layers {teacher_layers} differs from the student's 2" in err
+
+
+@pytest.mark.parametrize("field, value", [("n_heads", 4), ("d_model", 8), ("vocab_size", 16)])
+def test_train_teacher_config_must_match_the_student(tmp_path, teacher_ckpt, corpus_file, capsys,
+                                                     field, value):
+    other = tmp_path / "other.knz"
+    save_model(TinyGPTModel.init_random(replace(CLI_CONFIG, **{field: value})), other)
+    out = tmp_path / "out.knz"
+    rc = run_cli("train", "--teacher", other, "--student", teacher_ckpt, "--corpus", corpus_file,
+                 "--mode", "lm+kd", "--output", out, "--batch", 2, "--seq-len", 16,
+                 "--steps-per-epoch", 1)
+    assert rc == 1
+    want = getattr(CLI_CONFIG, field)
+    assert f"--teacher {other}: {field} {value} differs from the student's {want}" in (
+        capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_train_metrics_reproduce_pretrain_weighting(tmp_path, teacher_ckpt, corpus_file):
@@ -306,6 +331,30 @@ def test_eval_names_an_out_of_vocabulary_target(tmp_path, capsys):
     corpus.write_bytes(bytes(k % 15 + 1 for k in range(36)) + bytes([1, 2, 3, 200]))
     assert run_cli("eval", "--checkpoint", ckpt, "--corpus", corpus, "--seq-len", 3) == 1
     assert "target id 200 out of range [0, 16)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "train-student", "train-teacher"])
+def test_seq_len_above_max_seq_len_names_the_flag_and_checkpoint(tmp_path, teacher_ckpt,
+                                                                 corpus_file, capsys, command):
+    short = tmp_path / "short.knz"
+    save_model(TinyGPTModel.init_random(replace(CLI_CONFIG, max_seq_len=16)), short)
+    out = tmp_path / "out.knz"
+    args = {
+        "eval": ["eval", "--checkpoint", short],
+        "train-student": ["train", "--student", short, "--mode", "lm", "--output", out],
+        "train-teacher": ["train", "--teacher", short, "--student", teacher_ckpt, "--mode", "kd",
+                          "--output", out],
+    }[command]
+    assert run_cli(*args, "--corpus", corpus_file, "--seq-len", 24) == 1
+    assert f"--seq-len 24 exceeds max_seq_len 16 of {short}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_takes_no_seed(teacher_ckpt, corpus_file, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli("eval", "--checkpoint", teacher_ckpt, "--corpus", corpus_file, "--seed", 99)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --seed 99" in capsys.readouterr().err
 
 
 def test_eval_missing_file_errors(tmp_path, corpus_file, capsys):

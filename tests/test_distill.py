@@ -13,7 +13,6 @@ from kronlm.distill import (
     build_batch_loss,
     clip_global_norm,
     evaluate_lm,
-    finetune_step,
     perplexity,
     run_phase,
     sample_batch,
@@ -21,7 +20,7 @@ from kronlm.distill import (
     weights_for_mode,
 )
 from kronlm.errors import NonFiniteLossError, ShapeError, TokenIdError
-from kronlm.model import ForwardTrace, TraceNodes, attach_classifier
+from kronlm.model import ForwardTrace, TraceNodes
 from kronlm.tensor_core import Rng, causal_mask, log_softmax_rows, masked_softmax
 
 
@@ -203,7 +202,6 @@ def test_distill_weights_validation():
             DistillWeights(0, 0, 0, bad)
         with pytest.raises(ValueError, match="finite"):
             DistillWeights(bad, 0, 0, 1)
-    assert DistillWeights.finetune().alpha4 == 0.02
 
 
 @pytest.mark.parametrize("lr", [np.nan, np.inf, 0.0, -1.0])
@@ -301,9 +299,7 @@ def test_clip_global_norm_scales_and_rejects_non_finite():
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
-@pytest.mark.parametrize("step", ["train", "finetune"])
-def test_non_finite_gradient_never_reaches_adam(monkeypatch, small_teacher, small_student,
-                                                step, bad):
+def test_non_finite_gradient_never_reaches_adam(monkeypatch, small_teacher, small_student, bad):
     real_backward = distill.backward
 
     def poisoned_backward(tape, total):
@@ -312,22 +308,12 @@ def test_non_finite_gradient_never_reaches_adam(monkeypatch, small_teacher, smal
         return grads
 
     monkeypatch.setattr(distill, "backward", poisoned_backward)
-    rng = Rng(7)
-    if step == "train":
-        net = small_student
-        batch = make_batch(rng, net.config.vocab_size, 2, 6)
-        run = lambda opt: train_step(net, small_teacher, batch, DistillWeights.pretrain(), opt)
-    else:
-        net = attach_classifier(small_student, 2, rng=Rng(1))
-        teacher_clf = attach_classifier(small_teacher, 2, rng=Rng(1))
-        seqs = [rng.integers(0, 16, size=6).astype(np.int64) for _ in range(2)]
-        run = lambda opt: finetune_step(net, teacher_clf, seqs, np.array([0, 1]),
-                                        DistillWeights.finetune(), opt)
-    opt = Adam(net.named_parameters(), lr=1e-3)
-    before = net.state_hash()
+    batch = make_batch(Rng(7), small_student.config.vocab_size, 2, 6)
+    opt = Adam(small_student.named_parameters(), lr=1e-3)
+    before = small_student.state_hash()
     with pytest.raises(NonFiniteLossError, match="gradient norm"):
-        run(opt)
-    assert net.state_hash() == before
+        train_step(small_student, small_teacher, batch, DistillWeights.pretrain(), opt)
+    assert small_student.state_hash() == before
     assert opt.t == 0
     assert all(not m.any() for m in opt.m.values())
 
@@ -395,32 +381,7 @@ def test_train_step_rejects_a_1d_batch(small_teacher, small_student):
     assert opt.t == 0
 
 
-def _finetune(small_teacher, small_student, seqs, labels):
-    student_clf = attach_classifier(small_student, 2, rng=Rng(1))
-    teacher_clf = attach_classifier(small_teacher, 2, rng=Rng(1))
-    opt = Adam(student_clf.named_parameters(), lr=1e-3)
-    finetune_step(student_clf, teacher_clf, seqs, labels, DistillWeights.finetune(), opt)
-
-
-def test_finetune_step_rejects_a_label_count_mismatch(small_teacher, small_student):
-    seqs = [Rng(17).integers(0, 16, size=6) for _ in range(3)]
-    with pytest.raises(ShapeError, match=r"shape \(3, 6\) need one label each, got labels of shape \(1,\)"):
-        _finetune(small_teacher, small_student, seqs, np.array([1]))
-
-
-def test_finetune_step_rejects_ragged_sequences(small_teacher, small_student):
-    seqs = [np.arange(6) % 16, np.arange(4) % 16]
-    with pytest.raises(ShapeError, match=r"lengths \[4, 6\]"):
-        _finetune(small_teacher, small_student, seqs, np.array([0, 1]))
-
-
-def test_finetune_step_rejects_non_integer_ids(small_teacher, small_student):
-    seqs = np.array([[1.0, 2.0, 3.5], [1.0, 2.0, 3.0]])
-    with pytest.raises(TokenIdError, match="3.5"):
-        _finetune(small_teacher, small_student, seqs, np.array([0, 1]))
-
-
-def test_finetune_step_trace_losses_require_a_teacher(monkeypatch, small_student):
+def test_train_step_trace_losses_require_a_teacher(monkeypatch, small_student):
     tapes = []
     real_init = Tape.__init__
 
@@ -429,11 +390,10 @@ def test_finetune_step_trace_losses_require_a_teacher(monkeypatch, small_student
         tapes.append(tape)
 
     monkeypatch.setattr(Tape, "__init__", counting_init)
-    student_clf = attach_classifier(small_student, 2, rng=Rng(1))
-    opt = Adam(student_clf.named_parameters(), lr=1e-3)
-    seqs = Rng(18).integers(0, 16, size=(2, 6))
+    batch = make_batch(Rng(18), small_student.config.vocab_size, 2, 6)
+    opt = Adam(small_student.named_parameters(), lr=1e-3)
     with pytest.raises(ValueError, match="trace losses require a teacher model"):
-        finetune_step(student_clf, None, seqs, np.array([0, 1]), DistillWeights.finetune(), opt)
+        train_step(small_student, None, batch, DistillWeights.pretrain(), opt)
     assert tapes == [] and opt.t == 0
 
 
@@ -487,23 +447,6 @@ def test_run_phase_deterministic_metrics(small_teacher, small_student):
     assert r1 == r2
 
 
-def test_finetune_step_descends_and_freezes_teacher(small_teacher, small_student):
-    rng = Rng(12)
-    teacher_clf = attach_classifier(small_teacher, 2, rng=Rng(1))
-    student_clf = attach_classifier(small_student, 2, rng=Rng(1))
-    seqs = [rng.integers(0, 16, size=6).astype(np.int64) for _ in range(4)]
-    labels = np.array([0, 1, 0, 1])
-    opt = Adam(student_clf.named_parameters(), lr=1e-3)
-    h0 = teacher_clf.state_hash()
-    w = DistillWeights.finetune()
-    losses = [
-        finetune_step(student_clf, teacher_clf, seqs, labels, w, opt, step_index=i).L_total
-        for i in range(20)
-    ]
-    assert losses[-1] < losses[0]
-    assert teacher_clf.state_hash() == h0
-
-
 def test_evaluate_lm_and_perplexity(small_teacher):
     tokens = Rng(13).integers(0, 16, size=600).astype(np.int64)
     ce = evaluate_lm(small_teacher, tokens, seq_len=8)
@@ -522,3 +465,12 @@ def test_evaluate_lm_names_an_out_of_vocabulary_target(small_teacher):
     # the inputs are in range; only the last target is not
     with pytest.raises(TokenIdError, match=r"target id 200 out of range \[0, 16\)"):
         evaluate_lm(small_teacher, np.array([1, 2, 3, 200]), seq_len=3)
+
+
+@pytest.mark.parametrize("tokens, bad", [
+    ([1.7, 2.0, 3.9], "1.7"),  # an input id
+    ([1.0, 2.0, 3.5], "3.5"),  # the last id, which is only a target
+])
+def test_evaluate_lm_rejects_float_ids_that_are_not_whole(small_teacher, tokens, bad):
+    with pytest.raises(TokenIdError, match=rf"token id {bad} is not a whole number"):
+        evaluate_lm(small_teacher, np.array(tokens), seq_len=2)

@@ -12,7 +12,6 @@ from kronlm.layers import CompressionSchedule, DenseLinear, KroneckerEmbedding, 
 from kronlm.model import (
     GPTConfig,
     TinyGPTModel,
-    attach_classifier,
     compress_model,
     count_config_params,
 )
@@ -190,48 +189,19 @@ def test_forward_deterministic(small_teacher):
     assert np.array_equal(l1, l2)
 
 
-def test_classifier_zero_projection_uniform():
-    cfg = GPTConfig(n_layers=1, n_heads=2, d_model=8, vocab_size=16, max_seq_len=8, seed=3)
-    clf = attach_classifier(TinyGPTModel.init_random(cfg), n_classes=2)
-    _, logits = clf.forward(np.array([1, 2, 3]))
-    assert np.array_equal(logits, np.zeros((1, 2)))
-
-
-def test_classifier_deterministic_for_seed():
-    cfg = GPTConfig(n_layers=1, n_heads=2, d_model=8, vocab_size=16, max_seq_len=8, seed=3)
-    base = TinyGPTModel.init_random(cfg)
-    c1 = attach_classifier(base, 3, rng=Rng(4))
-    c2 = attach_classifier(base, 3, rng=Rng(4))
-    t = np.array([5, 6])
-    assert np.array_equal(c1.forward(t)[1], c2.forward(t)[1])
-
-
-def test_classifier_matches_manual_pool_oracle(small_teacher):
-    clf = attach_classifier(small_teacher, 4, rng=Rng(9))
-    tokens = np.array([1, 2, 3, 4, 5])
-    trace, logits = clf.forward(tokens)
-    # manual: final-layernorm features of the last position through the head
-    tape_trace = small_teacher.forward_tape(Tape(), tokens)
-    feats = tape_trace.final_hidden.value[-1]
-    expected = feats @ clf.head.weight.T + clf.head.bias
-    assert np.max(np.abs(logits[0] - expected)) < 1e-12
-
-
 def test_batched_forward_rows_match_single_sequences(small_student):
-    clf = attach_classifier(small_student, 3, rng=Rng(5))
     b, t, h = 3, 7, small_student.config.n_heads
     batch = Rng(17).integers(0, small_student.config.vocab_size, size=(b, t))
-    trace, class_logits = clf.forward(batch)
+    trace = small_student.forward(batch)
     assert trace.logits.shape == (b * t, small_student.config.vocab_size)
     assert all(a.shape == (b * h, t, t) for a in trace.attentions)
-    assert class_logits.shape == (b, 3)
 
     def close(got, want):
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     for i, row in enumerate(batch):
-        one, one_logits = clf.forward(row)
+        one = small_student.forward(row)
         rows = slice(i * t, (i + 1) * t)
         close(trace.embedding_out[rows], one.embedding_out)
         close(trace.logits[rows], one.logits)
@@ -239,7 +209,6 @@ def test_batched_forward_rows_match_single_sequences(small_student):
             close(got[rows], want)
         for got, want in zip(trace.attentions, one.attentions):
             close(got[i * h : (i + 1) * h], want)
-        close(class_logits[i : i + 1], one_logits)
 
 
 def test_greedy_generate_smoke(small_teacher):
