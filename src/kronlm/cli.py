@@ -28,7 +28,7 @@ from .distill import (
     weights_for_mode,
 )
 from .errors import KronlmError, PlanningError
-from .layers import CompressionSchedule
+from .layers import PLANNABLE_FACTORS, CompressionSchedule
 from .model import TinyGPTModel, compress_model, layer_tensors, param_layout, stored_factors
 
 
@@ -200,8 +200,9 @@ def _compression_report(student: TinyGPTModel, reports) -> dict:
 
 
 def cmd_compress(args) -> int:
-    if args.factor <= 1:
-        raise PlanningError(f"--factor must exceed 1, got {args.factor}")
+    if args.factor not in PLANNABLE_FACTORS:
+        raise PlanningError(f"--factor {args.factor}: only the factors {PLANNABLE_FACTORS} "
+                            "are plannable")
     teacher = load_model(args.input)
     cfg = teacher.config
     f = args.factor if args.embedding_factor is None else args.embedding_factor

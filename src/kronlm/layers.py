@@ -80,6 +80,9 @@ def decompose_linear(
     return KroneckerLinear(factors=pair, bias=bias), report
 
 
+PLANNABLE_FACTORS = (2, 4)  # the target factors B dims of 1 or 2 can express
+
+
 def plan_shapes(m: int, n: int, target_factor: int) -> tuple[int, int, int, int]:
     """Factor shapes (m1, n1, m2, n2) for compressing an m x n matrix.
 
@@ -88,22 +91,20 @@ def plan_shapes(m: int, n: int, target_factor: int) -> tuple[int, int, int, int]
     (B = 1x2); factor 4 halves both (B = 2x2). The achieved compression
     factor approaches ``target_factor`` as m*n grows.
     """
-    if target_factor < 1:
-        raise PlanningError(f"target factor must be >= 1, got {target_factor}")
+    if target_factor not in PLANNABLE_FACTORS:
+        raise PlanningError(
+            f"target factor {target_factor} unsupported: B dims are limited to 1 or 2, "
+            f"so only factors {PLANNABLE_FACTORS} are plannable"
+        )
     if target_factor == 2:
         if m % 2 == 0:
             return (m // 2, n, 2, 1)
         if n % 2 == 0:
             return (m, n // 2, 1, 2)
         raise PlanningError(f"no divisor split for ({m}, {n}) at factor 2: both dims odd")
-    if target_factor == 4:
-        if m % 2 == 0 and n % 2 == 0:
-            return (m // 2, n // 2, 2, 2)
-        raise PlanningError(f"no divisor split for ({m}, {n}) at factor 4: need both dims even")
-    raise PlanningError(
-        f"target factor {target_factor} unsupported: B dims are limited to 1 or 2, "
-        "so only factors 2 and 4 are plannable"
-    )
+    if m % 2 == 0 and n % 2 == 0:
+        return (m // 2, n // 2, 2, 2)
+    raise PlanningError(f"no divisor split for ({m}, {n}) at factor 4: need both dims even")
 
 
 @dataclass

@@ -6,11 +6,14 @@ corpus and dominate the runtime (several minutes of CPU); everything else is
 fast and deterministic.
 """
 
+import multiprocessing
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import synth_corpus_bytes
-from kronlm.archive import archive_read, archive_write
+from kronlm.archive import archive_read, archive_write, load_model, save_model
 from kronlm.autodiff import Tape
 from kronlm.corpus import load_corpus
 from kronlm.distill import (
@@ -302,14 +305,30 @@ def training_study(tmp_path_factory):
     assert run_phase("none", student0, teacher, corpus.train, tc) == []
     ce["none"] = held_out_ce(student0)
 
-    students = {}
-    for mode in ("lm", "kd", "lm+kd"):
-        s = student0.copy()
-        run_phase(mode, s, teacher, corpus.train, tc, steps_per_epoch=STUDY_STEPS)
-        students[mode] = s
-        ce[mode] = held_out_ce(s)
-    assert teacher.state_hash() == teacher_hash  # frozen across all phases
+    # the three arms are independent: train them in two worker processes,
+    # longest first, and take each trained student back through a checkpoint
+    save_model(teacher, root / "teacher.knz")
+    save_model(student0, root / "student0.knz")
+    modes = ("lm+kd", "kd", "lm")
+    jobs = [(mode, root, corpus.train, tc) for mode in modes]
+    with multiprocessing.get_context("spawn").Pool(2) as pool:
+        teacher_hashes = pool.starmap(_train_arm, jobs)
+    assert teacher_hashes == [teacher_hash] * len(modes)  # frozen across all phases
+    students = {mode: load_model(root / f"{mode}.knz") for mode in modes}
+    ce.update((mode, held_out_ce(s)) for mode, s in students.items())
     return {"ce": ce, "teacher": teacher, "students": students, "corpus": corpus}
+
+
+def _train_arm(mode, root, train_tokens, tc):
+    """Worker: train one student arm from the checkpoints in ``root``, write
+    it to ``root/<mode>.knz`` and return the teacher's hash after training.
+    The worker inherits the pinned BLAS thread count through the environment."""
+    warnings.simplefilter("error", RuntimeWarning)  # as the suite's filterwarnings
+    teacher = load_model(root / "teacher.knz")
+    student = load_model(root / "student0.knz")
+    run_phase(mode, student, teacher, train_tokens, tc, steps_per_epoch=STUDY_STEPS)
+    save_model(student, root / f"{mode}.knz")
+    return teacher.state_hash()
 
 
 @pytest.mark.study

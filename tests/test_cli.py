@@ -98,12 +98,13 @@ def test_compress_embedding_factor_zero_errors(tmp_path, teacher_ckpt, capsys):
     assert "embedding factor 0" in capsys.readouterr().err
 
 
-def test_compress_factor_is_named_when_it_sets_the_embedding_factor(tmp_path, teacher_ckpt,
-                                                                     capsys):
-    rc = run_cli("compress", "--input", teacher_ckpt, "--output", tmp_path / "x.knz",
-                 "--factor", 3)
+def test_compress_factor_is_named_when_it_sets_the_embedding_factor(tmp_path, capsys):
+    # 4 is plannable for every matrix of this model but does not divide d_model 6
+    path = tmp_path / "teacher6.knz"
+    save_model(TinyGPTModel.init_random(replace(CLI_CONFIG, d_model=6, d_ff=12)), path)
+    rc = run_cli("compress", "--input", path, "--output", tmp_path / "x.knz", "--factor", 4)
     assert rc == 1
-    assert "--factor 3: embedding factor 3 is not a positive divisor of d_model 16" in (
+    assert "--factor 4: embedding factor 4 is not a positive divisor of d_model 6" in (
         capsys.readouterr().err)
 
 
@@ -111,7 +112,18 @@ def test_compress_factor_one_errors(tmp_path, teacher_ckpt, capsys):
     rc = run_cli("compress", "--input", teacher_ckpt, "--output", tmp_path / "x.knz",
                  "--factor", 1)
     assert rc != 0
-    assert "exceed 1" in capsys.readouterr().err
+    assert "--factor 1: only the factors (2, 4) are plannable" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("factor", [3, 6])
+def test_compress_rejects_unplannable_factor_that_divides_d_model(tmp_path, capsys, factor):
+    path = tmp_path / "teacher12.knz"
+    save_model(TinyGPTModel.init_random(replace(CLI_CONFIG, d_model=12, d_ff=24)), path)
+    out = tmp_path / "x.knz"
+    rc = run_cli("compress", "--input", path, "--output", out, "--factor", factor)
+    assert rc == 1
+    assert f"--factor {factor}: only the factors (2, 4) are plannable" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_compress_layer_list_and_flags(tmp_path, teacher_ckpt):
