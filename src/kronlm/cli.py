@@ -27,7 +27,7 @@ from .distill import (
     run_phase,
     weights_for_mode,
 )
-from .errors import KronlmError, PlanningError
+from .errors import KronlmError, PlanningError, ShapeError
 from .layers import PLANNABLE_FACTORS, CompressionSchedule
 from .model import TinyGPTModel, compress_model, layer_tensors, param_layout, stored_factors
 
@@ -117,14 +117,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--student", required=True)
     p.add_argument("--corpus", required=True, nargs="+")
     p.add_argument("--mode", default="lm+kd", choices=PHASE_MODES)
-    p.add_argument("--epochs", type=_count, default=1)
+    p.add_argument("--steps", type=_count, default=None,
+                   help="training steps (default: one pass over the training split, "
+                        "its length // (batch * seq-len))")
     p.add_argument("--batch", type=_count, default=8)
     p.add_argument("--lr", type=_rate, default=2.5e-4)
     p.add_argument("--alphas", default=None,
                    help="a1,a2,a3,a4 loss weights overriding the mode defaults "
                         "(ignored by --mode none)")
     p.add_argument("--seq-len", type=_count, default=64)
-    p.add_argument("--steps-per-epoch", type=_count, default=None)
     p.add_argument("--val-ratio", type=_ratio, default=0.1)
     p.add_argument("--output", default=None, help="trained checkpoint path (default: --student)")
     p.add_argument("--metrics", default=None, help="JSONL metrics history path")
@@ -235,46 +236,46 @@ def cmd_compress(args) -> int:
     return 0
 
 
+def _check_split(tokens, split: str, args) -> None:
+    """One window of --seq-len inputs and their targets must fit in the split."""
+    if len(tokens) < args.seq_len + 1:
+        paths = " ".join(str(p) for p in args.corpus)
+        raise ShapeError(f"--corpus {paths}: the {split} split holds {len(tokens)} tokens, "
+                         f"fewer than --seq-len {args.seq_len} + 1")
+
+
 def cmd_train(args) -> int:
-    student = load_model(args.student)
-    weights = None
+    w = weights_for_mode(args.mode)
     if args.alphas is not None:
         try:
             parts = [float(x) for x in args.alphas.split(",")]
             if len(parts) != 4:
                 raise ValueError(f"need 4 comma-separated values, got {len(parts)}")
-            weights = DistillWeights(*parts)
+            alphas = DistillWeights(*parts)
         except ValueError as exc:
             raise KronlmError(f"bad --alphas {args.alphas!r}: {exc}") from None
-    # explicit --alphas override the mode's default weights entirely
-    weights = weights_for_mode(args.mode, weights)
-    teacher = None
-    if weights is not None and weights.needs_teacher():
-        if args.teacher is None:
-            asked = f"--alphas {args.alphas}" if args.alphas is not None else f"--mode {args.mode}"
-            raise KronlmError(f"{asked} needs --teacher for the trace losses")
-        teacher = load_model(args.teacher)
-        for field in ("n_layers", "n_heads", "d_model", "vocab_size"):
-            want, found = getattr(student.config, field), getattr(teacher.config, field)
-            if found != want:
-                raise KronlmError(f"--teacher {args.teacher}: {field} {found} differs from "
-                                  f"the student's {want}")
-        _check_seq_len(args.seq_len, teacher, args.teacher)
-    if weights is not None:  # mode none runs no window
-        _check_seq_len(args.seq_len, student, args.student)
+        if w is not None:  # explicit --alphas override the mode's default weights entirely
+            w = alphas
+    if w is not None and w.needs_teacher() and args.teacher is None:
+        asked = f"--alphas {args.alphas}" if args.alphas is not None else f"--mode {args.mode}"
+        raise KronlmError(f"{asked} needs --teacher for the trace losses")
+    student = load_model(args.student)
     corpus = load_corpus(args.corpus, val_ratio=args.val_ratio)
-    config = TrainConfig(
-        batch_size=args.batch,
-        learning_rate=args.lr,
-        epochs=args.epochs,
-        seed=args.seed,
-        seq_len=args.seq_len,
-    )
-    history = run_phase(
-        args.mode, student, teacher, corpus.train, config,
-        weights=weights, metrics_path=args.metrics,
-        steps_per_epoch=args.steps_per_epoch,
-    )
+    history = []
+    if w is not None:  # mode none runs no step
+        _check_split(corpus.train, "training", args)
+        teacher = load_model(args.teacher) if w.needs_teacher() else None
+        if teacher is not None:
+            for field in ("n_layers", "n_heads", "d_model", "vocab_size"):
+                want, found = getattr(student.config, field), getattr(teacher.config, field)
+                if found != want:
+                    raise KronlmError(f"--teacher {args.teacher}: {field} {found} differs from "
+                                      f"the student's {want}")
+            _check_seq_len(args.seq_len, teacher, args.teacher)
+        _check_seq_len(args.seq_len, student, args.student)
+        config = TrainConfig(batch_size=args.batch, learning_rate=args.lr, steps=args.steps,
+                             seed=args.seed, seq_len=args.seq_len)
+        history = run_phase(student, teacher, corpus.train, config, w, metrics_path=args.metrics)
     out_path = args.output or args.student
     save_model(student, out_path)
     if history:
@@ -289,6 +290,7 @@ def cmd_eval(args) -> int:
     model = load_model(args.checkpoint)
     _check_seq_len(args.seq_len, model, args.checkpoint)
     corpus = load_corpus(args.corpus, val_ratio=args.val_ratio)
+    _check_split(corpus.val, "validation", args)
     ce = evaluate_lm(model, corpus.val, seq_len=args.seq_len, max_windows=args.max_windows)
     pp = perplexity(ce)
     if args.json:

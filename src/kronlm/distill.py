@@ -70,14 +70,16 @@ class DistillWeights:
 class TrainConfig:
     batch_size: int = 8
     learning_rate: float = 2.5e-4
-    epochs: int = 1
+    steps: int | None = None  # None: one pass over the training split
     seed: int = 0
     seq_len: int = 64
 
     def __post_init__(self):
-        for name in ("batch_size", "epochs", "seq_len"):
+        for name in ("batch_size", "seq_len"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.steps is not None and self.steps < 1:
+            raise ValueError(f"steps must be >= 1 or None, got {self.steps}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
 
@@ -215,7 +217,7 @@ def train_step(
     t0 = time.perf_counter()
     if w.needs_teacher() and teacher is None:
         raise ValueError("trace losses require a teacher model")
-    batch = np.asarray(batch)
+    batch = _token_ids(batch)
     if batch.ndim != 2 or batch.shape[1] < 2:
         raise ShapeError(f"train_step: batch must be (B, L) token windows with L >= 2, "
                          f"got shape {batch.shape}")
@@ -238,18 +240,15 @@ def train_step(
 PHASE_MODES = ("none", "lm", "kd", "lm+kd")
 
 
-def weights_for_mode(mode: str, weights: DistillWeights | None = None) -> DistillWeights | None:
+def weights_for_mode(mode: str) -> DistillWeights | None:
     """Loss weights of an ablation-grid arm: none / lm / kd / lm+kd.
 
-    Mode 'none' trains nothing (None). For every other mode explicit
-    ``weights`` win entirely; without them the mode picks its defaults.
+    Mode 'none' trains nothing (None).
     """
     if mode not in PHASE_MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {PHASE_MODES}")
     if mode == "none":
         return None
-    if weights is not None:
-        return weights
     if mode == "lm":
         return DistillWeights.lm_only()
     pretrain = DistillWeights.pretrain()
@@ -267,41 +266,32 @@ def sample_batch(tokens: np.ndarray, batch_size: int, seq_len: int, rng: Rng) ->
 
 
 def run_phase(
-    mode: str,
     student: TinyGPTModel,
     teacher: TinyGPTModel | None,
     train_tokens: np.ndarray,
     config: TrainConfig,
-    weights: DistillWeights | None = None,
+    w: DistillWeights,
     metrics_path=None,
-    steps_per_epoch: int | None = None,
 ) -> list:
-    """Run one training phase of the ablation grid; returns the metrics history.
+    """Train ``student`` for ``config.steps`` steps under the loss weights
+    ``w``; returns the metrics history.
 
-    mode 'none' performs zero training steps; for the other modes explicit
-    ``weights`` replace the mode's defaults (see weights_for_mode). Fixed
-    config.seed makes the whole run deterministic (batch order, updates,
-    metrics values).
+    ``config.steps`` None is one pass over ``train_tokens``: len // (B * T)
+    steps, at least one. Fixed config.seed makes the whole run deterministic
+    (batch order, updates, metrics values).
     """
-    w = weights_for_mode(mode, weights)
-    if w is None:
-        return []
-    if steps_per_epoch is None:
-        steps_per_epoch = max(1, len(train_tokens) // (config.batch_size * config.seq_len))
+    steps = config.steps or max(1, len(train_tokens) // (config.batch_size * config.seq_len))
     rng = Rng(config.seed)
     optimizer = Adam(student.named_parameters(), lr=config.learning_rate)
     history = []
     sink = open(metrics_path, "w") if metrics_path else None
     try:
-        step = 0
-        for _ in range(config.epochs):
-            for _ in range(steps_per_epoch):
-                batch = sample_batch(train_tokens, config.batch_size, config.seq_len, rng)
-                metrics = train_step(student, teacher, batch, w, optimizer, step_index=step)
-                history.append(metrics)
-                if sink:
-                    sink.write(metrics.to_json() + "\n")
-                step += 1
+        for step in range(steps):
+            batch = sample_batch(train_tokens, config.batch_size, config.seq_len, rng)
+            metrics = train_step(student, teacher, batch, w, optimizer, step_index=step)
+            history.append(metrics)
+            if sink:
+                sink.write(metrics.to_json() + "\n")
     finally:
         if sink:
             sink.close()

@@ -272,7 +272,7 @@ def test_criterion_07_loss_definitions():
 # -- 8 and 9: the desk-scale training study ---------------------------------------------
 
 STUDY_STEPS = 800
-STUDY_CONFIG = dict(batch_size=8, learning_rate=1e-3, epochs=1, seq_len=64)
+STUDY_CONFIG = dict(batch_size=8, learning_rate=1e-3, steps=STUDY_STEPS, seq_len=64)
 
 
 @pytest.fixture(scope="module")
@@ -296,13 +296,12 @@ def training_study(tmp_path_factory):
         return evaluate_lm(model, corpus.val, seq_len=64, max_windows=80)
 
     teacher = TinyGPTModel.init_random(cfg)
-    run_phase("lm", teacher, None, corpus.train, tc, steps_per_epoch=STUDY_STEPS)
+    run_phase(teacher, None, corpus.train, tc, weights_for_mode("lm"))
     ce = {"teacher": held_out_ce(teacher)}
     teacher_hash = teacher.state_hash()
 
     schedule = CompressionSchedule.for_dims(4, 64, 256, factor=2)
     student0, _ = compress_model(teacher, schedule)
-    assert run_phase("none", student0, teacher, corpus.train, tc) == []
     ce["none"] = held_out_ce(student0)
 
     # the three arms are independent: train them in two worker processes,
@@ -326,7 +325,7 @@ def _train_arm(mode, root, train_tokens, tc):
     warnings.simplefilter("error", RuntimeWarning)  # as the suite's filterwarnings
     teacher = load_model(root / "teacher.knz")
     student = load_model(root / "student0.knz")
-    run_phase(mode, student, teacher, train_tokens, tc, steps_per_epoch=STUDY_STEPS)
+    run_phase(student, teacher, train_tokens, tc, weights_for_mode(mode))
     save_model(student, root / f"{mode}.knz")
     return teacher.state_hash()
 

@@ -155,7 +155,7 @@ def test_train_alphas_0001_equals_mode_lm(tmp_path, teacher_ckpt, corpus_file):
         metrics = tmp_path / f"metrics_{tag}.jsonl"
         rc = run_cli("train", "--student", student_in, "--corpus", corpus_file,
                      "--output", out, "--metrics", metrics, "--seed", 5,
-                     "--batch", 2, "--seq-len", 16, "--steps-per-epoch", 4, *extra)
+                     "--batch", 2, "--seq-len", 16, "--steps", 4, *extra)
         assert rc == 0
         return out.read_bytes(), read_metrics(metrics)
 
@@ -174,7 +174,7 @@ def test_train_alphas_override_every_mode(tmp_path, teacher_ckpt, corpus_file):
         rc = run_cli("train", "--teacher", teacher_ckpt, "--student", student_in,
                      "--corpus", corpus_file, "--mode", mode, "--alphas", "1,1,1,1",
                      "--metrics", metrics, "--output", tmp_path / f"{mode}.knz", "--seed", 4,
-                     "--batch", 2, "--seq-len", 16, "--steps-per-epoch", 3)
+                     "--batch", 2, "--seq-len", 16, "--steps", 3)
         assert rc == 0
         return read_metrics(metrics)
 
@@ -196,7 +196,7 @@ def test_train_teacher_of_another_depth_errors(tmp_path, teacher_ckpt, corpus_fi
     save_model(TinyGPTModel.init_random(replace(teacher_cfg, seed=1)), other)
     rc = run_cli("train", "--teacher", other, "--student", student_in, "--corpus", corpus_file,
                  "--mode", "kd", "--output", tmp_path / "out.knz",
-                 "--batch", 2, "--seq-len", 16, "--steps-per-epoch", 1)
+                 "--batch", 2, "--seq-len", 16, "--steps", 1)
     assert rc == 1
     err = capsys.readouterr().err
     assert f"--teacher {other}: n_layers {teacher_layers} differs from the student's 2" in err
@@ -209,8 +209,7 @@ def test_train_teacher_config_must_match_the_student(tmp_path, teacher_ckpt, cor
     save_model(TinyGPTModel.init_random(replace(CLI_CONFIG, **{field: value})), other)
     out = tmp_path / "out.knz"
     rc = run_cli("train", "--teacher", other, "--student", teacher_ckpt, "--corpus", corpus_file,
-                 "--mode", "lm+kd", "--output", out, "--batch", 2, "--seq-len", 16,
-                 "--steps-per-epoch", 1)
+                 "--mode", "lm+kd", "--output", out, "--batch", 2, "--seq-len", 16, "--steps", 1)
     assert rc == 1
     want = getattr(CLI_CONFIG, field)
     assert f"--teacher {other}: {field} {value} differs from the student's {want}" in (
@@ -226,7 +225,7 @@ def test_train_metrics_reproduce_pretrain_weighting(tmp_path, teacher_ckpt, corp
                  "--corpus", corpus_file, "--mode", "lm+kd",
                  "--alphas", "0.5,0.5,0.5,0.1", "--metrics", metrics,
                  "--output", tmp_path / "out.knz", "--seed", 7,
-                 "--batch", 2, "--seq-len", 16, "--steps-per-epoch", 3)
+                 "--batch", 2, "--seq-len", 16, "--steps", 3)
     assert rc == 0
     for line in metrics.read_text().splitlines():
         r = json.loads(line)
@@ -264,15 +263,15 @@ def test_train_rejects_bad_alphas(tmp_path, teacher_ckpt, corpus_file, capsys, m
     out = tmp_path / "out.knz"
     rc = run_cli("train", "--teacher", teacher_ckpt, "--student", teacher_ckpt,
                  "--corpus", corpus_file, "--mode", mode, f"--alphas={alphas}",
-                 "--output", out, "--batch", 2, "--seq-len", 16, "--steps-per-epoch", 1)
+                 "--output", out, "--batch", 2, "--seq-len", 16, "--steps", 1)
     assert rc == 1
     assert f"bad --alphas {alphas!r}" in capsys.readouterr().err
     assert not out.exists()
 
 
 @pytest.mark.parametrize("command, flag", [
-    ("train", "--epochs"), ("train", "--batch"), ("train", "--seq-len"),
-    ("train", "--steps-per-epoch"), ("eval", "--seq-len"), ("eval", "--max-windows"),
+    ("train", "--steps"), ("train", "--batch"), ("train", "--seq-len"),
+    ("eval", "--seq-len"), ("eval", "--max-windows"),
     ("bench", "--rows"), ("bench", "--repeats"),
 ])
 @pytest.mark.parametrize("value", ["0", "-3"])
@@ -280,8 +279,8 @@ def test_count_flags_below_one_are_rejected(tmp_path, teacher_ckpt, corpus_file,
                                             command, flag, value):
     valid = {
         "train": ["--student", teacher_ckpt, "--corpus", corpus_file, "--mode", "lm",
-                  "--output", tmp_path / "out.knz", "--epochs", 1, "--batch", 2,
-                  "--seq-len", 16, "--steps-per-epoch", 1],
+                  "--output", tmp_path / "out.knz", "--steps", 1, "--batch", 2,
+                  "--seq-len", 16],
         "eval": ["--checkpoint", teacher_ckpt, "--corpus", corpus_file, "--seq-len", 16,
                  "--max-windows", 1],
         "bench": ["--shapes", "12,12,6,12,2,1", "--rows", 2, "--repeats", 1],
@@ -297,7 +296,7 @@ def test_train_rejects_a_bad_lr(tmp_path, teacher_ckpt, corpus_file, capsys, val
     out = tmp_path / "out.knz"
     with pytest.raises(SystemExit) as exit_info:
         run_cli("train", "--student", teacher_ckpt, "--corpus", corpus_file, "--mode", "lm",
-                "--output", out, "--batch", 2, "--seq-len", 16, "--steps-per-epoch", 1,
+                "--output", out, "--batch", 2, "--seq-len", 16, "--steps", 1,
                 "--lr", value)
     assert exit_info.value.code == 2
     assert f"argument --lr: expected a finite number > 0, got '{value}'" in capsys.readouterr().err
@@ -312,7 +311,7 @@ def test_train_deterministic_checkpoints(tmp_path, teacher_ckpt, corpus_file):
         out = tmp_path / f"det_{tag}.knz"
         rc = run_cli("train", "--teacher", teacher_ckpt, "--student", student_in,
                      "--corpus", corpus_file, "--mode", "lm+kd", "--output", out,
-                     "--seed", 9, "--batch", 2, "--seq-len", 16, "--steps-per-epoch", 3)
+                     "--seed", 9, "--batch", 2, "--seq-len", 16, "--steps", 3)
         assert rc == 0
         return out.read_bytes()
 
@@ -359,6 +358,26 @@ def test_seq_len_above_max_seq_len_names_the_flag_and_checkpoint(tmp_path, teach
     }[command]
     assert run_cli(*args, "--corpus", corpus_file, "--seq-len", 24) == 1
     assert f"--seq-len 24 exceeds max_seq_len 16 of {short}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, split", [("train", "training"), ("eval", "validation")])
+def test_a_split_too_short_names_the_corpus_and_seq_len(tmp_path, teacher_ckpt, capsys,
+                                                         command, split):
+    head, tail = tmp_path / "head.txt", tmp_path / "tail.txt"
+    head.write_bytes(b"a short corpus")
+    tail.write_bytes(b" of 23 b.")  # 23 bytes: 21 train and 2 validation tokens
+    out = tmp_path / "out.knz"
+    args = {
+        # the teacher does not exist: the split is checked before it is loaded
+        "train": ["train", "--teacher", tmp_path / "absent.knz", "--student", teacher_ckpt,
+                  "--mode", "kd", "--output", out],
+        "eval": ["eval", "--checkpoint", teacher_ckpt],
+    }[command]
+    assert run_cli(*args, "--corpus", head, tail, "--seq-len", 24) == 1
+    held = {"train": 21, "eval": 2}[command]
+    assert (f"--corpus {head} {tail}: the {split} split holds {held} tokens, "
+            "fewer than --seq-len 24 + 1") in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -425,8 +444,7 @@ def test_val_ratio_outside_zero_one_is_rejected(tmp_path, teacher_ckpt, corpus_f
                                                 command, value):
     valid = {
         "train": ["--student", teacher_ckpt, "--corpus", corpus_file, "--mode", "lm",
-                  "--output", tmp_path / "out.knz", "--batch", 2, "--seq-len", 16,
-                  "--steps-per-epoch", 1],
+                  "--output", tmp_path / "out.knz", "--batch", 2, "--seq-len", 16, "--steps", 1],
         "eval": ["--checkpoint", teacher_ckpt, "--corpus", corpus_file, "--seq-len", 16,
                  "--max-windows", 1],
     }[command]

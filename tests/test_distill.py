@@ -210,6 +210,13 @@ def test_train_config_rejects_a_bad_learning_rate(lr):
         TrainConfig(learning_rate=lr)
 
 
+@pytest.mark.parametrize("name, value", [("steps", 0), ("steps", -2), ("batch_size", 0),
+                                         ("seq_len", 0)])
+def test_train_config_rejects_counts_below_one(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+        TrainConfig(**{name: value})
+
+
 def test_weights_for_mode():
     assert weights_for_mode("none") is None
     assert weights_for_mode("lm") == DistillWeights(0, 0, 0, 1.0)
@@ -276,6 +283,22 @@ def test_train_step_kd_mode_requires_teacher(small_student):
     opt = Adam(small_student.named_parameters(), lr=1e-3)
     with pytest.raises(ValueError):
         train_step(small_student, None, batch, weights_for_mode("kd"), opt)
+
+
+def test_train_step_takes_whole_number_float_ids_as_their_ints(small_student):
+    ids = np.array([[1, 2, 3, 4]])
+    runs = []
+    for batch in (ids, ids.astype(np.float64)):
+        s = small_student.copy()
+        m = train_step(s, None, batch, DistillWeights.lm_only(), Adam(s.named_parameters(), 1e-3))
+        runs.append((m.L_total, m.grad_norm, s.state_hash()))
+    assert runs[0] == runs[1]
+
+
+def test_train_step_names_a_target_id_that_is_not_whole(small_student):
+    opt = Adam(small_student.named_parameters(), lr=1e-3)
+    with pytest.raises(TokenIdError, match=r"token id 4\.5 is not a whole number"):
+        train_step(small_student, None, np.array([[1, 2, 3, 4.5]]), DistillWeights.lm_only(), opt)
 
 
 def test_non_finite_loss_names_component(small_teacher, small_student):
@@ -418,14 +441,12 @@ def test_sample_batch_accepts_a_corpus_of_exactly_one_window():
     assert np.array_equal(sample_batch(tokens, 3, 8, Rng(0)), np.tile(tokens, (3, 1)))
 
 
-def test_run_phase_none_and_metrics_file(tmp_path, small_teacher, small_student):
+def test_run_phase_metrics_file(tmp_path, small_student):
     tokens = Rng(8).integers(0, 16, size=4000).astype(np.int64)
-    cfg = TrainConfig(batch_size=2, learning_rate=1e-3, epochs=1, seed=9, seq_len=8)
-    assert run_phase("none", small_student, small_teacher, tokens, cfg) == []
-
+    cfg = TrainConfig(batch_size=2, learning_rate=1e-3, steps=5, seed=9, seq_len=8)
     path = tmp_path / "metrics.jsonl"
-    hist = run_phase("lm", small_student.copy(), None, tokens, cfg,
-                     metrics_path=path, steps_per_epoch=5)
+    hist = run_phase(small_student.copy(), None, tokens, cfg, DistillWeights.lm_only(),
+                     metrics_path=path)
     assert len(hist) == 5
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 5
@@ -436,15 +457,25 @@ def test_run_phase_none_and_metrics_file(tmp_path, small_teacher, small_student)
 
 def test_run_phase_deterministic_metrics(small_teacher, small_student):
     tokens = Rng(10).integers(0, 16, size=4000).astype(np.int64)
-    cfg = TrainConfig(batch_size=2, learning_rate=1e-3, epochs=1, seed=11, seq_len=8)
+    cfg = TrainConfig(batch_size=2, learning_rate=1e-3, steps=4, seed=11, seq_len=8)
 
     def run():
         s = small_student.copy()
-        hist = run_phase("lm+kd", s, small_teacher, tokens, cfg, steps_per_epoch=4)
+        hist = run_phase(s, small_teacher, tokens, cfg, DistillWeights.pretrain())
         return [(m.L_emb, m.L_att, m.L_hid, m.L_ce, m.L_total) for m in hist], s.state_hash()
 
     r1, r2 = run(), run()
     assert r1 == r2
+
+
+@pytest.mark.parametrize("n_tokens, steps", [(100, 6), (111, 6), (15, 1)])
+def test_run_phase_default_steps_are_one_pass_over_the_tokens(small_student, n_tokens, steps):
+    # B*T = 16 tokens a step; a split shorter than that still takes one step
+    tokens = np.arange(n_tokens) % 16
+    cfg = TrainConfig(batch_size=2, learning_rate=1e-3, seed=0, seq_len=8)
+    assert cfg.steps is None
+    hist = run_phase(small_student.copy(), None, tokens, cfg, DistillWeights.lm_only())
+    assert [m.step for m in hist] == list(range(steps))
 
 
 def test_evaluate_lm_and_perplexity(small_teacher):
