@@ -14,12 +14,16 @@ Layout (all integers little-endian):
     crc32   u32   of every preceding byte (IEEE polynomial)
 
 Round trips are bit-exact; any single-byte corruption or truncation is
-detected either structurally or by the trailing CRC. Writes go to a
-temporary file and are renamed into place.
+detected either structurally or by the trailing CRC. Writes and reads
+stream one tensor at a time, straight from and into the arrays' buffers,
+with the CRC accumulated as they go; a read checks every length against
+the file size before it allocates. Writes go to a temporary file and are
+renamed into place.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import tempfile
@@ -49,7 +53,9 @@ _TAG_DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<f8")}
 def archive_write(path, tensors) -> None:
     """Write named tensors (dict or (name, array) pairs) to ``path``.
 
-    Only float32/float64 arrays are accepted; names must be unique.
+    Only float32/float64 arrays are accepted; names must be unique. Every
+    tensor is checked before the file is opened; the data is then written
+    from each array's own buffer, with the CRC accumulated on the way.
     """
     items = list(tensors.items()) if isinstance(tensors, dict) else list(tensors)
     seen = set()
@@ -61,7 +67,7 @@ def archive_write(path, tensors) -> None:
         arr = np.asarray(arr)
         if not arr.flags.c_contiguous:
             arr = np.ascontiguousarray(arr)  # never hit for 0-d, which it would promote
-        if arr.dtype not in _DTYPE_TAGS:
+        if arr.dtype not in _DTYPE_TAGS:  # both tags are little-endian, so the data is too
             raise ArchiveError(f"tensor {name!r}: unsupported dtype {arr.dtype}")
         encoded = name.encode("utf-8")
         if len(encoded) > 0xFFFF:
@@ -70,14 +76,16 @@ def archive_write(path, tensors) -> None:
         chunks.append(encoded)
         chunks.append(struct.pack("<BB", _DTYPE_TAGS[arr.dtype], arr.ndim))
         chunks.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        chunks.append(arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes())
-    body = b"".join(chunks)
-    payload = body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+        chunks.append(memoryview(arr.reshape(-1)))
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            crc = 0
+            for chunk in chunks:
+                fh.write(chunk)
+                crc = zlib.crc32(chunk, crc)
+            fh.write(struct.pack("<I", crc))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -85,56 +93,80 @@ def archive_write(path, tensors) -> None:
         raise
 
 
-class _Cursor:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
+class _Reader:
+    """Reads an open archive front to back. Every length is checked against
+    the file size before it is read or allocated, and the CRC of every byte
+    read so far is kept."""
 
-    def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.data):
+    def __init__(self, fh, head: bytes):
+        self.fh = fh
+        self.size = os.fstat(fh.fileno()).st_size
+        self.pos = len(head)
+        self.crc = zlib.crc32(head)
+
+    def _claim(self, n: int, what: str) -> None:
+        if self.pos + n > self.size:
             raise TruncationError(
                 f"archive truncated while reading {what}: "
-                f"needed {n} bytes at offset {self.pos}, file has {len(self.data)}"
+                f"needed {n} bytes at offset {self.pos}, file has {self.size}"
             )
-        out = self.data[self.pos : self.pos + n]
+
+    def _advance(self, buf, n: int, what: str) -> None:
+        if len(buf) != n:  # the file shrank after fstat
+            raise TruncationError(f"archive truncated while reading {what}: "
+                                  f"read {len(buf)} of {n} bytes at offset {self.pos}")
         self.pos += n
+        self.crc = zlib.crc32(buf, self.crc)
+
+    def take(self, n: int, what: str) -> bytes:
+        self._claim(n, what)
+        out = self.fh.read(n)
+        self._advance(out, n, what)
+        return out
+
+    def take_array(self, dims, dtype: np.dtype, what: str) -> np.ndarray:
+        n = math.prod(dims) * dtype.itemsize  # Python ints: no wrap; rank 0 is one element
+        self._claim(n, what)
+        try:
+            out = np.empty(dims, dtype)
+        except ValueError:  # a zero-size shape with a dim numpy cannot hold
+            raise ArchiveError(f"{what}: dims {dims} are not a numpy shape") from None
+        buf = memoryview(out.reshape(-1)).cast("B")
+        self._advance(buf[: self.fh.readinto(buf)], n, what)
         return out
 
 
 def archive_read(path) -> dict:
     """Read an archive back into an ordered {name: array} dict."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < 4 or data[:4] != MAGIC:
-        raise BadMagicError(f"bad magic {data[:4]!r}, expected {MAGIC!r}")
-    cur = _Cursor(data)
-    cur.take(4, "magic")
-    version, count = struct.unpack("<II", cur.take(8, "header"))
-    if version != VERSION:
-        raise BadVersionError(f"unsupported archive version {version}")
-    tensors = {}
-    for i in range(count):
-        label = f"tensor #{i}"
-        (name_len,) = struct.unpack("<H", cur.take(2, f"{label} name length"))
-        name = cur.take(name_len, f"{label} name").decode("utf-8", errors="replace")
-        label = f"tensor #{i} ({name!r})"
-        tag, rank = struct.unpack("<BB", cur.take(2, f"{label} dtype/rank"))
-        if tag not in _TAG_DTYPES:
-            raise ArchiveError(f"{label}: unknown dtype tag {tag}")
-        dims = struct.unpack(f"<{rank}Q", cur.take(8 * rank, f"{label} dims"))
-        dtype = _TAG_DTYPES[tag]
-        n_bytes = int(np.prod(dims, dtype=np.uint64)) * dtype.itemsize  # rank 0: one element
-        raw = cur.take(n_bytes, f"{label} data")
-        if name in tensors:
-            raise DuplicateNameError(f"duplicate tensor name {name!r}")
-        tensors[name] = np.frombuffer(raw, dtype=dtype).reshape(dims).copy()
-    remaining = len(data) - cur.pos
-    if remaining < 4:
-        raise TruncationError(f"archive truncated: {remaining} bytes left, CRC needs 4")
-    if remaining > 4:
-        raise ArchiveError(f"{remaining - 4} unexpected trailing bytes before CRC")
-    (stored_crc,) = struct.unpack("<I", data[-4:])
-    actual = zlib.crc32(data[:-4]) & 0xFFFFFFFF
+        magic = fh.read(4)
+        if magic != MAGIC:
+            raise BadMagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
+        cur = _Reader(fh, magic)
+        version, count = struct.unpack("<II", cur.take(8, "header"))
+        if version != VERSION:
+            raise BadVersionError(f"unsupported archive version {version}")
+        tensors = {}
+        for i in range(count):
+            label = f"tensor #{i}"
+            (name_len,) = struct.unpack("<H", cur.take(2, f"{label} name length"))
+            name = cur.take(name_len, f"{label} name").decode("utf-8", errors="replace")
+            label = f"tensor #{i} ({name!r})"
+            tag, rank = struct.unpack("<BB", cur.take(2, f"{label} dtype/rank"))
+            if tag not in _TAG_DTYPES:
+                raise ArchiveError(f"{label}: unknown dtype tag {tag}")
+            dims = struct.unpack(f"<{rank}Q", cur.take(8 * rank, f"{label} dims"))
+            arr = cur.take_array(dims, _TAG_DTYPES[tag], f"{label} data")
+            if name in tensors:
+                raise DuplicateNameError(f"duplicate tensor name {name!r}")
+            tensors[name] = arr
+        remaining = cur.size - cur.pos
+        if remaining < 4:
+            raise TruncationError(f"archive truncated: {remaining} bytes left, CRC needs 4")
+        if remaining > 4:
+            raise ArchiveError(f"{remaining - 4} unexpected trailing bytes before CRC")
+        actual = cur.crc  # of every byte before the CRC
+        (stored_crc,) = struct.unpack("<I", cur.take(4, "CRC"))
     if stored_crc != actual:
         raise CrcError(f"CRC mismatch: stored {stored_crc:#010x}, computed {actual:#010x}")
     return tensors

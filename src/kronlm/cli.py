@@ -128,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seq-len", type=_count, default=64)
     p.add_argument("--val-ratio", type=_ratio, default=0.1)
     p.add_argument("--output", default=None, help="trained checkpoint path (default: --student)")
-    p.add_argument("--metrics", default=None, help="JSONL metrics history path")
+    p.add_argument("--metrics", default=None, help="JSONL metrics history path (empty under --mode none)")
     _add_seed(p)
 
     p = sub.add_parser("eval", help="validation cross entropy and perplexity")
@@ -236,12 +236,23 @@ def cmd_compress(args) -> int:
     return 0
 
 
+def _corpus_flag(args) -> str:
+    return "--corpus " + " ".join(str(p) for p in args.corpus)
+
+
+def _load_corpus(args):
+    """The corpus of --corpus and --val-ratio; a rejection names the flag and the files."""
+    try:
+        return load_corpus(args.corpus, val_ratio=args.val_ratio)
+    except ShapeError as exc:
+        raise ShapeError(f"{_corpus_flag(args)}: {exc}") from None
+
+
 def _check_split(tokens, split: str, args) -> None:
     """One window of --seq-len inputs and their targets must fit in the split."""
     if len(tokens) < args.seq_len + 1:
-        paths = " ".join(str(p) for p in args.corpus)
-        raise ShapeError(f"--corpus {paths}: the {split} split holds {len(tokens)} tokens, "
-                         f"fewer than --seq-len {args.seq_len} + 1")
+        raise ShapeError(f"{_corpus_flag(args)}: the {split} split holds {len(tokens)} "
+                         f"tokens, fewer than --seq-len {args.seq_len} + 1")
 
 
 def cmd_train(args) -> int:
@@ -260,7 +271,7 @@ def cmd_train(args) -> int:
         asked = f"--alphas {args.alphas}" if args.alphas is not None else f"--mode {args.mode}"
         raise KronlmError(f"{asked} needs --teacher for the trace losses")
     student = load_model(args.student)
-    corpus = load_corpus(args.corpus, val_ratio=args.val_ratio)
+    corpus = _load_corpus(args)
     history = []
     if w is not None:  # mode none runs no step
         _check_split(corpus.train, "training", args)
@@ -276,6 +287,8 @@ def cmd_train(args) -> int:
         config = TrainConfig(batch_size=args.batch, learning_rate=args.lr, steps=args.steps,
                              seed=args.seed, seq_len=args.seq_len)
         history = run_phase(student, teacher, corpus.train, config, w, metrics_path=args.metrics)
+    elif args.metrics:  # mode none: an empty history, so the path asked for exists
+        open(args.metrics, "w").close()
     out_path = args.output or args.student
     save_model(student, out_path)
     if history:
@@ -289,7 +302,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model = load_model(args.checkpoint)
     _check_seq_len(args.seq_len, model, args.checkpoint)
-    corpus = load_corpus(args.corpus, val_ratio=args.val_ratio)
+    corpus = _load_corpus(args)
     _check_split(corpus.val, "validation", args)
     ce = evaluate_lm(model, corpus.val, seq_len=args.seq_len, max_windows=args.max_windows)
     pp = perplexity(ce)

@@ -1,7 +1,15 @@
+import errno
+import hashlib
+import io
+import os
+import struct
+import tracemalloc
+import zlib
+
 import numpy as np
 import pytest
 
-from kronlm.archive import archive_read, archive_write, load_model, save_model
+from kronlm.archive import MAGIC, VERSION, archive_read, archive_write, load_model, save_model
 from kronlm.errors import (
     ArchiveError,
     BadMagicError,
@@ -110,6 +118,58 @@ def test_crc_error_reported(tmp_path):
         archive_read(path)
 
 
+def _archive_bytes(*records):
+    """A CRC-valid archive of (name, dtype tag, dims, data) records, built by hand."""
+    body = MAGIC + struct.pack("<II", VERSION, len(records))
+    for name, tag, dims, data in records:
+        encoded = name.encode("utf-8")
+        body += struct.pack("<H", len(encoded)) + encoded
+        body += struct.pack(f"<BB{len(dims)}Q", tag, len(dims), *dims) + data
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+@pytest.mark.parametrize(
+    "dims, error, message",
+    [
+        # 2**64 f64 elements: a u64 product wraps to 0
+        ((2**32, 2**32), TruncationError, rf"needed {2**67} bytes at offset 33, file has 37"),
+        # zero-size, but a dim numpy cannot hold
+        ((0, 2**63), ArchiveError, r"dims \(0, 9223372036854775808\)"),
+    ],
+    ids=["product_overflows_u64", "zero_size_beyond_numpy"],
+)
+def test_dims_numpy_cannot_take_are_rejected_by_name(tmp_path, dims, error, message):
+    path = tmp_path / "dims.knz"
+    path.write_bytes(_archive_bytes(("w", 2, dims, b"")))
+    with pytest.raises(error, match=rf"tensor #0 \('w'\) data: {message}"):
+        archive_read(path)
+
+
+def test_huge_dims_are_rejected_before_anything_is_allocated(tmp_path):
+    path = tmp_path / "huge.knz"
+    path.write_bytes(_archive_bytes(("w", 1, (2**40,), b"\0" * 16)))  # 4 TiB of f32 claimed
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncationError, match=rf"tensor #0 \('w'\) data: needed {2**42} bytes"):
+            archive_read(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_a_file_that_shrinks_while_read_is_a_truncation(tmp_path, monkeypatch):
+    path = tmp_path / "shrunk.knz"
+    archive_write(path, {"first": np.zeros((2, 2)), "second": np.ones((4, 4))})
+    full = path.stat().st_size
+    path.write_bytes(path.read_bytes()[:-40])  # cut inside the second tensor's data
+    real_fstat = os.fstat
+    monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result(
+        real_fstat(fd)[:6] + (full,) + real_fstat(fd)[7:]))  # st_size as before the cut
+    with pytest.raises(TruncationError, match=r"tensor #1 \('second'\) data: read 92 of 128"):
+        archive_read(path)
+
+
 def test_duplicate_names_rejected(tmp_path):
     with pytest.raises(DuplicateNameError):
         archive_write(tmp_path / "d.knz", [("t", np.ones(2)), ("t", np.ones(3))])
@@ -149,6 +209,52 @@ def test_model_checkpoint_roundtrip_bit_exact(tmp_path):
     assert loaded.config == cfg
     save_model(loaded, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+class _FullDisk(io.FileIO):
+    """A raw file whose disk is full after its first 100 bytes."""
+
+    def write(self, b):
+        if self.tell() + memoryview(b).nbytes > 100:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return super().write(b)
+
+
+def test_a_failed_write_leaves_the_old_archive_and_no_temporary(tmp_path, monkeypatch):
+    path = tmp_path / "a.knz"
+    archive_write(path, {"old": np.ones(3)})
+    before = path.read_bytes()
+    tensors = [("w", np.zeros((64, 64))), ("v", np.ones(8, dtype=np.float16))]
+    with pytest.raises(ArchiveError, match="tensor 'v': unsupported dtype float16"):
+        archive_write(path, tensors)
+    assert path.read_bytes() == before
+    assert list(tmp_path.glob("*.tmp")) == []
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "fdopen", lambda fd, mode: io.BufferedWriter(_FullDisk(fd, "w")))
+        with pytest.raises(OSError, match="No space left"):
+            archive_write(path, tensors[:1])
+    assert path.read_bytes() == before
+    assert list(tmp_path.glob("*.tmp")) == []
+
+
+# sha256 of the two checkpoints below as written before archive_write streamed
+# its tensors; streaming must not change a byte. The student's factors come
+# from LAPACK's SVD, so another LAPACK build may round them differently.
+PINNED_SHA256 = {
+    "teacher": "4d34de3c329e31ca9cdbec33944260d9b09bec4b84129bc52dfa74b2f017efef",
+    "student": "bab3af31894f45bc75bc092f4f334b76368344b6fc83cf1b8bcb53d13420c672",
+}
+
+
+def test_checkpoint_bytes_are_pinned(tmp_path):
+    cfg = GPTConfig(n_layers=2, n_heads=2, d_model=8, d_ff=16, vocab_size=16, max_seq_len=8, seed=4)
+    teacher = TinyGPTModel.init_random(cfg)
+    student, _ = compress_model(teacher, CompressionSchedule.for_dims(2, 8, 16, factor=2))
+    for name, model in (("teacher", teacher), ("student", student)):
+        path = tmp_path / f"{name}.knz"
+        save_model(model, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_SHA256[name], name
+        assert load_model(path).state_hash() == model.state_hash()
 
 
 def test_compressed_checkpoint_roundtrip(tmp_path):

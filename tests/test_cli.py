@@ -381,6 +381,27 @@ def test_a_split_too_short_names_the_corpus_and_seq_len(tmp_path, teacher_ckpt, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_a_corpus_too_small_names_the_flag_and_files(tmp_path, teacher_ckpt, capsys, command):
+    tiny = tmp_path / "tiny.txt"
+    tiny.write_bytes(b"abc")
+    out = tmp_path / "out.knz"
+    args = {
+        "train": ["train", "--student", teacher_ckpt, "--mode", "lm", "--output", out],
+        "eval": ["eval", "--checkpoint", teacher_ckpt],
+    }[command]
+    assert run_cli(*args, "--corpus", tiny, "--seq-len", 8) == 1
+    assert f"--corpus {tiny}: corpus too small: 3 bytes" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_mode_none_writes_an_empty_metrics_file(tmp_path, teacher_ckpt, corpus_file):
+    metrics = tmp_path / "m.jsonl"
+    assert run_cli("train", "--student", teacher_ckpt, "--corpus", corpus_file, "--mode", "none",
+                   "--output", tmp_path / "out.knz", "--metrics", metrics) == 0
+    assert metrics.read_bytes() == b""
+
+
 def test_eval_takes_no_seed(teacher_ckpt, corpus_file, capsys):
     with pytest.raises(SystemExit) as exit_info:
         run_cli("eval", "--checkpoint", teacher_ckpt, "--corpus", corpus_file, "--seed", 99)
