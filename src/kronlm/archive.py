@@ -186,7 +186,15 @@ def save_model(model: TinyGPTModel, path) -> None:
 
 
 def load_model(path) -> TinyGPTModel:
-    tensors = {k: v.astype(np.float64, copy=False) for k, v in archive_read(path).items()}
+    """The model stored at ``path``; an archive error names the file."""
+    try:
+        return _model_from(archive_read(path))
+    except ArchiveError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
+def _model_from(tensors: dict) -> TinyGPTModel:
+    tensors = {k: v.astype(np.float64, copy=False) for k, v in tensors.items()}
     meta = tensors.pop(_META_NAME, None)
     if meta is None:
         raise ArchiveError("checkpoint has no __meta__ record; not a model archive")

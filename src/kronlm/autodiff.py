@@ -6,16 +6,21 @@ Node values are float64 numpy arrays (losses are Python floats). Kronecker
 layers receive gradients for their factors directly, in factored form, at
 the same asymptotic cost as the forward pass.
 
-Softmax+cross-entropy and softmax+KL are fused primitives so their backward
-passes stay numerically stable. Attention is causal and scaled by 1/sqrt(d/h)
-in one place: the attention ops work out the scale and the causal mask from
-their operands' shapes. Keys may outnumber queries, as in cached decoding:
-with Tk keys and Tq queries per sequence, query i sits at key position
-i + Tk - Tq.
+Each nonlinearity is computed once, inside its op. One routine, ``_softmax``,
+gives a row softmax and its log from a single exp pass; ``masked_softmax``,
+``cross_entropy`` and ``attn_kl`` all take their values from it, and the two
+losses are fused primitives whose backward passes reuse its output. ``gelu``
+evaluates its tanh once and forms the derivative in its vjp. Attention is
+causal and scaled by 1/sqrt(d/h) in one place: the attention ops work out the
+scale and the causal mask from their operands' shapes. Keys may outnumber
+queries, as in cached decoding: with Tk keys and Tq queries per sequence,
+query i sits at key position i + Tk - Tq.
 
 Every vjp returns a gradient for each of its parents. ``backward`` routes
 them: it runs the vjp of a node only when the node requires a gradient, and
-it drops the gradient of a parent that does not (a constant).
+it drops the gradient of a parent that does not (a constant). An op whose
+parents are all constants keeps no vjp, so an evaluation forward holds no
+backward-only arrays.
 """
 
 from __future__ import annotations
@@ -24,17 +29,24 @@ import numpy as np
 
 from .errors import ShapeError, TokenIdError
 from .kronecker import KroneckerPair, kron_matmul, kron_matmul_grads
-from .tensor_core import (
-    causal_mask,
-    gelu,
-    gelu_with_grad,
-    log_softmax_rows,
-    masked_softmax,
-    softmax_rows,
-)
+from .tensor_core import GELU_CUBIC_COEFF, GELU_SQRT_2_OVER_PI, causal_mask
 
 # GradStore: map from leaf parameter name -> gradient array of identical shape
 GradStore = dict
+
+
+def _softmax(z: np.ndarray, causal: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """(p, log p) of the row softmax over the last axis, from one exp pass.
+
+    ``causal`` keeps entry j of row i of (..., Tq, Tk) scores only where
+    j <= i + Tk - Tq; beyond it p is exactly 0 and log p is -inf.
+    """
+    if causal:
+        z = np.where(causal_mask(*z.shape[-2:]), z, -np.inf)
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)  # exp(-inf) is an exact 0
+    total = e.sum(axis=-1, keepdims=True)
+    return e / total, z - np.log(total)
 
 
 def _check_ids(ids: np.ndarray, limit: int, what: str):
@@ -81,7 +93,8 @@ class Tape:
     def _op(self, value, parents, vjp) -> Node:
         node = Node(value, any(p.requires_grad for p in parents))
         node._parents = tuple(parents)
-        node._vjp = vjp
+        # an op on constants keeps no vjp, so the arrays its closure holds are freed
+        node._vjp = vjp if node.requires_grad else None
         return self._register(node)
 
     # ---- arithmetic -----------------------------------------------------
@@ -211,10 +224,15 @@ class Tape:
         return self._op(y, (x, gain, bias), vjp)
 
     def gelu(self, x: Node) -> Node:
-        if not x.requires_grad:  # evaluation path skips the derivative
-            return self._op(gelu(x.value), (x,), lambda up: (None,))
-        value, grad = gelu_with_grad(x.value)
-        return self._op(value, (x,), lambda up: (up * grad,))
+        """GELU, tanh approximation: 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3)))."""
+        xv = x.value
+        t = np.tanh(GELU_SQRT_2_OVER_PI * (xv + GELU_CUBIC_COEFF * (xv * xv * xv)))
+
+        def vjp(up):
+            d_inner = GELU_SQRT_2_OVER_PI * (1.0 + 3.0 * GELU_CUBIC_COEFF * (xv * xv))
+            return (up * (0.5 * (1.0 + t) + 0.5 * xv * (1.0 - t * t) * d_inner),)
+
+        return self._op(0.5 * xv * (1.0 + t), (x,), vjp)
 
     # ---- attention ------------------------------------------------------
 
@@ -246,7 +264,7 @@ class Tape:
     def masked_softmax(self, scores: Node) -> Node:
         """Causal row softmax of (..., Tq, Tk) scores: entry j of row i is kept
         where j <= i + Tk - Tq, and is exactly zero beyond."""
-        p = masked_softmax(scores.value, causal_mask(*scores.value.shape[-2:]))
+        p, _ = _softmax(scores.value, causal=True)
 
         def vjp(up):
             return (p * (up - (up * p).sum(axis=-1, keepdims=True)),)
@@ -287,11 +305,11 @@ class Tape:
         if targets.shape != (rows,):
             raise ShapeError(f"cross_entropy: targets shape {targets.shape} != ({rows},)")
         _check_ids(targets, cols, "target")
-        logp = log_softmax_rows(logits.value)
+        p, logp = _softmax(logits.value)
         value = float(-logp[np.arange(rows), targets].mean())
 
         def vjp(up):
-            g = softmax_rows(logits.value)
+            g = p.copy()
             g[np.arange(rows), targets] -= 1.0
             return (up * g / rows,)
 
@@ -301,26 +319,19 @@ class Tape:
         """KL(teacher || student) between teacher attention rows and the
         causal softmax of (B*h, T, T) ``scores``.
 
-        Only causal-valid positions (j <= i) enter; the result is averaged
-        over all (B*h) x T rows.
+        The teacher rows are causal softmaxes, exactly zero where j > i, so
+        only positions j <= i enter; the result is averaged over all
+        (B*h) x T rows.
         """
         p = np.asarray(teacher_probs, dtype=np.float64)
         if p.shape != scores.value.shape:
             raise ShapeError(f"attn_kl shape mismatch: {p.shape} vs {scores.value.shape}")
-        mask = causal_mask(p.shape[-1])
-        neg = np.where(mask, scores.value, -np.inf)
-        logq = log_softmax_rows(neg)  # -inf at masked entries
-        q = np.where(mask, np.exp(logq), 0.0)
+        q, logq = _softmax(scores.value, causal=True)
         n_rows = p.shape[0] * p.shape[1]
-        valid = np.broadcast_to(mask, p.shape)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(invalid="ignore"):  # 0 * inf at masked entries, dropped by where
             terms = np.where(p > 0, p * (np.log(np.where(p > 0, p, 1.0)) - logq), 0.0)
         value = float(terms.sum() / n_rows)
-
-        def vjp(up):
-            return (up * np.where(valid, q - p, 0.0) / n_rows,)
-
-        return self._op(value, (scores,), vjp)
+        return self._op(value, (scores,), lambda up: (up * (q - p) / n_rows,))
 
 
 def backward(tape: Tape, loss: Node) -> GradStore:

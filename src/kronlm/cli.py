@@ -1,10 +1,11 @@
 """Command-line front end: compress | train | eval | bench.
 
-train, compress and bench take --seed (default: the KNZ_SEED environment
-variable, else 0). Every command is deterministic for a fixed seed, apart
-from wall-clock fields in metrics and benchmark output; compress and eval draw
-nothing random, so neither output depends on a seed. Exit code 0 on success;
-failures print a diagnostic to stderr and exit nonzero.
+train, compress and bench take --seed (default 0). Every command is
+deterministic for a fixed seed, apart from wall-clock fields in metrics and
+benchmark output; compress and eval draw nothing random, so neither output
+depends on a seed. Exit code 0 on success; failures print a diagnostic to
+stderr and exit nonzero. An error about a file names the flag that gave it,
+and every output's directory is checked before any work starts.
 """
 
 from __future__ import annotations
@@ -27,18 +28,13 @@ from .distill import (
     run_phase,
     weights_for_mode,
 )
-from .errors import KronlmError, PlanningError, ShapeError
+from .errors import ArchiveError, KronlmError, PlanningError, ShapeError
 from .layers import PLANNABLE_FACTORS, CompressionSchedule
 from .model import TinyGPTModel, compress_model, layer_tensors, param_layout, stored_factors
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("KNZ_SEED", "0"))
-
-
 def _add_seed(parser):
-    parser.add_argument("--seed", type=int, default=_default_seed(),
-                        help="deterministic seed (default: $KNZ_SEED or 0)")
+    parser.add_argument("--seed", type=int, default=0, help="deterministic seed")
 
 
 def _onoff(value: str) -> bool:
@@ -158,6 +154,32 @@ def _layer_selector(raw: str):
         raise PlanningError(f"bad --layers value {raw!r}: {exc}") from exc
 
 
+def _load_model(flag: str, path) -> TinyGPTModel:
+    """The checkpoint a flag names; a failure to read it names the flag and the file."""
+    try:
+        return load_model(path)
+    except ArchiveError as exc:  # its message starts with the path
+        raise type(exc)(f"{flag} {exc}") from None
+    except OSError as exc:
+        raise KronlmError(f"{flag} {path}: {exc.strerror or exc}") from None
+
+
+def _check_outputs(args, *flags) -> None:
+    """Fail before any work if an output flag's path cannot be written: its
+    directory is missing or read-only, or the path is a directory."""
+    for flag in flags:
+        path = getattr(args, flag[2:])
+        if path is None:
+            continue
+        folder = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(folder):
+            raise KronlmError(f"{flag} {path}: directory {folder} does not exist")
+        if not os.access(folder, os.W_OK | os.X_OK):
+            raise KronlmError(f"{flag} {path}: directory {folder} is not writable")
+        if os.path.isdir(path):
+            raise KronlmError(f"{flag} {path}: is a directory")
+
+
 def _check_seq_len(seq_len: int, model: TinyGPTModel, path) -> None:
     if seq_len > model.config.max_seq_len:
         raise KronlmError(f"--seq-len {seq_len} exceeds max_seq_len "
@@ -204,7 +226,8 @@ def cmd_compress(args) -> int:
     if args.factor not in PLANNABLE_FACTORS:
         raise PlanningError(f"--factor {args.factor}: only the factors {PLANNABLE_FACTORS} "
                             "are plannable")
-    teacher = load_model(args.input)
+    _check_outputs(args, "--output", "--report")
+    teacher = _load_model("--input", args.input)
     cfg = teacher.config
     f = args.factor if args.embedding_factor is None else args.embedding_factor
     if args.embedding and (f < 1 or cfg.d_model % f):  # name the flag that set f
@@ -246,6 +269,8 @@ def _load_corpus(args):
         return load_corpus(args.corpus, val_ratio=args.val_ratio)
     except ShapeError as exc:
         raise ShapeError(f"{_corpus_flag(args)}: {exc}") from None
+    except OSError as exc:
+        raise KronlmError(f"{_corpus_flag(args)}: {exc.filename}: {exc.strerror or exc}") from None
 
 
 def _check_split(tokens, split: str, args) -> None:
@@ -256,6 +281,7 @@ def _check_split(tokens, split: str, args) -> None:
 
 
 def cmd_train(args) -> int:
+    _check_outputs(args, "--output", "--metrics")
     w = weights_for_mode(args.mode)
     if args.alphas is not None:
         try:
@@ -270,12 +296,12 @@ def cmd_train(args) -> int:
     if w is not None and w.needs_teacher() and args.teacher is None:
         asked = f"--alphas {args.alphas}" if args.alphas is not None else f"--mode {args.mode}"
         raise KronlmError(f"{asked} needs --teacher for the trace losses")
-    student = load_model(args.student)
+    student = _load_model("--student", args.student)
     corpus = _load_corpus(args)
     history = []
     if w is not None:  # mode none runs no step
         _check_split(corpus.train, "training", args)
-        teacher = load_model(args.teacher) if w.needs_teacher() else None
+        teacher = _load_model("--teacher", args.teacher) if w.needs_teacher() else None
         if teacher is not None:
             for field in ("n_layers", "n_heads", "d_model", "vocab_size"):
                 want, found = getattr(student.config, field), getattr(teacher.config, field)
@@ -300,7 +326,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model = load_model(args.checkpoint)
+    model = _load_model("--checkpoint", args.checkpoint)
     _check_seq_len(args.seq_len, model, args.checkpoint)
     corpus = _load_corpus(args)
     _check_split(corpus.val, "validation", args)
@@ -314,6 +340,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    _check_outputs(args, "--output")
     shapes = args.shapes or DEFAULT_SHAPES
     csv = rows_to_csv(run_bench(shapes, rows=args.rows, repeats=args.repeats, seed=args.seed))
     if args.output:

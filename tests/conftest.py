@@ -54,6 +54,28 @@ def stored_param_count(model, exclude_lm_head: bool = False) -> int:
                if not (exclude_lm_head and name.startswith("lm_head.")))
 
 
+# Reference softmaxes, written apart from the Tape ops that production runs,
+# for the tests that compare those ops against an independent formula.
+
+
+def softmax_rows(m: np.ndarray) -> np.ndarray:
+    """Row softmax with max-subtraction; rows of the result sum to 1."""
+    z = m - m.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def masked_softmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Row softmax over the last axis restricted to ``mask`` (True = keep),
+    exactly zero at masked entries; ``mask`` broadcasts over leading axes."""
+    return softmax_rows(np.where(mask, scores, -np.inf))
+
+
+def log_softmax_rows(m: np.ndarray) -> np.ndarray:
+    z = m - m.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+
 @pytest.fixture(scope="session")
 def small_config():
     return GPTConfig(n_layers=2, n_heads=2, d_model=8, d_ff=16, vocab_size=16,

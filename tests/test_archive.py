@@ -2,6 +2,7 @@ import errno
 import hashlib
 import io
 import os
+import re
 import struct
 import tracemalloc
 import zlib
@@ -343,3 +344,13 @@ def test_load_model_rejects_invalid_meta(tmp_path, value):
     archive_write(path, tensors)
     with pytest.raises(ArchiveError, match="__meta__"):
         load_model(path)
+
+
+def test_load_model_errors_name_the_file(tmp_path):
+    bad_magic, no_meta = tmp_path / "bad.knz", tmp_path / "plain.knz"
+    bad_magic.write_bytes(b"hello, no archive")
+    archive_write(no_meta, {"w": np.zeros(2)})
+    with pytest.raises(BadMagicError, match=rf"^{re.escape(str(bad_magic))}: bad magic"):
+        load_model(bad_magic)
+    with pytest.raises(ArchiveError, match=rf"^{re.escape(str(no_meta))}: checkpoint has no"):
+        load_model(no_meta)

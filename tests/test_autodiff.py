@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from conftest import masked_softmax
 from kronlm.autodiff import Tape, backward
 from kronlm.errors import ShapeError, TokenIdError
 from kronlm.kronecker import KroneckerPair, kron, rearrange
-from kronlm.tensor_core import Rng, causal_mask, masked_softmax
+from kronlm.tensor_core import Rng, causal_mask
 
 
 def finite_diff(loss_fn, arrays, h=1e-6):

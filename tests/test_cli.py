@@ -10,7 +10,8 @@ import pytest
 
 from conftest import stored_param_count
 from kronlm.archive import load_model, save_model
-from kronlm.cli import main
+from kronlm import cli
+from kronlm.cli import build_parser, main
 from kronlm.kronecker import kron
 from kronlm.layers import KroneckerEmbedding, KroneckerLinear
 from kronlm.model import GPTConfig, TinyGPTModel
@@ -477,15 +478,69 @@ def test_val_ratio_outside_zero_one_is_rejected(tmp_path, teacher_ckpt, corpus_f
     assert not (tmp_path / "out.knz").exists()
 
 
-def test_knz_seed_env_fallback(tmp_path, teacher_ckpt, monkeypatch):
-    out_env = tmp_path / "env.knz"
-    out_flag = tmp_path / "flag.knz"
+def test_knz_seed_is_not_read(tmp_path, teacher_ckpt, corpus_file, monkeypatch):
+    # a malformed KNZ_SEED once broke every command while the parser was built
+    monkeypatch.setenv("KNZ_SEED", "abc")
+    assert run_cli("eval", "--checkpoint", teacher_ckpt, "--corpus", corpus_file,
+                   "--seq-len", 16, "--max-windows", 1) == 0
+    assert run_cli("compress", "--input", teacher_ckpt, "--output", tmp_path / "s.knz") == 0
     monkeypatch.setenv("KNZ_SEED", "123")
-    assert run_cli("compress", "--input", teacher_ckpt, "--output", out_env) == 0
-    monkeypatch.delenv("KNZ_SEED")
-    assert run_cli("compress", "--input", teacher_ckpt, "--output", out_flag,
-                   "--seed", 123) == 0
-    assert out_env.read_bytes() == out_flag.read_bytes()
+    assert build_parser().parse_args(["bench"]).seed == 0
+
+
+@pytest.mark.parametrize("flag, problem", [
+    ("--input", "missing"), ("--input", "bad_magic"),
+    ("--student", "missing"), ("--student", "bad_magic"),
+    ("--teacher", "missing"), ("--teacher", "bad_magic"),
+    ("--checkpoint", "missing"), ("--checkpoint", "bad_magic"),
+    ("--corpus", "missing"),
+])
+def test_an_unreadable_input_names_its_flag_and_file(tmp_path, teacher_ckpt, corpus_file, capsys,
+                                                      flag, problem):
+    bad = tmp_path / "bad.knz"
+    if problem == "bad_magic":
+        bad.write_bytes(b"hello, no archive")
+    out = tmp_path / "out.knz"
+    f = {"--input": teacher_ckpt, "--student": teacher_ckpt, "--teacher": teacher_ckpt,
+         "--checkpoint": teacher_ckpt, "--corpus": corpus_file, flag: bad}
+    args = {
+        "compress": ["compress", "--input", f["--input"], "--output", out],
+        "train": ["train", "--student", f["--student"], "--teacher", f["--teacher"], "--corpus",
+                  f["--corpus"], "--mode", "kd", "--output", out, "--steps", 1, "--seq-len", 8],
+        "eval": ["eval", "--checkpoint", f["--checkpoint"], "--corpus", f["--corpus"]],
+    }[{"--input": "compress", "--checkpoint": "eval"}.get(flag, "train")]
+    assert run_cli(*args) == 1
+    err = capsys.readouterr().err
+    reason = {"missing": "No such file or directory",
+              "bad_magic": "bad magic b'hell', expected b'KTNZ'"}[problem]
+    named = f"--corpus {bad}: {bad}" if flag == "--corpus" else f"{flag} {bad}"
+    assert f"{named}: {reason}" in err and "Errno" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["missing_directory", "a_directory"])
+@pytest.mark.parametrize("command, flag", [
+    ("train", "--output"), ("train", "--metrics"), ("compress", "--output"),
+    ("compress", "--report"), ("bench", "--output"),
+])
+def test_an_unwritable_output_fails_before_any_work(tmp_path, teacher_ckpt, corpus_file, capsys,
+                                                    monkeypatch, command, flag, where):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work started before the output path was checked")
+
+    for name in ("run_phase", "compress_model", "run_bench"):
+        monkeypatch.setattr(cli, name, no_work)
+    path = tmp_path / "missing" / "x.out" if where == "missing_directory" else tmp_path
+    args = {
+        "train": ["train", "--student", teacher_ckpt, "--corpus", corpus_file, "--mode", "lm",
+                  "--seq-len", 8],
+        "compress": ["compress", "--input", teacher_ckpt, "--output", tmp_path / "s.knz"],
+        "bench": ["bench"],
+    }[command]
+    assert run_cli(*args, flag, path) == 1
+    reason = (f"directory {path.parent} does not exist" if where == "missing_directory"
+              else "is a directory")
+    assert f"{flag} {path}: {reason}" in capsys.readouterr().err
 
 
 def test_console_entry_point_subprocess(tmp_path, teacher_ckpt):

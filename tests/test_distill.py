@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import log_softmax_rows, masked_softmax
 from kronlm import distill
 from kronlm.autodiff import Tape, backward
 from kronlm.distill import (
@@ -21,7 +22,7 @@ from kronlm.distill import (
 )
 from kronlm.errors import NonFiniteLossError, ShapeError, TokenIdError
 from kronlm.model import ForwardTrace, TraceNodes
-from kronlm.tensor_core import Rng, causal_mask, log_softmax_rows, masked_softmax
+from kronlm.tensor_core import Rng, causal_mask
 
 
 def random_trace(rng, n_layers=2, h=2, t=4, d=6, v=8):

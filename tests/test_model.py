@@ -189,6 +189,22 @@ def test_forward_deterministic(small_teacher):
     assert np.array_equal(l1, l2)
 
 
+@pytest.mark.parametrize("compressed", [False, True], ids=["dense", "compressed"])
+def test_forward_on_constants_equals_forward_tape_on_leaves(small_teacher, small_student,
+                                                            compressed):
+    # evaluation and training run the same ops; only the leaves' kind differs
+    model = small_student if compressed else small_teacher
+    tokens = Rng(19).integers(0, model.config.vocab_size, size=(2, 7))
+    want = model.forward(tokens)
+    tape = Tape()
+    params = {name: tape.leaf(arr, name) for name, arr in model.named_parameters()}
+    got = model.forward_tape(tape, tokens, params).values()
+    assert np.array_equal(got.embedding_out, want.embedding_out)
+    assert np.array_equal(got.logits, want.logits)
+    for g, w in zip(got.attentions + got.hidden, want.attentions + want.hidden, strict=True):
+        assert np.array_equal(g, w)
+
+
 def test_batched_forward_rows_match_single_sequences(small_student):
     b, t, h = 3, 7, small_student.config.n_heads
     batch = Rng(17).integers(0, small_student.config.vocab_size, size=(b, t))

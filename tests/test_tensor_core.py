@@ -4,11 +4,12 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import softmax_rows
 from kronlm.autodiff import Tape
 from kronlm.errors import ShapeError
-from kronlm.tensor_core import Rng, gelu, softmax_rows
+from kronlm.tensor_core import Rng
 
-# matmul and layernorm run as Tape ops; these adapters test them on arrays
+# matmul, layernorm, softmax and gelu run as Tape ops; these adapters test them on arrays
 
 
 def matmul(a, b):
@@ -19,6 +20,22 @@ def matmul(a, b):
 def layernorm(x, gain, bias, eps=1e-5):
     tape = Tape()
     return tape.layernorm(tape.constant(x), tape.constant(gain), tape.constant(bias), eps).value
+
+
+def tape_softmax_rows(m):
+    """Row softmax through Tape.masked_softmax: each row is one query that
+    sees every key, so the causal mask keeps the whole row."""
+    tape = Tape()
+    return tape.masked_softmax(tape.constant(m[:, None, :])).value[:, 0, :]
+
+
+# the reference softmax of conftest and the Tape op must both pass each softmax test
+SOFTMAXES = (softmax_rows, tape_softmax_rows)
+
+
+def gelu(x):
+    tape = Tape()
+    return tape.gelu(tape.constant(x)).value
 
 
 def test_matmul_identity():
@@ -60,35 +77,40 @@ def test_matmul_associativity():
 
 
 def test_softmax_symmetry():
-    out = softmax_rows(np.array([[0.0, 0.0, 0.0]]))
-    assert np.allclose(out, 1.0 / 3.0)
+    for softmax in SOFTMAXES:
+        out = softmax(np.array([[0.0, 0.0, 0.0]]))
+        assert np.allclose(out, 1.0 / 3.0)
 
 
 def test_softmax_extreme_no_overflow():
-    out = softmax_rows(np.array([[1000.0, 0.0]]))
-    assert np.all(np.isfinite(out))
-    assert out[0, 0] > 1 - 1e-12
-    assert out[0, 1] < 1e-12
+    for softmax in SOFTMAXES:
+        out = softmax(np.array([[1000.0, 0.0]]))
+        assert np.all(np.isfinite(out))
+        assert out[0, 0] > 1 - 1e-12
+        assert out[0, 1] < 1e-12
 
 
 def test_softmax_formula_oracle():
     row = np.array([[1.0, 2.0, 3.0]])
     expected = np.exp(row) / np.exp(row).sum()
-    assert np.max(np.abs(softmax_rows(row) - expected)) < 1e-12
+    for softmax in SOFTMAXES:
+        assert np.max(np.abs(softmax(row) - expected)) < 1e-12
 
 
 def test_softmax_rows_sum_to_one_extreme_magnitudes():
     rng = Rng(9)
     m = rng.uniform(40, 7, low=-1e4, high=1e4)
-    out = softmax_rows(m)
-    assert np.max(np.abs(out.sum(axis=1) - 1.0)) < 1e-9
-    # tails this far out underflow to exactly 0; only [0, 1] bounds hold here
-    assert np.all(out >= 0) and np.all(out <= 1)
+    for softmax in SOFTMAXES:
+        out = softmax(m)
+        assert np.max(np.abs(out.sum(axis=1) - 1.0)) < 1e-9
+        # tails this far out underflow to exactly 0; only [0, 1] bounds hold here
+        assert np.all(out >= 0) and np.all(out <= 1)
 
 
 def test_softmax_entries_strictly_inside_unit_interval_moderate():
-    out = softmax_rows(Rng(10).normal(20, 6))
-    assert np.all(out > 0) and np.all(out < 1)
+    for softmax in SOFTMAXES:
+        out = softmax(Rng(10).normal(20, 6))
+        assert np.all(out > 0) and np.all(out < 1)
 
 
 def test_layernorm_constant_row_zero():
@@ -135,6 +157,26 @@ def test_gelu_scalar_formula_oracle():
     x = 1.0
     expected = 0.5 * x * (1 + np.tanh(np.sqrt(2 / np.pi) * (x + 0.044715 * x**3)))
     assert abs(gelu(np.array([[x]]))[0, 0] - expected) < 1e-10
+
+
+def gelu_with_grad(x):
+    """Reference (gelu(x), gelu'(x)) from the tanh-approximation formulas."""
+    x2 = x * x
+    t = np.tanh(np.sqrt(2 / np.pi) * (x + 0.044715 * (x2 * x)))
+    d_inner = np.sqrt(2 / np.pi) * (1.0 + 3.0 * 0.044715 * x2)
+    return 0.5 * x * (1.0 + t), 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner
+
+
+def test_gelu_value_and_gradient_equal_the_reference_bit_for_bit():
+    x, up = Rng(13).normal(6, 9, scale=3.0), Rng(14).normal(6, 9)
+    value, grad = gelu_with_grad(x)
+    tape = Tape()
+    node = tape.gelu(tape.leaf(x))
+    assert np.array_equal(node.value, value)
+    assert np.array_equal(node._vjp(up)[0], up * grad)
+    # on a constant the value is the same, and no vjp holds the tanh
+    const = tape.gelu(tape.constant(x))
+    assert np.array_equal(const.value, value) and const._vjp is None
 
 
 def test_rng_identical_across_processes():
