@@ -189,9 +189,10 @@ def _check_seq_len(seq_len: int, model: TinyGPTModel, path) -> None:
 def _compression_report(student: TinyGPTModel, reports) -> dict:
     """Per-tensor accounting for every stored tensor except the LM head,
     which is never compressed and excluded from the parameter totals. A
-    factored weight is listed under its dense name; biases and norm vectors
-    are their own (uncompressed) entries."""
-    residuals = {name: rep.relative_residual for name, rep in reports}
+    factored weight is listed under its dense name, with its solve's leading
+    singular value and the ratio s[1]/s[0] of the next one to it; biases and
+    norm vectors are their own (uncompressed) entries."""
+    reports = dict(reports)
     tensors = dict(student.named_parameters())
     entries = []
     for layer in param_layout(student.config):
@@ -201,14 +202,17 @@ def _compression_report(student: TinyGPTModel, reports) -> dict:
         for k, (name, shape) in enumerate(layer_tensors(layer)):
             size = math.prod(shape)
             factored = factors is not None and k == 0  # the weight comes first
+            rep = reports.get(name)  # a report exists for each factored weight only
             entries.append({
                 "name": name,
                 "original_shape": list(shape),
                 "factor_shapes": [list(factors[:2]), list(factors[2:])] if factored else None,
                 "params_before": size,
                 "params_after": math.prod(factors[:2]) + math.prod(factors[2:]) if factored else size,
-                "relative_residual": residuals.get(name, 0.0),
+                "relative_residual": rep.relative_residual if rep is not None else 0.0,
             })
+            if rep is not None:
+                entries[-1].update(singular_value=rep.singular_value, sv_ratio=rep.sv_ratio)
     before = sum(e["params_before"] for e in entries)
     after = sum(e["params_after"] for e in entries)
     return {

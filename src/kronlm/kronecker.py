@@ -1,5 +1,5 @@
 """Kronecker algebra: the product itself, the Van Loan-Pitsianis
-rearrangement, nearest-Kronecker decomposition by a thin SVD, and factored
+rearrangement, exact nearest-Kronecker decomposition by R-SVD, and factored
 matmul kernels that never materialize the full product.
 
 All vec/reshape conventions are row-major. Under that convention, for
@@ -13,8 +13,14 @@ is an entry bijection, so Frobenius norms are preserved and
 
 for every A (m1 x n1), B (m2 x n2). The nearest Kronecker pair is
 therefore the rank-1 truncation of the rearranged matrix. For every planned
-shape B is tiny (2x1, 1x2, 2x2 or 1xf), so the rearranged matrix has only a
-few columns and its thin SVD is exact and cheap.
+shape B is tiny (2x1, 1x2, 2x2 or 1xf), so the rearranged matrix R has only
+k = m2*n2 <= 4 columns but, at GPT-2 width, over a million rows. Its SVD is
+taken as R-SVD (Chan 1982; Golub & Van Loan, section 5.4): a QR of R keeping
+only the triangle T (at most k x k), then the SVD of T, which has R's
+singular values and right singular vectors; the left vector is R v0 / s0.
+This is as exact as a thin SVD of R, but it never forms R's tall U, which is
+as large as R itself and so, for c_fc and c_proj, large enough to be mapped
+and page-faulted afresh on every call.
 
 The factored kernels use the row-major identity (A (x) B) vec(X) =
 vec(A X B^T), X being the n1 x n2 reshape of one input row. They stack all
@@ -51,6 +57,7 @@ class DecompositionReport:
     residual_fro: float
     relative_residual: float
     singular_value: float
+    sv_ratio: float  # s[1] / s[0], the next term against the kept one; 0.0 if s[0] is 0 or no s[1]
     power_iterations_used: int  # always 0 (the solver is direct); the benchmark tracer reads it
 
 
@@ -66,7 +73,8 @@ def rearrange(w: np.ndarray, m1: int, n1: int, m2: int, n2: int) -> np.ndarray:
     """Van Loan-Pitsianis rearrangement of w into shape (m1*n1, m2*n2).
 
     Row (i1*n1 + j1) holds the row-major vec of the m2 x n2 block of w at
-    block coordinates (i1, j1).
+    block coordinates (i1, j1). The result is in column-major order, the
+    layout LAPACK's QR reads: each column is one contiguous run of memory.
     """
     if w.shape != (m1 * m2, n1 * n2):
         raise ShapeError(
@@ -74,8 +82,8 @@ def rearrange(w: np.ndarray, m1: int, n1: int, m2: int, n2: int) -> np.ndarray:
             f"for factors ({m1}x{n1}, {m2}x{n2})"
         )
     return np.ascontiguousarray(
-        w.reshape(m1, m2, n1, n2).transpose(0, 2, 1, 3).reshape(m1 * n1, m2 * n2)
-    )
+        w.reshape(m1, m2, n1, n2).transpose(1, 3, 0, 2).reshape(m2 * n2, m1 * n1)
+    ).T
 
 
 def nearest_kron(
@@ -83,35 +91,43 @@ def nearest_kron(
 ) -> tuple[KroneckerPair, DecompositionReport]:
     """Best Frobenius-norm approximation of w by a single Kronecker product.
 
-    Solves argmin ||w - A (x) B||_F over A (m1 x n1), B (m2 x n2) exactly,
-    from a thin SVD of the rearranged w; sigma is split evenly (sqrt(sigma)
-    into each factor) so the factors have balanced magnitudes. The sign is
-    fixed so the largest-magnitude entry of vec(A) is positive, and the
-    residual is read off the remaining singular values.
+    Solves argmin ||w - A (x) B||_F over A (m1 x n1), B (m2 x n2) exactly.
+    The rearranged w, R, has k = m2*n2 columns, a handful, so its SVD is
+    taken as R-SVD: QR first, keeping only the triangle T (at most k x k),
+    then the SVD of T, whose singular values and right vectors are R's; the
+    left vector is u0 = R v0 / s0. Only T is decomposed, and R's U, as tall
+    as R, is never formed. sigma is split evenly (sqrt(sigma) into each
+    factor) so the factors have balanced magnitudes. The sign is fixed so the
+    largest-magnitude entry of vec(A) is positive, and the residual is read
+    off the remaining singular values of T.
 
     Raises KronlmError if w holds a NaN or an infinity.
     """
-    r = rearrange(w, m1, n1, m2, n2)
-    bad = ~np.isfinite(w)
-    if bad.any():
+    if not np.isfinite(w).all():
+        bad = ~np.isfinite(w)
         first = tuple(int(i) for i in np.argwhere(bad)[0])
         raise KronlmError(
             f"nearest_kron: w holds {int(bad.sum())} non-finite entries (first at {first})"
         )
-    u, s, vt = np.linalg.svd(r, full_matrices=False)
-    u, v = u[:, 0], vt[0]
-    if u[np.argmax(np.abs(u))] < 0:
-        u, v = -u, -v
+    r = rearrange(w, m1, n1, m2, n2)
+    _, s, vt = np.linalg.svd(np.linalg.qr(r, mode="r"))
     scale = np.sqrt(s[0])
+    # a = sqrt(s0) u0 = R v0 / sqrt(s0), in one pass over R; s0 is 0 only if w is
+    a = r @ (vt[0] / scale) if scale > 0 else np.zeros(r.shape[0])
+    b = scale * vt[0]
+    if a[np.argmax(np.abs(a))] < 0:
+        a *= -1
+        b *= -1
     residual = float(np.sqrt(np.sum(s[1:] ** 2)))
     w_norm = float(np.sqrt(np.sum(s**2)))
     report = DecompositionReport(
         residual_fro=residual,
         relative_residual=residual / w_norm if w_norm > 0 else 0.0,
         singular_value=float(s[0]),
+        sv_ratio=float(s[1] / s[0]) if len(s) > 1 and s[0] > 0 else 0.0,
         power_iterations_used=0,
     )
-    return KroneckerPair(a=(scale * u).reshape(m1, n1), b=(scale * v).reshape(m2, n2)), report
+    return KroneckerPair(a=a.reshape(m1, n1), b=b.reshape(m2, n2)), report
 
 
 def _row_macs(m1: int, n1: int, m2: int, n2: int, a_first: bool) -> int:

@@ -1,5 +1,6 @@
 """Importing kronlm keeps freed heap memory in the process, so a training
-step at the study shape page-faults nothing in afresh."""
+step at the study shape, and a nearest-Kronecker solve at GPT-2 width,
+page-fault nothing in afresh."""
 
 import platform
 import resource
@@ -9,6 +10,7 @@ import pytest
 
 import kronlm
 from kronlm.distill import Adam, train_step, weights_for_mode
+from kronlm.kronecker import nearest_kron
 from kronlm.layers import CompressionSchedule
 from kronlm.model import GPTConfig, TinyGPTModel, compress_model
 from kronlm.tensor_core import Rng
@@ -39,3 +41,15 @@ def test_study_shape_lm_kd_step_takes_no_page_fault_storm():
         train_step(student, teacher, batches[step], w, opt, step_index=step)
     per_step = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10
     assert per_step < 200, per_step
+
+
+@glibc_only
+def test_gpt2_width_nearest_kron_takes_no_page_fault_storm():
+    # a thin SVD of this (1179648 x 2) rearrangement built a U as large as
+    # the matrix, above the mmap threshold: 9,217 minor faults per call
+    w = Rng(2).normal(3072, 768)
+    nearest_kron(w, 1536, 768, 2, 1)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    nearest_kron(w, 1536, 768, 2, 1)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 500, faults

@@ -1,6 +1,7 @@
 import errno
 import hashlib
 import io
+import math
 import os
 import re
 import struct
@@ -20,7 +21,7 @@ from kronlm.errors import (
     TruncationError,
 )
 from kronlm.layers import CompressionSchedule
-from kronlm.model import GPTConfig, TinyGPTModel, compress_model
+from kronlm.model import GPTConfig, TinyGPTModel, compress_model, layer_tensors, param_layout
 from kronlm.tensor_core import Rng
 
 
@@ -238,19 +239,39 @@ def test_a_failed_write_leaves_the_old_archive_and_no_temporary(tmp_path, monkey
     assert list(tmp_path.glob("*.tmp")) == []
 
 
-# sha256 of the two checkpoints below as written before archive_write streamed
-# its tensors; streaming must not change a byte. The student's factors come
-# from LAPACK's SVD, so another LAPACK build may round them differently.
+# sha256 of the two checkpoints below. The teacher's was taken before
+# archive_write streamed its tensors, and streaming must not change a byte.
+# Both pin the file format, not a solver: the teacher's weights come from
+# init_random, and the student is the teacher with its compressed layers
+# replaced by fixed dyadic factors, so no LAPACK rounding reaches its bytes.
 PINNED_SHA256 = {
     "teacher": "4d34de3c329e31ca9cdbec33944260d9b09bec4b84129bc52dfa74b2f017efef",
-    "student": "bab3af31894f45bc75bc092f4f334b76368344b6fc83cf1b8bcb53d13420c672",
+    "student": "eb1b91a6a5865ae6fa3ea192a64aeb44db250dd4d509e657cfba83648e1c2433",
 }
+
+
+def _fixed_factor_student(teacher, schedule):
+    """The teacher with every layer the schedule compresses held as factors
+    whose k-th entry, (k mod 17 - 8) / 16, is exact in binary."""
+    tensors = dict(teacher.named_parameters())
+    for layer in param_layout(teacher.config):
+        factors = schedule.factor_shapes(layer)
+        if factors is None:
+            continue
+        del tensors[layer_tensors(layer)[0][0]]
+        for name, shape in layer_tensors(layer, factors)[:2]:
+            tensors[name] = (np.arange(math.prod(shape)).reshape(shape) % 17 - 8) / 16
+    return TinyGPTModel.from_tensors(teacher.config, tensors)
 
 
 def test_checkpoint_bytes_are_pinned(tmp_path):
     cfg = GPTConfig(n_layers=2, n_heads=2, d_model=8, d_ff=16, vocab_size=16, max_seq_len=8, seed=4)
     teacher = TinyGPTModel.init_random(cfg)
-    student, _ = compress_model(teacher, CompressionSchedule.for_dims(2, 8, 16, factor=2))
+    schedule = CompressionSchedule.for_dims(2, 8, 16, factor=2)
+    student = _fixed_factor_student(teacher, schedule)
+    solved, _ = compress_model(teacher, schedule)
+    layout = [(name, arr.shape) for name, arr in student.named_parameters()]
+    assert layout == [(name, arr.shape) for name, arr in solved.named_parameters()]
     for name, model in (("teacher", teacher), ("student", student)):
         path = tmp_path / f"{name}.knz"
         save_model(model, path)

@@ -12,7 +12,7 @@ from conftest import stored_param_count
 from kronlm.archive import load_model, save_model
 from kronlm import cli
 from kronlm.cli import build_parser, main
-from kronlm.kronecker import kron
+from kronlm.kronecker import kron, rearrange
 from kronlm.layers import KroneckerEmbedding, KroneckerLinear
 from kronlm.model import GPTConfig, TinyGPTModel
 
@@ -82,6 +82,27 @@ def test_compress_report_residuals_recomputable(tmp_path, teacher_ckpt):
             got = by_name[f"block{i}.{role}.weight"]["relative_residual"]
             want = recompute(getattr(teacher.blocks[i], role).weight, layer.factors)
             assert abs(got - want) < 1e-9, (i, role)
+
+
+def test_compress_report_gives_each_solve_its_singular_values(tmp_path, teacher_ckpt):
+    report_path = tmp_path / "report.json"
+    run_cli("compress", "--input", teacher_ckpt, "--output", tmp_path / "s.knz",
+            "--report", report_path)
+    dense = dict(load_model(teacher_ckpt).named_parameters())
+    keys = {"name", "original_shape", "factor_shapes", "params_before", "params_after",
+            "relative_residual"}
+    entries = json.loads(report_path.read_text())["tensors"]
+    # the embedding and block 1's q, k, v, wo, c_fc and c_proj
+    assert sum(1 for e in entries if e["factor_shapes"]) == 7
+    for e in entries:
+        if not e["factor_shapes"]:
+            assert set(e) == keys, e["name"]
+            continue
+        assert set(e) == keys | {"singular_value", "sv_ratio"}, e["name"]
+        (m1, n1), (m2, n2) = e["factor_shapes"]
+        s = np.linalg.svd(rearrange(dense[e["name"]], m1, n1, m2, n2), compute_uv=False)
+        assert abs(e["singular_value"] - s[0]) <= 1e-12 * s[0], e["name"]
+        assert abs(e["sv_ratio"] - s[1] / s[0]) <= 1e-12, e["name"]
 
 
 def test_compress_output_does_not_depend_on_seed(tmp_path, teacher_ckpt):

@@ -144,22 +144,53 @@ def test_rank1_zero_matrix():
     assert np.all(pair.a == 0) and np.all(pair.b == 0)
 
 
+def full_svd_factors(w, m1, n1, m2, n2):
+    """Rank-1 factors sqrt(s0) u0, sqrt(s0) v0 from the full SVD of the rearrangement."""
+    u, s, vt = np.linalg.svd(rearrange(w, m1, n1, m2, n2))
+    return np.sqrt(s[0]) * u[:, 0], np.sqrt(s[0]) * vt[0], s
+
+
+def assert_factors_match(pair, a_ref, b_ref):
+    """a and b equal the reference factors to 1e-12 relative, up to one shared sign."""
+    a, b = pair.a.reshape(-1), pair.b.reshape(-1)
+    sign = 1.0 if a_ref @ a > 0 else -1.0
+    assert np.linalg.norm(a - sign * a_ref) <= 1e-12 * np.linalg.norm(a_ref)
+    assert np.linalg.norm(b - sign * b_ref) <= 1e-12 * np.linalg.norm(b_ref)
+
+
 @pytest.mark.parametrize(
     "shape,shapes",
-    [((6, 6), (3, 3, 2, 2)), ((12, 12), (6, 12, 2, 1)), ((10, 12), (10, 3, 1, 4))],
+    [((6, 6), (3, 3, 2, 2)), ((12, 12), (6, 12, 2, 1)), ((10, 12), (10, 3, 1, 4)),
+     ((6, 8), (6, 4, 1, 2)), ((3, 6), (1, 2, 3, 3))],
 )
 def test_nearest_kron_residual_matches_full_svd_oracle(shape, shapes):
-    # the last case is an embedding table, (v, d/f, 1, f) with f = 4
+    # B is 2x2, 2x1, 1xf (an embedding table, (v, d/f, 1, f) with f = 4) and
+    # 1x2; the last rearrangement is wide, 2 x 9
     rng = Rng(6)
     for _ in range(5):
         w = rng.normal(*shape)
         pair, report = nearest_kron(w, *shapes)
-        svals = np.linalg.svd(rearrange(w, *shapes), compute_uv=False)
+        a_ref, b_ref, svals = full_svd_factors(w, *shapes)
         expected = np.sqrt(np.sum(svals[1:] ** 2))
         assert abs(report.residual_fro - expected) < 1e-10
         assert abs(np.linalg.norm(w - pair.materialize()) - expected) < 1e-10
         assert abs(report.relative_residual - expected / np.linalg.norm(w)) < 1e-12
         assert abs(report.singular_value - svals[0]) < 1e-10
+        assert abs(report.sv_ratio - svals[1] / svals[0]) < 1e-12
+        assert_factors_match(pair, a_ref, b_ref)
+
+
+def test_nearest_kron_factors_match_full_svd_when_rank_deficient():
+    # only the (0, 0) entry of each 2 x 2 block is non-zero, so the
+    # rearrangement has one non-zero column and s[1] is exactly 0
+    w = np.zeros((8, 8))
+    w[::2, ::2] = Rng(13).normal(4, 4)
+    pair, report = nearest_kron(w, 4, 4, 2, 2)
+    a_ref, b_ref, s = full_svd_factors(w, 4, 4, 2, 2)
+    assert s[1] == 0.0
+    assert_factors_match(pair, a_ref, b_ref)
+    assert report.sv_ratio == 0.0 and report.residual_fro == 0.0
+    assert np.linalg.norm(pair.materialize() - w) <= 1e-12 * np.linalg.norm(w)
 
 
 def test_nearest_kron_deterministic():
