@@ -202,9 +202,12 @@ def _model_from(tensors: dict) -> TinyGPTModel:
         raise ArchiveError(
             f"checkpoint __meta__: expected shape ({len(_META_FIELDS)},), found {meta.shape}"
         )
+    for f, x in zip(_META_FIELDS, meta.tolist()):
+        if not x.is_integer():  # nor are NaN and the infinities
+            raise ArchiveError(f"checkpoint __meta__ {f} {x} is not a whole number")
     try:
         cfg = GPTConfig(**{f: int(x) for f, x in zip(_META_FIELDS, meta)})
-    except (KronlmError, ValueError, ZeroDivisionError) as exc:
+    except (KronlmError, ValueError) as exc:
         raise ArchiveError(f"checkpoint __meta__ {meta.tolist()} is not a model config: {exc}") from exc
     try:
         return TinyGPTModel.from_tensors(cfg, tensors)

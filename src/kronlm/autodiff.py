@@ -7,14 +7,14 @@ layers receive gradients for their factors directly, in factored form, at
 the same asymptotic cost as the forward pass.
 
 Each nonlinearity is computed once, inside its op. One routine, ``_softmax``,
-gives a row softmax and its log from a single exp pass; ``masked_softmax``,
-``cross_entropy`` and ``attn_kl`` all take their values from it, and the two
-losses are fused primitives whose backward passes reuse its output. ``gelu``
-evaluates its tanh once and forms the derivative in its vjp. Attention is
-causal and scaled by 1/sqrt(d/h) in one place: the attention ops work out the
-scale and the causal mask from their operands' shapes. Keys may outnumber
-queries, as in cached decoding: with Tk keys and Tq queries per sequence,
-query i sits at key position i + Tk - Tq.
+gives a row softmax and its log from a single exp pass. ``cross_entropy``
+calls it; ``masked_softmax`` calls it and keeps both on its node, where
+``attn_kl`` reads them. The two losses are fused primitives whose backward
+passes reuse these values. ``gelu`` evaluates its tanh once and forms the
+derivative in its vjp. Attention is causal and scaled by 1/sqrt(d/h) in one
+place: the attention ops work out the scale and the causal mask from their
+operands' shapes. Keys may outnumber queries, as in cached decoding: with Tk
+keys and Tq queries per sequence, query i sits at key position i + Tk - Tq.
 
 Every vjp returns a gradient for each of its parents. ``backward`` routes
 them: it runs the vjp of a node only when the node requires a gradient, and
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeError, TokenIdError
+from .errors import KronlmError, ShapeError, TokenIdError
 from .kronecker import KroneckerPair, kron_matmul, kron_matmul_grads
 from .tensor_core import GELU_CUBIC_COEFF, GELU_SQRT_2_OVER_PI, causal_mask
 
@@ -57,10 +57,11 @@ def _check_ids(ids: np.ndarray, limit: int, what: str):
 
 
 class Node:
-    __slots__ = ("value", "grad", "requires_grad", "name", "idx", "_parents", "_vjp")
+    __slots__ = ("value", "grad", "requires_grad", "name", "idx", "_parents", "_vjp", "log_value")
 
     def __init__(self, value, requires_grad, name=None):
         self.value = value
+        self.log_value = None  # log of value, on the nodes masked_softmax returns
         self.grad = None
         self.requires_grad = requires_grad
         self.name = name
@@ -264,12 +265,14 @@ class Tape:
     def masked_softmax(self, scores: Node) -> Node:
         """Causal row softmax of (..., Tq, Tk) scores: entry j of row i is kept
         where j <= i + Tk - Tq, and is exactly zero beyond."""
-        p, _ = _softmax(scores.value, causal=True)
+        p, logp = _softmax(scores.value, causal=True)
 
         def vjp(up):
             return (p * (up - (up * p).sum(axis=-1, keepdims=True)),)
 
-        return self._op(p, (scores,), vjp)
+        node = self._op(p, (scores,), vjp)
+        node.log_value = logp  # for attn_kl
+        return node
 
     def attn_mix(self, probs: Node, v: Node, n_heads: int) -> Node:
         """Weighted value mix: (B*h, Tq, Tk) probs x (B*Tk, d) values -> (B*Tq, d)."""
@@ -315,23 +318,25 @@ class Tape:
 
         return self._op(value, (logits,), vjp)
 
-    def attn_kl(self, scores: Node, teacher_probs: np.ndarray) -> Node:
-        """KL(teacher || student) between teacher attention rows and the
-        causal softmax of (B*h, T, T) ``scores``.
+    def attn_kl(self, probs: Node, teacher_probs: np.ndarray) -> Node:
+        """KL(teacher || student) between teacher attention rows and ``probs``,
+        the node ``masked_softmax`` returned for (B*h, T, T) student scores.
 
         The teacher rows are causal softmaxes, exactly zero where j > i, so
         only positions j <= i enter; the result is averaged over all
-        (B*h) x T rows.
+        (B*h) x T rows. The gradient goes to the scores, not through the softmax.
         """
+        if probs.log_value is None:
+            raise KronlmError(f"attn_kl: {probs!r} is not a node that masked_softmax returned")
         p = np.asarray(teacher_probs, dtype=np.float64)
-        if p.shape != scores.value.shape:
-            raise ShapeError(f"attn_kl shape mismatch: {p.shape} vs {scores.value.shape}")
-        q, logq = _softmax(scores.value, causal=True)
+        q, logq = probs.value, probs.log_value
+        if p.shape != q.shape:
+            raise ShapeError(f"attn_kl shape mismatch: {p.shape} vs {q.shape}")
         n_rows = p.shape[0] * p.shape[1]
         with np.errstate(invalid="ignore"):  # 0 * inf at masked entries, dropped by where
             terms = np.where(p > 0, p * (np.log(np.where(p > 0, p, 1.0)) - logq), 0.0)
         value = float(terms.sum() / n_rows)
-        return self._op(value, (scores,), lambda up: (up * (q - p) / n_rows,))
+        return self._op(value, probs._parents, lambda up: (up * (q - p) / n_rows,))
 
 
 def backward(tape: Tape, loss: Node) -> GradStore:

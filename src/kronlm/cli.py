@@ -1,10 +1,10 @@
 """Command-line front end: compress | train | eval | bench.
 
-train, compress and bench take --seed (default 0). Every command is
-deterministic for a fixed seed, apart from wall-clock fields in metrics and
-benchmark output; compress and eval draw nothing random, so neither output
-depends on a seed. Exit code 0 on success; failures print a diagnostic to
-stderr and exit nonzero. An error about a file names the flag that gave it,
+train, compress and bench take --seed, an integer >= 0 (default 0). Every
+command is deterministic for a fixed seed, apart from wall-clock fields in
+metrics and benchmark output; compress and eval draw nothing random, so
+neither output depends on a seed. Exit code 0 on success; failures print a
+diagnostic to stderr and exit nonzero. An error about a file names the flag that gave it,
 and every output's directory is checked before any work starts.
 """
 
@@ -34,7 +34,7 @@ from .model import TinyGPTModel, compress_model, layer_tensors, param_layout, st
 
 
 def _add_seed(parser):
-    parser.add_argument("--seed", type=int, default=0, help="deterministic seed")
+    parser.add_argument("--seed", type=_seed, default=0, help="deterministic seed")
 
 
 def _onoff(value: str) -> bool:
@@ -43,11 +43,16 @@ def _onoff(value: str) -> bool:
     return value == "on"
 
 
-def _count(value: str) -> int:
-    """A count flag: an integer of at least 1."""
-    if not value.isdigit() or int(value) < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value!r}")
+def _count(value: str, low: int = 1) -> int:
+    """A count flag: an integer of at least ``low``."""
+    if not value.isdigit() or int(value) < low:
+        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {value!r}")
     return int(value)
+
+
+def _seed(value: str) -> int:
+    """A seed flag: an integer of at least 0."""
+    return _count(value, low=0)
 
 
 def _number(value: str) -> float:
@@ -145,13 +150,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _layer_selector(raw: str):
+def _layer_selector(raw: str, n_layers: int):
     if raw in ("odd", "even", "all"):
         return raw
     try:
-        return tuple(int(tok) for tok in raw.split(",") if tok.strip() != "")
+        blocks = tuple(int(tok) for tok in raw.split(",") if tok.strip() != "")
     except ValueError as exc:
         raise PlanningError(f"bad --layers value {raw!r}: {exc}") from exc
+    for i in blocks:
+        if not 0 <= i < n_layers:
+            raise PlanningError(f"--layers {raw}: layer index {i} out of range for "
+                                f"{n_layers} blocks")
+    return blocks
 
 
 def _load_model(flag: str, path) -> TinyGPTModel:
@@ -243,7 +253,7 @@ def cmd_compress(args) -> int:
         d_model=cfg.d_model,
         d_ff=cfg.d_ff,
         factor=args.factor,
-        layers=_layer_selector(args.layers),
+        layers=_layer_selector(args.layers, cfg.n_layers),
         compress_embedding=args.embedding,
         embedding_factor=args.embedding_factor,
         include_wo=args.include_wo,

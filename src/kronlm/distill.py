@@ -13,7 +13,8 @@ layer (heads and rows) and summed over every block, and hidden-state MSE
 summed over every block. The teacher is frozen throughout. Each component
 is defined once, as a Tape op (``Tape.mse``, ``Tape.attn_kl``,
 ``Tape.cross_entropy``), and ``build_batch_loss`` combines them; every
-training step and every loss value the tests check goes through it.
+training step and every loss value the tests check goes through it. The
+attention KL reuses the student forward's softmax instead of taking another.
 
 A training step is one graph per batch: one student ``forward_tape`` and one
 teacher ``forward`` over the (B, T) inputs, whose traces are (B*T, d)
@@ -34,7 +35,7 @@ import numpy as np
 
 from .autodiff import Tape, backward
 from .errors import NonFiniteLossError, ShapeError
-from .model import ForwardTrace, TinyGPTModel, TraceNodes, _token_ids
+from .model import ForwardTrace, TinyGPTModel, _token_ids
 from .tensor_core import Rng
 
 
@@ -104,13 +105,13 @@ class StepMetrics:
 
 def build_batch_loss(
     tape: Tape,
-    student_nodes: TraceNodes,
+    student_nodes: ForwardTrace,
     teacher_trace: ForwardTrace | None,
     targets: np.ndarray,
     w: DistillWeights,
 ):
-    """Weighted loss of one batched student graph against the teacher trace
-    of the same inputs; ``targets`` holds one id per logits row.
+    """Weighted loss of the student's ``forward_tape`` trace of nodes against
+    the teacher trace of the same inputs; ``targets`` holds one id per logits row.
 
     Components with zero weight are skipped entirely (and reported as 0.0);
     skipping the trace losses means the teacher is never consulted in pure-LM
@@ -123,11 +124,10 @@ def build_batch_loss(
                          f"the student has {len(s.hidden)}")
     terms = {}  # component name -> (weight, node)
     if w.alpha1 > 0:
-        terms["L_emb"] = w.alpha1, tape.mse(s.embedding, t.embedding_out)
+        terms["L_emb"] = w.alpha1, tape.mse(s.embedding_out, t.embedding_out)
     if w.alpha2 > 0:
         terms["L_att"] = w.alpha2, tape.add_n([
-            tape.attn_kl(scores, probs)
-            for scores, probs in zip(s.attn_scores, t.attentions)
+            tape.attn_kl(ps, pt) for ps, pt in zip(s.attentions, t.attentions)
         ])
     if w.alpha3 > 0:
         terms["L_hid"] = w.alpha3, tape.add_n([

@@ -7,7 +7,8 @@ A (B, T) batch of token windows is one graph: activations are (B*T, d) with
 each sequence's rows contiguous, and attention is (B*h, T, T). A 1-D
 sequence is a batch of one. Compressed and uncompressed variants of the
 same config produce identically-shaped traces, so teacher/student
-differences can be taken directly without projections.
+differences can be taken directly without projections. ``forward_tape``
+returns the trace as tape nodes, ``forward`` as arrays.
 
 A trace also keeps each block's attention keys and values. Passed back as
 ``forward_tape(..., past=trace)``, it makes the forward incremental: the new
@@ -21,12 +22,12 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import Node, Tape
+from .autodiff import Tape
 from .errors import KronlmError, ShapeError, TokenIdError
 from .kronecker import KroneckerPair, nearest_kron
 from .layers import (
@@ -55,6 +56,10 @@ class GPTConfig:
     def __post_init__(self):
         if self.d_ff is None:
             self.d_ff = 4 * self.d_model
+        for f in fields(self):
+            low = 0 if f.name in ("n_layers", "seed") else 1
+            if getattr(self, f.name) < low:
+                raise ValueError(f"{f.name} must be >= {low}, got {getattr(self, f.name)}")
         if self.d_model % self.n_heads != 0:
             raise ShapeError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
@@ -84,27 +89,15 @@ class ForwardTrace:
     keys: list = field(default_factory=list)  # N x (B*Tk, d)
     values: list = field(default_factory=list)  # N x (B*Tk, d)
 
-
-@dataclass
-class TraceNodes:
-    """Tape handles mirroring ForwardTrace, for loss construction."""
-
-    embedding: Node
-    attn_scores: list  # raw per-head scores, for fused softmax+KL
-    attn_probs: list
-    hidden: list
-    logits: Node
-    attn_keys: list = field(default_factory=list)
-    attn_values: list = field(default_factory=list)
-
-    def values(self) -> ForwardTrace:
+    def arrays(self) -> "ForwardTrace":
+        """This trace of tape nodes as arrays: each node replaced by its value."""
         return ForwardTrace(
-            embedding_out=self.embedding.value,
-            attentions=[p.value for p in self.attn_probs],
+            embedding_out=self.embedding_out.value,
+            attentions=[p.value for p in self.attentions],
             hidden=[h.value for h in self.hidden],
             logits=self.logits.value,
-            keys=[k.value for k in self.attn_keys],
-            values=[v.value for v in self.attn_values],
+            keys=[k.value for k in self.keys],
+            values=[v.value for v in self.values],
         )
 
 
@@ -269,6 +262,9 @@ class TinyGPTModel:
         param_layout names for ``config``, each with its shape, and each
         factor pair's product has its layer's dense shape.
         """
+        if 16 * config.n_layers > len(tensors):  # before a claimed n_layers sizes the layout
+            raise ShapeError(f"n_layers {config.n_layers}: {len(tensors)} tensors cannot hold "
+                             "that many blocks, which store at least 16 each")
         made, names = {}, set()
         for layer in param_layout(config):
             factors = stored_factors(layer, tensors)
@@ -363,9 +359,9 @@ class TinyGPTModel:
         return rows // b
 
     def forward_tape(self, tape: Tape, tokens, params: dict | None = None,
-                     past: ForwardTrace | None = None) -> TraceNodes:
+                     past: ForwardTrace | None = None) -> ForwardTrace:
         """Build the forward graph of a 1-D sequence or a (B, T) batch on
-        ``tape``; returns trace handles with the ForwardTrace shapes.
+        ``tape``; returns the ForwardTrace of its nodes.
 
         ``params`` maps parameter names to tape leaves; when omitted the
         current weights enter as constants (evaluation mode).
@@ -409,35 +405,29 @@ class TinyGPTModel:
         positions = np.tile(np.arange(start, start + t), b)
         pos = tape.gather_rows(*layer_nodes[None, "pos_emb"][1], positions)
         x = tape.add(tok, pos)
-        embedding_node = x
-
-        scores_nodes, probs_nodes, hidden_nodes, key_nodes, value_nodes = [], [], [], [], []
+        trace = ForwardTrace(embedding_out=x)
         for i in range(cfg.n_layers):
             h0 = apply(i, "ln1", x)
             q, k, v = (apply(i, role, h0) for role in ("wq", "wk", "wv"))
             if past is not None:
                 k = tape.constant(_append_rows(past.keys[i], k.value, b))
                 v = tape.constant(_append_rows(past.values[i], v.value, b))
-            scores = tape.attn_scores(q, k, cfg.n_heads, t)
-            probs = tape.masked_softmax(scores)
+            probs = tape.masked_softmax(tape.attn_scores(q, k, cfg.n_heads, t))
             ctx = tape.attn_mix(probs, v, cfg.n_heads)
             x = tape.add(x, apply(i, "wo", ctx))
             ff = apply(i, "c_proj", tape.gelu(apply(i, "c_fc", apply(i, "ln2", x))))
             x = tape.add(x, ff)
-            scores_nodes.append(scores)
-            probs_nodes.append(probs)
-            hidden_nodes.append(x)
-            key_nodes.append(k)
-            value_nodes.append(v)
-
-        logits = apply(None, "lm_head", apply(None, "ln_f", x))
-        return TraceNodes(embedding_node, scores_nodes, probs_nodes, hidden_nodes, logits,
-                          key_nodes, value_nodes)
+            trace.attentions.append(probs)
+            trace.hidden.append(x)
+            trace.keys.append(k)
+            trace.values.append(v)
+        trace.logits = apply(None, "lm_head", apply(None, "ln_f", x))
+        return trace
 
     def forward(self, tokens) -> ForwardTrace:
         """Plain forward pass of a 1-D sequence or a (B, T) batch, returning
         the full ILKD trace."""
-        return self.forward_tape(Tape(), tokens).values()
+        return self.forward_tape(Tape(), tokens).arrays()
 
     def greedy_generate(self, prompt, n_tokens: int) -> np.ndarray:
         """The 1-D ``prompt`` followed by ``n_tokens`` greedy (argmax) tokens.
@@ -460,7 +450,7 @@ class TinyGPTModel:
             if trace is None or end > max_len or not trace.keys:
                 trace = self.forward(ids[max(0, end - max_len):end])
             else:
-                trace = self.forward_tape(Tape(), ids[end - 1:end], past=trace).values()
+                trace = self.forward_tape(Tape(), ids[end - 1:end], past=trace).arrays()
             ids[end] = np.argmax(trace.logits[-1])
         return ids
 

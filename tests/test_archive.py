@@ -355,16 +355,40 @@ def test_meta_holds_the_seven_config_fields_only(tmp_path):
         load_model(path)
 
 
-@pytest.mark.parametrize("value", [0.0, np.nan], ids=["zero_heads", "nan_heads"])
-def test_load_model_rejects_invalid_meta(tmp_path, value):
+# __meta__ order: n_layers, n_heads, d_model, d_ff, vocab_size, max_seq_len, seed
+@pytest.mark.parametrize("field, index, value", [
+    ("n_heads", 1, 0.0), ("n_heads", 1, np.nan), ("n_layers", 0, np.inf),
+    ("n_layers", 0, 1.5), ("seed", 6, 2.5), ("seed", 6, -3.0), ("d_ff", 3, -np.inf),
+], ids=["zero_heads", "nan_heads", "inf_layers", "fractional_layers", "fractional_seed",
+        "negative_seed", "minus_inf_d_ff"])
+def test_load_model_rejects_invalid_meta(tmp_path, field, index, value):
     cfg = GPTConfig(n_layers=1, n_heads=2, d_model=8, d_ff=16, vocab_size=16, max_seq_len=8)
     path = tmp_path / "m.knz"
     save_model(TinyGPTModel.init_random(cfg), path)
     tensors = archive_read(path)
-    tensors["__meta__"][1] = value  # n_heads
+    tensors["__meta__"][index] = value
     archive_write(path, tensors)
-    with pytest.raises(ArchiveError, match="__meta__"):
+    shown = int(value) if float(value).is_integer() else value  # as the error prints it
+    with pytest.raises(ArchiveError, match=rf"^{re.escape(str(path))}: checkpoint __meta__ ") as err:
         load_model(path)
+    assert f"{field} " in str(err.value) and f"{shown}" in str(err.value), str(err.value)
+
+
+def test_meta_claiming_more_blocks_than_stored_is_rejected_before_the_layout(tmp_path):
+    cfg = GPTConfig(n_layers=1, n_heads=2, d_model=8, d_ff=16, vocab_size=16, max_seq_len=8)
+    path = tmp_path / "m.knz"
+    save_model(TinyGPTModel.init_random(cfg), path)
+    tensors = archive_read(path)
+    tensors["__meta__"][0] = 10**5  # n_layers
+    archive_write(path, tensors)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ArchiveError, match=r"n_layers 100000: 21 tensors cannot hold"):
+            load_model(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak  # a layout of 10**5 blocks takes over 100 MB
 
 
 def test_load_model_errors_name_the_file(tmp_path):

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import masked_softmax
+from kronlm import autodiff
 from kronlm.autodiff import Tape, backward
-from kronlm.errors import ShapeError, TokenIdError
+from kronlm.errors import KronlmError, ShapeError, TokenIdError
 from kronlm.kronecker import KroneckerPair, kron, rearrange
 from kronlm.tensor_core import Rng, causal_mask
 
@@ -240,9 +241,33 @@ def test_attn_kl_grad():
     teacher_probs = masked_softmax(teacher_scores, causal_mask(t_len))
     scores = rng.normal(h, t_len * t_len).reshape(h, t_len, t_len)
     check_op(
-        lambda tape: tape.attn_kl(tape.leaf(scores, "p0"), teacher_probs),
+        lambda tape: tape.attn_kl(tape.masked_softmax(tape.leaf(scores, "p0")), teacher_probs),
         [scores],
     )
+
+
+def test_attn_kl_reads_the_softmax_masked_softmax_took(monkeypatch):
+    rng = Rng(9)
+    teacher_probs = masked_softmax(rng.normal(2, 16).reshape(2, 4, 4), causal_mask(4))
+    tape = Tape()
+    probs = tape.masked_softmax(tape.leaf(rng.normal(2, 16).reshape(2, 4, 4), "p0"))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("attn_kl took a second softmax")
+
+    for owner, name in ((autodiff, "_softmax"), (autodiff, "causal_mask"), (np, "exp")):
+        monkeypatch.setattr(owner, name, forbidden)
+    kl = tape.attn_kl(probs, teacher_probs)
+    assert kl._parents == probs._parents  # the gradient goes to the scores
+
+
+def test_attn_kl_rejects_a_node_masked_softmax_did_not_return():
+    rng = Rng(9)
+    teacher_probs = masked_softmax(rng.normal(2, 16).reshape(2, 4, 4), causal_mask(4))
+    tape = Tape()
+    scores = tape.leaf(rng.normal(2, 16).reshape(2, 4, 4), "p0")
+    with pytest.raises(KronlmError, match="is not a node that masked_softmax returned"):
+        tape.attn_kl(scores, teacher_probs)
 
 
 def test_fanout_accumulates_additively():

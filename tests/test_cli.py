@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import stored_param_count
-from kronlm.archive import load_model, save_model
+from kronlm.archive import archive_read, archive_write, load_model, save_model
 from kronlm import cli
 from kronlm.cli import build_parser, main
 from kronlm.kronecker import kron, rearrange
@@ -146,6 +146,25 @@ def test_compress_rejects_unplannable_factor_that_divides_d_model(tmp_path, caps
     assert rc == 1
     assert f"--factor {factor}: only the factors (2, 4) are plannable" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_compress_names_layers_when_a_block_index_is_out_of_range(tmp_path, capsys):
+    path = tmp_path / "teacher1.knz"
+    save_model(TinyGPTModel.init_random(replace(CLI_CONFIG, n_layers=1)), path)
+    out = tmp_path / "x.knz"
+    assert run_cli("compress", "--input", path, "--output", out, "--layers", "5") == 1
+    assert "--layers 5: layer index 5 out of range for 1 blocks" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_rejects_a_checkpoint_whose_meta_holds_inf(tmp_path, teacher_ckpt, corpus_file,
+                                                       capsys):
+    tensors = archive_read(teacher_ckpt)
+    tensors["__meta__"][0] = np.inf  # n_layers
+    archive_write(teacher_ckpt, tensors)
+    assert run_cli("eval", "--checkpoint", teacher_ckpt, "--corpus", corpus_file) == 1
+    err = capsys.readouterr().err
+    assert f"--checkpoint {teacher_ckpt}: checkpoint __meta__ n_layers inf is not a whole" in err
 
 
 def test_compress_layer_list_and_flags(tmp_path, teacher_ckpt):
@@ -311,6 +330,23 @@ def test_count_flags_below_one_are_rejected(tmp_path, teacher_ckpt, corpus_file,
         run_cli(command, *valid, flag, value)  # the last occurrence of a flag wins
     assert exit_info.value.code == 2
     assert f"argument {flag}: expected an integer >= 1, got '{value}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "compress", "bench"])
+def test_a_negative_seed_is_rejected_by_name(tmp_path, teacher_ckpt, corpus_file, capsys,
+                                             command):
+    valid = {
+        "train": ["--student", teacher_ckpt, "--corpus", corpus_file, "--mode", "lm",
+                  "--output", tmp_path / "out.knz", "--steps", 1, "--batch", 2,
+                  "--seq-len", 16],
+        "compress": ["--input", teacher_ckpt, "--output", tmp_path / "out.knz"],
+        "bench": ["--shapes", "12,12,6,12,2,1", "--rows", 2, "--repeats", 1],
+    }[command]
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(command, *valid, "--seed", "-1")
+    assert exit_info.value.code == 2
+    assert "argument --seed: expected an integer >= 0, got '-1'" in capsys.readouterr().err
+    assert not (tmp_path / "out.knz").exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1", "x"])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import log_softmax_rows, masked_softmax
-from kronlm import distill
+from kronlm import autodiff, distill
 from kronlm.autodiff import Tape, backward
 from kronlm.distill import (
     Adam,
@@ -21,7 +21,7 @@ from kronlm.distill import (
     weights_for_mode,
 )
 from kronlm.errors import NonFiniteLossError, ShapeError, TokenIdError
-from kronlm.model import ForwardTrace, TraceNodes
+from kronlm.model import ForwardTrace, GPTConfig, TinyGPTModel
 from kronlm.tensor_core import Rng, causal_mask
 
 
@@ -48,9 +48,9 @@ def trace_losses(student, teacher_trace, targets=None, w=ALL_FOUR):
     trace, scores = student
     tape = Tape()
     const = lambda arrays: [tape.constant(a) for a in arrays]
-    nodes = TraceNodes(embedding=tape.constant(trace.embedding_out), attn_scores=const(scores),
-                       attn_probs=const(trace.attentions), hidden=const(trace.hidden),
-                       logits=tape.constant(trace.logits))
+    nodes = ForwardTrace(embedding_out=tape.constant(trace.embedding_out),
+                         attentions=[tape.masked_softmax(s) for s in const(scores)],
+                         hidden=const(trace.hidden), logits=tape.constant(trace.logits))
     if targets is None:
         targets = np.zeros(len(trace.logits), dtype=np.int64)
     total, values = build_batch_loss(tape, nodes, teacher_trace, targets, w)
@@ -385,6 +385,27 @@ def test_lm_kd_train_step_builds_one_student_and_one_teacher_tape(monkeypatch, s
     opt = Adam(small_student.named_parameters(), lr=1e-3)
     train_step(small_student, small_teacher, batch, DistillWeights.pretrain(), opt)
     assert len(tapes) == 2
+
+
+@pytest.mark.parametrize("mode, calls", [("lm", 5), ("kd", 8), ("lm+kd", 9)])
+def test_train_step_takes_each_attention_softmax_once(monkeypatch, mode, calls):
+    # 4 blocks: one softmax per student block, one per teacher block when the
+    # trace losses need the teacher, and one in the cross entropy
+    cfg = GPTConfig(n_layers=4, n_heads=2, d_model=8, d_ff=16, vocab_size=16, max_seq_len=8)
+    teacher = TinyGPTModel.init_random(cfg)
+    student = teacher.copy()
+    calls_made = []
+    real_softmax = autodiff._softmax
+
+    def counting_softmax(*args, **kwargs):
+        calls_made.append(1)
+        return real_softmax(*args, **kwargs)
+
+    monkeypatch.setattr(autodiff, "_softmax", counting_softmax)
+    batch = make_batch(Rng(15), cfg.vocab_size, 2, 6)
+    opt = Adam(student.named_parameters(), lr=1e-3)
+    train_step(student, teacher, batch, weights_for_mode(mode), opt)
+    assert len(calls_made) == calls
 
 
 def test_step_metrics_report_the_gradient_norm_before_clipping(small_teacher, small_student):

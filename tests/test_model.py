@@ -39,6 +39,16 @@ def exactly_factorable_teacher(config, schedule, seed=0):
     return model
 
 
+@pytest.mark.parametrize("field, low", [
+    ("n_layers", 0), ("n_heads", 1), ("d_model", 1), ("d_ff", 1), ("vocab_size", 1),
+    ("max_seq_len", 1), ("seed", 0),
+])
+def test_config_fields_below_their_minimum_are_rejected_by_name(field, low):
+    GPTConfig(**{"n_heads": 1, field: low})  # the minimum itself is a valid config
+    with pytest.raises(ValueError, match=rf"^{field} must be >= {low}, got {low - 1}$"):
+        GPTConfig(**{"n_heads": 1, field: low - 1})
+
+
 def test_single_token_attention_is_one(small_teacher):
     trace = small_teacher.forward(np.array([3]))
     for att in trace.attentions:
@@ -198,7 +208,7 @@ def test_forward_on_constants_equals_forward_tape_on_leaves(small_teacher, small
     want = model.forward(tokens)
     tape = Tape()
     params = {name: tape.leaf(arr, name) for name, arr in model.named_parameters()}
-    got = model.forward_tape(tape, tokens, params).values()
+    got = model.forward_tape(tape, tokens, params).arrays()
     assert np.array_equal(got.embedding_out, want.embedding_out)
     assert np.array_equal(got.logits, want.logits)
     for g, w in zip(got.attentions + got.hidden, want.attentions + want.hidden, strict=True):
@@ -264,10 +274,10 @@ def test_cached_forward_matches_the_full_forward(small_teacher, small_student, c
             close(got, want)
 
     check(model.forward_tape(Tape(), tokens[:, t_past:], past=model.forward(tokens[:, :t_past]))
-          .values(), t - t_past)
+          .arrays(), t - t_past)
     trace = model.forward(tokens[:, :t_past])
     for end in range(t_past + 1, t + 1):  # one row per step, as greedy_generate decodes
-        trace = model.forward_tape(Tape(), tokens[:, end - 1 : end], past=trace).values()
+        trace = model.forward_tape(Tape(), tokens[:, end - 1 : end], past=trace).arrays()
     check(trace, 1)
 
 
