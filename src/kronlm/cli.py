@@ -44,8 +44,8 @@ def _onoff(value: str) -> bool:
 
 
 def _count(value: str, low: int = 1) -> int:
-    """A count flag: an integer of at least ``low``."""
-    if not value.isdigit() or int(value) < low:
+    """A count flag: an integer of at least ``low``, in ASCII digits."""
+    if not (value.isascii() and value.isdigit()) or int(value) < low:
         raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {value!r}")
     return int(value)
 

@@ -4,7 +4,11 @@ import io
 import math
 import os
 import re
+import signal
 import struct
+import sys
+import threading
+import time
 import tracemalloc
 import zlib
 
@@ -121,10 +125,11 @@ def test_crc_error_reported(tmp_path):
 
 
 def _archive_bytes(*records):
-    """A CRC-valid archive of (name, dtype tag, dims, data) records, built by hand."""
+    """A CRC-valid archive of (name, dtype tag, dims, data) records, built by
+    hand; a name given as bytes is stored as it is."""
     body = MAGIC + struct.pack("<II", VERSION, len(records))
     for name, tag, dims, data in records:
-        encoded = name.encode("utf-8")
+        encoded = name if isinstance(name, bytes) else name.encode("utf-8")
         body += struct.pack("<H", len(encoded)) + encoded
         body += struct.pack(f"<BB{len(dims)}Q", tag, len(dims), *dims) + data
     return body + struct.pack("<I", zlib.crc32(body))
@@ -175,6 +180,20 @@ def test_a_file_that_shrinks_while_read_is_a_truncation(tmp_path, monkeypatch):
 def test_duplicate_names_rejected(tmp_path):
     with pytest.raises(DuplicateNameError):
         archive_write(tmp_path / "d.knz", [("t", np.ones(2)), ("t", np.ones(3))])
+
+
+def test_a_name_utf8_cannot_encode_is_rejected_before_the_file_is_opened(tmp_path):
+    with pytest.raises(ArchiveError, match=r"tensor '\\ud800': name is not valid UTF-8"):
+        archive_write(tmp_path / "s.knz", [("ok", np.ones(2)), ("\ud800", np.ones(2))])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_stored_name_that_is_not_utf8_is_rejected_by_index(tmp_path):
+    path = tmp_path / "n.knz"
+    path.write_bytes(_archive_bytes(("ok", 2, (1,), bytes(8)), (b"w\xff", 2, (1,), bytes(8))))
+    with pytest.raises(ArchiveError,
+                       match=r"tensor #1 name is not valid UTF-8 \(invalid start byte at byte 1\)"):
+        archive_read(path)
 
 
 def test_randomized_roundtrip_fuzz(tmp_path):
@@ -237,6 +256,98 @@ def test_a_failed_write_leaves_the_old_archive_and_no_temporary(tmp_path, monkey
             archive_write(path, tensors[:1])
     assert path.read_bytes() == before
     assert list(tmp_path.glob("*.tmp")) == []
+
+
+def test_crc_covers_every_chunk_in_file_order(tmp_path):
+    rng = np.random.default_rng(19)
+    big = rng.standard_normal((2, 512, 1024))  # two 4 MiB tensors, hashed off the calling thread
+    tensors = [("scalar", np.float64(2.5)), ("tiny32", np.float32([1, 2, 3])),
+               ("big0", big[0]), ("tiny64", np.arange(3.0)), ("big1", big[1]),
+               ("small32", rng.standard_normal((7, 5)).astype(np.float32))]
+    path = tmp_path / "order.knz"
+    archive_write(path, tensors)
+    data = bytearray(path.read_bytes())
+    assert struct.unpack("<I", data[-4:])[0] == zlib.crc32(data[:-4])
+    back = archive_read(path)
+    assert [(n, a.dtype, a.tobytes()) for n, a in back.items()] == [
+        (n, np.asarray(a).dtype, np.asarray(a).tobytes()) for n, a in tensors]
+    first, second = (data.index(a.tobytes()) for a in big)
+    n = big[0].nbytes
+    data[first:first + n], data[second:second + n] = data[second:second + n], data[first:first + n]
+    path.write_bytes(bytes(data))
+    with pytest.raises(CrcError):
+        archive_read(path)
+
+
+def test_archive_calls_leave_no_thread_behind(tmp_path, monkeypatch):
+    good = tmp_path / "good.knz"
+    tensors = {"w": np.ones((256, 256)), "b": np.zeros(3)}
+    archive_write(good, tensors)
+    data = good.read_bytes()
+    broken = {
+        TruncationError: data[:-600],
+        CrcError: data[:-12] + bytes([data[-12] ^ 1]) + data[-11:],
+        BadMagicError: b"NOPE" + data[4:],
+    }
+
+    def full_disk_write():
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "fdopen", lambda fd, mode: io.BufferedWriter(_FullDisk(fd, "w")))
+            with pytest.raises(OSError, match="No space left"):
+                archive_write(tmp_path / "full.knz", tensors)
+
+    def bad_read(error, content):
+        path = tmp_path / "bad.knz"
+        path.write_bytes(content)
+        with pytest.raises(error):
+            archive_read(path)
+
+    calls = [lambda: archive_write(good, tensors), lambda: archive_read(good), full_disk_write]
+    calls += [lambda e=e, c=c: bad_read(e, c) for e, c in broken.items()]
+    for call in calls:
+        before = set(threading.enumerate())
+        call()
+        assert set(threading.enumerate()) == before
+
+
+def test_an_error_in_the_crc_worker_is_raised_in_the_caller(tmp_path, monkeypatch):
+    path = tmp_path / "w.knz"
+    archive_write(path, {"w": np.ones(4096)})
+    before = set(threading.enumerate())
+
+    def failing_crc32(data, value=0):
+        raise MemoryError("crc32 failed")
+
+    monkeypatch.setattr(zlib, "crc32", failing_crc32)
+    with pytest.raises(MemoryError, match="crc32 failed"):
+        archive_write(tmp_path / "new.knz", {"w": np.ones(4096)})
+    with pytest.raises(MemoryError, match="crc32 failed"):
+        archive_read(path)
+    assert set(threading.enumerate()) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["w.knz"]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="os.fork on Linux only")
+def test_a_child_forked_after_an_archive_call_can_save_and_load(tmp_path):
+    cfg = GPTConfig(n_layers=1, n_heads=2, d_model=64, d_ff=128, vocab_size=64, max_seq_len=8)
+    model = TinyGPTModel.init_random(cfg)
+    save_model(model, tmp_path / "parent.knz")
+    pid = os.fork()
+    if pid == 0:  # the child: exit 0 only if a save and a load both work
+        code = 1
+        try:
+            save_model(load_model(tmp_path / "parent.knz"), tmp_path / "child.knz")
+            code = 0 if load_model(tmp_path / "child.knz").state_hash() == model.state_hash() else 3
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60
+    while (status := os.waitpid(pid, os.WNOHANG))[0] == 0:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child did not finish a save and a load in 60 s")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(status[1]) == 0
 
 
 # sha256 of the two checkpoints below. The teacher's was taken before

@@ -349,6 +349,22 @@ def test_a_negative_seed_is_rejected_by_name(tmp_path, teacher_ckpt, corpus_file
     assert not (tmp_path / "out.knz").exists()
 
 
+@pytest.mark.parametrize("command, flag, value, low", [
+    ("bench", "--rows", "²", 1), ("train", "--steps", "¹", 1), ("bench", "--seed", "٣", 0),
+])
+def test_count_flags_take_ascii_digits_only(tmp_path, teacher_ckpt, corpus_file, capsys,
+                                            command, flag, value, low):
+    valid = {
+        "train": ["--student", teacher_ckpt, "--corpus", corpus_file, "--mode", "lm",
+                  "--output", tmp_path / "out.knz", "--batch", 2, "--seq-len", 16],
+        "bench": ["--shapes", "12,12,6,12,2,1", "--rows", 2, "--repeats", 1],
+    }[command]
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(command, *valid, flag, value)
+    assert exit_info.value.code == 2
+    assert f"argument {flag}: expected an integer >= {low}, got '{value}'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1", "x"])
 def test_train_rejects_a_bad_lr(tmp_path, teacher_ckpt, corpus_file, capsys, value):
     out = tmp_path / "out.knz"
