@@ -104,15 +104,17 @@ class _Crc32:
 def archive_write(path, tensors) -> None:
     """Write named tensors (dict or (name, array) pairs) to ``path``.
 
-    Only float32/float64 arrays are accepted; names must be unique and
-    UTF-8 encodable. Every tensor is checked before the file is opened; the
-    data is then written from each array's own buffer while a worker thread
-    computes the CRC of the same chunks.
+    Only float32/float64 arrays are accepted; names must be unique,
+    UTF-8 encodable ``str``s. Every tensor is checked before the file is
+    opened; the data is then written from each array's own buffer while a
+    worker thread computes the CRC of the same chunks.
     """
     items = list(tensors.items()) if isinstance(tensors, dict) else list(tensors)
     seen = set()
     chunks = [MAGIC, struct.pack("<II", VERSION, len(items))]
     for name, arr in items:
+        if not isinstance(name, str):
+            raise ArchiveError(f"tensor {name!r}: name must be a str, got {type(name).__name__}")
         if name in seen:
             raise DuplicateNameError(f"duplicate tensor name {name!r}")
         seen.add(name)

@@ -305,7 +305,12 @@ def evaluate_lm(model: TinyGPTModel, tokens: np.ndarray, seq_len: int,
                 max_windows: int | None = None) -> float:
     """Mean per-token cross entropy over non-overlapping windows of seq_len
     targets, through ``Tape.cross_entropy`` as in training. An id that is not
-    a whole number, or a target outside the vocabulary, raises TokenIdError."""
+    a whole number, or a target outside the vocabulary, raises TokenIdError;
+    a seq_len or max_windows below 1 raises ValueError."""
+    if seq_len < 1:
+        raise ValueError(f"seq_len must be >= 1, got {seq_len}")
+    if max_windows is not None and max_windows < 1:
+        raise ValueError(f"max_windows must be >= 1, got {max_windows}")
     tokens = _token_ids(tokens)
     n_windows = (len(tokens) - 1) // seq_len
     if max_windows is not None:

@@ -15,12 +15,16 @@ for every A (m1 x n1), B (m2 x n2). The nearest Kronecker pair is
 therefore the rank-1 truncation of the rearranged matrix. For every planned
 shape B is tiny (2x1, 1x2, 2x2 or 1xf), so the rearranged matrix R has only
 k = m2*n2 <= 4 columns but, at GPT-2 width, over a million rows. Its SVD is
-taken as R-SVD (Chan 1982; Golub & Van Loan, section 5.4): a QR of R keeping
-only the triangle T (at most k x k), then the SVD of T, which has R's
-singular values and right singular vectors; the left vector is R v0 / s0.
-This is as exact as a thin SVD of R, but it never forms R's tall U, which is
-as large as R itself and so, for c_fc and c_proj, large enough to be mapped
-and page-faulted afresh on every call.
+taken as R-SVD (Chan 1982; Golub & Van Loan, section 5.4): the triangle T (at
+most k x k) of a QR of R, then the SVD of T, which has R's singular values
+and right singular vectors; the left vector is R v0 / s0. T comes from a
+TSQR (Demmel, Grigori, Hoemmen & Langou 2012): R is cut into slabs of whole
+rows of A, each at most SLAB_BYTES, each slab is QR'd on its own, and the
+stacked slab triangles are QR'd once more. R is never formed whole: each
+slab is rearranged from its rows of W when it is needed, once for T and once
+for R v0, and numpy's copies of it stay in cache. This is as exact as a
+thin SVD of R, with Householder stability, and no array the size of W is
+allocated besides A itself.
 
 The factored kernels use the row-major identity (A (x) B) vec(X) =
 vec(A X B^T), X being the n1 x n2 reshape of one input row. They stack all
@@ -35,6 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import KronlmError, ShapeError
+
+SLAB_BYTES = 1 << 18  # one slab of the rearrangement: numpy's QR copies of it stay in L2
 
 
 @dataclass
@@ -69,6 +75,14 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(m1 * m2, n1 * n2)
 
 
+def _check_shape(w: np.ndarray, m1: int, n1: int, m2: int, n2: int) -> None:
+    if w.shape != (m1 * m2, n1 * n2):
+        raise ShapeError(
+            f"rearrange: w has shape {w.shape}, expected ({m1 * m2}, {n1 * n2}) "
+            f"for factors ({m1}x{n1}, {m2}x{n2})"
+        )
+
+
 def rearrange(w: np.ndarray, m1: int, n1: int, m2: int, n2: int) -> np.ndarray:
     """Van Loan-Pitsianis rearrangement of w into shape (m1*n1, m2*n2).
 
@@ -76,11 +90,7 @@ def rearrange(w: np.ndarray, m1: int, n1: int, m2: int, n2: int) -> np.ndarray:
     block coordinates (i1, j1). The result is in column-major order, the
     layout LAPACK's QR reads: each column is one contiguous run of memory.
     """
-    if w.shape != (m1 * m2, n1 * n2):
-        raise ShapeError(
-            f"rearrange: w has shape {w.shape}, expected ({m1 * m2}, {n1 * n2}) "
-            f"for factors ({m1}x{n1}, {m2}x{n2})"
-        )
+    _check_shape(w, m1, n1, m2, n2)
     return np.ascontiguousarray(
         w.reshape(m1, m2, n1, n2).transpose(1, 3, 0, 2).reshape(m2 * n2, m1 * n1)
     ).T
@@ -93,29 +103,50 @@ def nearest_kron(
 
     Solves argmin ||w - A (x) B||_F over A (m1 x n1), B (m2 x n2) exactly.
     The rearranged w, R, has k = m2*n2 columns, a handful, so its SVD is
-    taken as R-SVD: QR first, keeping only the triangle T (at most k x k),
-    then the SVD of T, whose singular values and right vectors are R's; the
-    left vector is u0 = R v0 / s0. Only T is decomposed, and R's U, as tall
-    as R, is never formed. sigma is split evenly (sqrt(sigma) into each
-    factor) so the factors have balanced magnitudes. The sign is fixed so the
-    largest-magnitude entry of vec(A) is positive, and the residual is read
-    off the remaining singular values of T.
+    taken as R-SVD: the triangle T (at most k x k) of a QR of R, then the SVD
+    of T, whose singular values and right vectors are R's; the left vector is
+    u0 = R v0 / s0. T is a TSQR over slabs of R, each the rearrangement of
+    ``step`` whole rows of A (at most SLAB_BYTES): the triangles of the
+    slabs' QRs are stacked and QR'd once more, and a second pass over the
+    slabs forms R v0. R is never formed whole, nor is R's U, as tall as R.
+    When R fits in one slab, T is that slab's triangle. sigma is split evenly
+    (sqrt(sigma) into each factor) so the factors have balanced magnitudes.
+    The sign is fixed so the largest-magnitude entry of vec(A) (the first,
+    on a tie) is positive, and the residual is read off the remaining
+    singular values of T.
 
-    Raises KronlmError if w holds a NaN or an infinity.
+    Raises ShapeError if w is not (m1*m2, n1*n2), and KronlmError if w holds
+    a NaN or an infinity.
     """
+    _check_shape(w, m1, n1, m2, n2)
     if not np.isfinite(w).all():
         bad = ~np.isfinite(w)
         first = tuple(int(i) for i in np.argwhere(bad)[0])
         raise KronlmError(
             f"nearest_kron: w holds {int(bad.sum())} non-finite entries (first at {first})"
         )
-    r = rearrange(w, m1, n1, m2, n2)
-    _, s, vt = np.linalg.svd(np.linalg.qr(r, mode="r"))
+    step = max(1, SLAB_BYTES // (8 * n1 * m2 * n2))
+    bounds = [(i, min(i + step, m1)) for i in range(0, m1, step)]
+
+    def slab(i: int, j: int) -> np.ndarray:
+        return rearrange(w[i * m2 : j * m2], j - i, n1, m2, n2)
+
+    tris = [np.linalg.qr(slab(i, j), mode="r") for i, j in bounds]
+    t = tris[0] if len(tris) == 1 else np.linalg.qr(np.vstack(tris), mode="r")
+    _, s, vt = np.linalg.svd(t)
     scale = np.sqrt(s[0])
-    # a = sqrt(s0) u0 = R v0 / sqrt(s0), in one pass over R; s0 is 0 only if w is
-    a = r @ (vt[0] / scale) if scale > 0 else np.zeros(r.shape[0])
+    # a = sqrt(s0) u0 = R v0 / sqrt(s0), slab by slab; s0 is 0 only if w is
+    a = np.empty((m1, n1), dtype=vt.dtype)
+    if scale > 0:
+        v = vt[0] / scale
+        for i, j in bounds:
+            np.matmul(slab(i, j), v, out=a[i:j].reshape(-1))
+    else:
+        a.fill(0.0)
     b = scale * vt[0]
-    if a[np.argmax(np.abs(a))] < 0:
+    hi, lo = a.argmax(), a.argmin()
+    top, bottom = a.flat[hi], a.flat[lo]
+    if bottom < 0 and (-bottom > top or (-bottom == top and lo < hi)):
         a *= -1
         b *= -1
     residual = float(np.sqrt(np.sum(s[1:] ** 2)))
@@ -127,7 +158,7 @@ def nearest_kron(
         sv_ratio=float(s[1] / s[0]) if len(s) > 1 and s[0] > 0 else 0.0,
         power_iterations_used=0,
     )
-    return KroneckerPair(a=a.reshape(m1, n1), b=b.reshape(m2, n2)), report
+    return KroneckerPair(a=a, b=b.reshape(m2, n2)), report
 
 
 def _row_macs(m1: int, n1: int, m2: int, n2: int, a_first: bool) -> int:

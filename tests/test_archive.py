@@ -188,6 +188,13 @@ def test_a_name_utf8_cannot_encode_is_rejected_before_the_file_is_opened(tmp_pat
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("name, kind", [(b"w", "bytes"), (3, "int"), (None, "NoneType")])
+def test_a_name_that_is_not_a_str_is_rejected_before_the_file_is_opened(tmp_path, name, kind):
+    with pytest.raises(ArchiveError, match=rf"tensor {re.escape(repr(name))}: name must be a str, got {kind}"):
+        archive_write(tmp_path / "s.knz", [("ok", np.ones(2)), (name, np.ones(2))])
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_a_stored_name_that_is_not_utf8_is_rejected_by_index(tmp_path):
     path = tmp_path / "n.knz"
     path.write_bytes(_archive_bytes(("ok", 2, (1,), bytes(8)), (b"w\xff", 2, (1,), bytes(8))))

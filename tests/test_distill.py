@@ -514,6 +514,18 @@ def test_evaluate_lm_and_perplexity(small_teacher):
     assert abs(ce - oracle) < 1e-12
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"seq_len": 0}, "seq_len must be >= 1, got 0"),
+    ({"seq_len": -3}, "seq_len must be >= 1, got -3"),
+    ({"seq_len": 8, "max_windows": 0}, "max_windows must be >= 1, got 0"),
+    ({"seq_len": 8, "max_windows": -1}, "max_windows must be >= 1, got -1"),
+])
+def test_evaluate_lm_rejects_window_arguments_below_one(small_teacher, kwargs, message):
+    tokens = Rng(13).integers(0, 16, size=600).astype(np.int64)
+    with pytest.raises(ValueError, match=message):
+        evaluate_lm(small_teacher, tokens, **kwargs)
+
+
 def test_evaluate_lm_names_an_out_of_vocabulary_target(small_teacher):
     # the inputs are in range; only the last target is not
     with pytest.raises(TokenIdError, match=r"target id 200 out of range \[0, 16\)"):

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from kronlm.errors import KronlmError, ShapeError
 from kronlm.kronecker import (
+    SLAB_BYTES,
     KroneckerPair,
     compression_factor,
     dense_matmul_flops,
@@ -125,6 +128,17 @@ def test_nearest_kron_exact_rank_one_input():
     assert np.allclose(neg.b, -pair.b, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_nearest_kron_sign_tie_goes_to_the_first_entry(sign):
+    # |a| peaks at two entries of opposite sign, exactly: the first is made positive
+    a0 = sign * np.array([[-2.0, 2.0], [1.0, 0.0]])
+    w = kron(a0, np.array([[1.0], [0.0]]))
+    pair, report = nearest_kron(w, 2, 2, 2, 1)
+    assert abs(report.singular_value - 3.0) < 1e-12
+    assert pair.a[0, 0] > 0 and pair.a[0, 1] == -pair.a[0, 0]
+    assert np.allclose(pair.materialize(), w, rtol=0, atol=1e-15)
+
+
 def test_nearest_kron_zero():
     pair, report = nearest_kron(np.zeros((4, 4)), 2, 2, 2, 2)
     assert report.residual_fro == 0.0
@@ -145,8 +159,8 @@ def test_rank1_zero_matrix():
 
 
 def full_svd_factors(w, m1, n1, m2, n2):
-    """Rank-1 factors sqrt(s0) u0, sqrt(s0) v0 from the full SVD of the rearrangement."""
-    u, s, vt = np.linalg.svd(rearrange(w, m1, n1, m2, n2))
+    """Rank-1 factors sqrt(s0) u0, sqrt(s0) v0 from a thin SVD of the whole rearrangement."""
+    u, s, vt = np.linalg.svd(rearrange(w, m1, n1, m2, n2), full_matrices=False)
     return np.sqrt(s[0]) * u[:, 0], np.sqrt(s[0]) * vt[0], s
 
 
@@ -191,6 +205,60 @@ def test_nearest_kron_factors_match_full_svd_when_rank_deficient():
     assert_factors_match(pair, a_ref, b_ref)
     assert report.sv_ratio == 0.0 and report.residual_fro == 0.0
     assert np.linalg.norm(pair.materialize() - w) <= 1e-12 * np.linalg.norm(w)
+
+
+def slab_rows(m1, n1, m2, n2):
+    """Rows of A per slab of the rearrangement that nearest_kron QRs."""
+    return max(1, SLAB_BYTES // (8 * n1 * m2 * n2))
+
+
+@pytest.mark.parametrize("factors", [(1001, 768, 2, 1), (105, 1536, 1, 2), (200, 384, 2, 2)])
+def test_nearest_kron_multi_slab_matches_full_svd_oracle(factors):
+    # B is 2x1, 1x2 and 2x2; each rearrangement spans several slabs and the
+    # last slab is only partly filled ((1001, 768, 2, 1) takes 21 rows of A
+    # per slab, 47 full slabs and one of 14 rows)
+    m1, n1, m2, n2 = factors
+    step = slab_rows(*factors)
+    assert step < m1 and m1 % step != 0
+    w = Rng(17).normal(m1 * m2, n1 * n2)
+    pair, report = nearest_kron(w, *factors)
+    a_ref, b_ref, s = full_svd_factors(w, *factors)
+    assert_factors_match(pair, a_ref, b_ref)
+    assert abs(report.singular_value - s[0]) <= 1e-12 * s[0]
+    assert abs(report.residual_fro - np.sqrt(np.sum(s[1:] ** 2))) <= 1e-12 * s[0]
+    assert abs(report.sv_ratio - s[1] / s[0]) < 1e-12
+
+
+def test_nearest_kron_multi_slab_rank_one_input():
+    factors = (1536, 768, 2, 1)
+    assert slab_rows(*factors) < 1536
+    rng = Rng(19)
+    w = kron(rng.normal(1536, 768), rng.normal(2, 1))
+    pair, report = nearest_kron(w, *factors)
+    assert report.relative_residual < 1e-12
+    assert np.linalg.norm(pair.materialize() - w) <= 1e-12 * np.linalg.norm(w)
+
+
+def test_nearest_kron_rejects_extra_rows():
+    # slabs slice w by rows of A, so the shape is checked before any slab
+    with pytest.raises(ShapeError, match=r"w has shape \(3074, 768\), expected \(3072, 768\)"):
+        nearest_kron(Rng(1).normal(3074, 768), 1536, 768, 2, 1)
+
+
+@pytest.mark.parametrize("shape,factors", [((3072, 768), (1536, 768, 2, 1)),
+                                           ((768, 3072), (768, 1536, 1, 2)),
+                                           ((3072, 768), (1536, 384, 2, 2))])
+def test_nearest_kron_peak_memory_is_a_plus_one_slab(shape, factors):
+    # the whole rearrangement is never formed: a solve holds A and at most a
+    # slab and numpy's copies of it
+    w = Rng(2).normal(*shape)
+    tracemalloc.start()
+    try:
+        pair, _ = nearest_kron(w, *factors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= pair.a.nbytes + (1 << 20), peak
 
 
 def test_nearest_kron_deterministic():
