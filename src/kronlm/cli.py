@@ -232,7 +232,7 @@ def _compression_report(student: TinyGPTModel, reports) -> dict:
             "params_after": after,
             "compression_factor": before / after,
         },
-        "excluded_lm_head_params": student.lm_head.weight.size,
+        "excluded_lm_head_params": tensors["lm_head.weight"].size,
     }
 
 

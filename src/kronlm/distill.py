@@ -35,7 +35,7 @@ import numpy as np
 
 from .autodiff import Tape, backward
 from .errors import NonFiniteLossError, ShapeError
-from .model import ForwardTrace, TinyGPTModel, _token_ids
+from .model import ForwardTrace, TinyGPTModel, _check_int, _token_ids
 from .tensor_core import Rng
 
 
@@ -76,11 +76,10 @@ class TrainConfig:
     seq_len: int = 64
 
     def __post_init__(self):
-        for name in ("batch_size", "seq_len"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.steps is not None and self.steps < 1:
-            raise ValueError(f"steps must be >= 1 or None, got {self.steps}")
+        for name, low in (("batch_size", 1), ("seq_len", 1), ("seed", 0)):
+            _check_int(name, getattr(self, name), low)
+        if self.steps is not None:
+            _check_int("steps", self.steps, 1)
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
 
@@ -306,12 +305,14 @@ def evaluate_lm(model: TinyGPTModel, tokens: np.ndarray, seq_len: int,
     """Mean per-token cross entropy over non-overlapping windows of seq_len
     targets, through ``Tape.cross_entropy`` as in training. An id that is not
     a whole number, or a target outside the vocabulary, raises TokenIdError;
-    a seq_len or max_windows below 1 raises ValueError."""
-    if seq_len < 1:
-        raise ValueError(f"seq_len must be >= 1, got {seq_len}")
-    if max_windows is not None and max_windows < 1:
-        raise ValueError(f"max_windows must be >= 1, got {max_windows}")
+    ids that are not 1-D raise ShapeError; a seq_len or max_windows that is
+    not an int of at least 1 raises ValueError."""
+    _check_int("seq_len", seq_len, 1)
+    if max_windows is not None:
+        _check_int("max_windows", max_windows, 1)
     tokens = _token_ids(tokens)
+    if tokens.ndim != 1:
+        raise ShapeError(f"eval ids must be 1-D, got an array of shape {tokens.shape}")
     n_windows = (len(tokens) - 1) // seq_len
     if max_windows is not None:
         n_windows = min(n_windows, max_windows)

@@ -76,6 +76,8 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _check_shape(w: np.ndarray, m1: int, n1: int, m2: int, n2: int) -> None:
+    if min(m1, n1, m2, n2) < 1:
+        raise ShapeError(f"rearrange: factors ({m1}x{n1}, {m2}x{n2}) need every dimension >= 1")
     if w.shape != (m1 * m2, n1 * n2):
         raise ShapeError(
             f"rearrange: w has shape {w.shape}, expected ({m1 * m2}, {n1 * n2}) "
@@ -115,8 +117,8 @@ def nearest_kron(
     on a tie) is positive, and the residual is read off the remaining
     singular values of T.
 
-    Raises ShapeError if w is not (m1*m2, n1*n2), and KronlmError if w holds
-    a NaN or an infinity.
+    Raises ShapeError if a factor dimension is below 1 or w is not
+    (m1*m2, n1*n2), and KronlmError if w holds a NaN or an infinity.
     """
     _check_shape(w, m1, n1, m2, n2)
     if not np.isfinite(w).all():

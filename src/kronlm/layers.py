@@ -27,10 +27,6 @@ class DenseLinear:
                 f"bias length {self.bias.shape} != weight rows {self.weight.shape[0]}"
             )
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.weight.shape
-
 
 @dataclass
 class KroneckerLinear:
@@ -42,10 +38,6 @@ class KroneckerLinear:
             raise ShapeError(
                 f"bias length {self.bias.shape} != product rows {self.factors.shape[0]}"
             )
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.factors.shape
 
 
 @dataclass

@@ -10,6 +10,11 @@ same config produce identically-shaped traces, so teacher/student
 differences can be taken directly without projections. ``forward_tape``
 returns the trace as tape nodes, ``forward`` as arrays.
 
+The forward and ``compress_model`` read the named tensor map of
+``named_parameters``: a layer whose ``a``/``b`` pair is stored is factored.
+The layer objects are read only through ``_arrays`` and built only by
+``_make_layer``.
+
 A trace also keeps each block's attention keys and values. Passed back as
 ``forward_tape(..., past=trace)``, it makes the forward incremental: the new
 tokens take the positions after the cached ones and attend to the cached
@@ -28,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .autodiff import Tape
-from .errors import KronlmError, ShapeError, TokenIdError
+from .errors import KronlmError, PlanningError, ShapeError, TokenIdError
 from .kronecker import KroneckerPair, nearest_kron
 from .layers import (
     CompressionSchedule,
@@ -36,11 +41,20 @@ from .layers import (
     KroneckerEmbedding,
     KroneckerLinear,
     LayerNorm,
-    decompose_linear,
+    decompose_linear,  # unused here: the benchmark tracer patches model.decompose_linear
 )
 from .tensor_core import Rng
 
 INIT_STD = 0.02
+
+
+def _check_int(name: str, value, low: int) -> None:
+    """Raises ValueError naming ``name`` unless ``value`` is an int (not a
+    bool) of at least ``low``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 @dataclass
@@ -57,9 +71,7 @@ class GPTConfig:
         if self.d_ff is None:
             self.d_ff = 4 * self.d_model
         for f in fields(self):
-            low = 0 if f.name in ("n_layers", "seed") else 1
-            if getattr(self, f.name) < low:
-                raise ValueError(f"{f.name} must be >= {low}, got {getattr(self, f.name)}")
+            _check_int(f.name, getattr(self, f.name), 0 if f.name in ("n_layers", "seed") else 1)
         if self.d_model % self.n_heads != 0:
             raise ShapeError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
@@ -234,13 +246,6 @@ def _make_layer(kind: str, arrays: list, factored: bool):
     return DenseLinear(arrays[0], bias)
 
 
-def _named(layer: LayerSpec, obj) -> list:
-    arrays = _arrays(obj)
-    factored = isinstance(obj, (KroneckerEmbedding, KroneckerLinear))
-    names = layer_tensors(layer, arrays[0].shape + arrays[1].shape if factored else None)
-    return [(name, arr) for (name, _), arr in zip(names, arrays)]
-
-
 class TinyGPTModel:
     def __init__(self, config: GPTConfig, tok_emb, pos_emb, blocks, ln_f, lm_head):
         self.config = config
@@ -317,15 +322,15 @@ class TinyGPTModel:
 
     # ---- parameters --------------------------------------------------------
 
-    def layers(self) -> list:
-        """(LayerSpec, layer object) for every parameter-holding layer."""
-        return [
-            (layer, getattr(self if layer.block is None else self.blocks[layer.block], layer.role))
-            for layer in param_layout(self.config)
-        ]
-
     def named_parameters(self) -> list:
-        return [pair for layer, obj in self.layers() for pair in _named(layer, obj)]
+        pairs = []
+        for layer in param_layout(self.config):
+            obj = getattr(self if layer.block is None else self.blocks[layer.block], layer.role)
+            arrays = _arrays(obj)
+            factored = isinstance(obj, (KroneckerEmbedding, KroneckerLinear))
+            names = layer_tensors(layer, arrays[0].shape + arrays[1].shape if factored else None)
+            pairs += [(name, arr) for (name, _), arr in zip(names, arrays)]
+        return pairs
 
     def state_hash(self) -> str:
         h = hashlib.sha256()
@@ -384,26 +389,22 @@ class TinyGPTModel:
                              f"max_seq_len {cfg.max_seq_len}")
         if params is None:
             params = {name: tape.constant(arr, name) for name, arr in self.named_parameters()}
-        # each layer's nodes in layer_tensors order, which is the argument
-        # order of Tape.linear, kron_linear, layernorm, gather_rows and kron_embed
-        layer_nodes = {
-            (layer.block, layer.role): (obj, [params[name] for name, _ in _named(layer, obj)])
-            for layer, obj in self.layers()
-        }
+        layout = {(layer.block, layer.role): layer for layer in param_layout(cfg)}
 
-        def apply(block, role, x):
-            obj, args = layer_nodes[block, role]
-            if isinstance(obj, LayerNorm):
+        def apply(block, role, x):  # x: the input node, or the ids of an embedding or table
+            layer = layout[block, role]
+            names = layer_tensors(layer, (0, 0, 0, 0))  # names only
+            factored = layer.kind != "norm" and names[0][0] in params
+            # the nodes in layer_tensors order, which is the argument order of the Tape op
+            args = [params[name] for name, _ in (names if factored else layer_tensors(layer))]
+            if layer.kind == "norm":
                 return tape.layernorm(x, *args)
-            if isinstance(obj, KroneckerLinear):
-                return tape.kron_linear(x, *args)
-            return tape.linear(x, *args)
+            if layer.kind in ("embedding", "table"):
+                return (tape.kron_embed if factored else tape.gather_rows)(*args, x)
+            return (tape.kron_linear if factored else tape.linear)(x, *args)
 
-        tok_obj, tok_args = layer_nodes[None, "tok_emb"]
-        embed = tape.kron_embed if isinstance(tok_obj, KroneckerEmbedding) else tape.gather_rows
-        tok = embed(*tok_args, tokens.reshape(-1))
-        positions = np.tile(np.arange(start, start + t), b)
-        pos = tape.gather_rows(*layer_nodes[None, "pos_emb"][1], positions)
+        tok = apply(None, "tok_emb", tokens.reshape(-1))
+        pos = apply(None, "pos_emb", np.tile(np.arange(start, start + t), b))
         x = tape.add(tok, pos)
         trace = ForwardTrace(embedding_out=x)
         for i in range(cfg.n_layers):
@@ -437,8 +438,7 @@ class TinyGPTModel:
         Positions are absolute, so once the ids fill ``max_seq_len`` each step
         runs ``forward`` over the last ``max_seq_len`` ids instead.
         """
-        if n_tokens < 0:
-            raise ValueError(f"n_tokens must be >= 0, got {n_tokens}")
+        _check_int("n_tokens", n_tokens, 0)
         prompt = _token_ids(prompt)
         if prompt.ndim != 1 or prompt.size < 1:
             raise ShapeError(f"prompt must be a non-empty 1-D sequence, got shape {prompt.shape}")
@@ -464,33 +464,59 @@ def compress_model(
     """Kronecker-compress a dense model per the schedule.
 
     Selected blocks get their q/k/v (optionally wo) and both FFN projections
-    replaced by nearest-Kronecker factors; the embedding table becomes a
-    KroneckerEmbedding. Everything else (biases, layer norms, positions, the
-    LM head, unselected blocks) is copied verbatim; the student shares no
-    array with the teacher. Returns the student and a list of (tensor name,
+    replaced by nearest-Kronecker factors, and so does the embedding table:
+    each planned weight is stored as the (a, b) pair of one ``nearest_kron``
+    solve. Everything else (biases, layer norms, positions, the LM head,
+    unselected blocks) is copied verbatim; the student shares no array with
+    the teacher. Returns the student and a list of (tensor name,
     DecompositionReport) in named_parameters order. ``rng`` is accepted and
-    ignored: the decomposition is exact and draws nothing random.
+    ignored: the decomposition is exact and draws nothing random. A planned
+    layer that the teacher already stores factored raises ShapeError, and so
+    does a schedule that does not fit the teacher (see _planned_factors).
     """
+    dense = dict(teacher.named_parameters())
     tensors, reports = {}, []
-    for layer, obj in teacher.layers():
-        factors = schedule.factor_shapes(layer)
+    for layer, factors in _planned_factors(teacher.config, schedule):
+        stored = stored_factors(layer, dense)
         if factors is None:
-            tensors.update((name, arr.copy()) for name, arr in _named(layer, obj))
+            tensors.update((name, dense[name].copy()) for name, _ in layer_tensors(layer, stored))
             continue
         name = layer_tensors(layer)[0][0]
-        if not isinstance(obj, np.ndarray if layer.kind == "embedding" else DenseLinear):
+        if stored is not None:
             raise ShapeError(f"{name}: compress_model expects a dense teacher layer")
         try:
-            if layer.kind == "embedding":
-                pair, report = nearest_kron(obj, *factors)
-                factored = KroneckerEmbedding(a_e=pair.a, b_e=pair.b)
-            else:
-                factored, report = decompose_linear(obj, factors)
+            pair, report = nearest_kron(dense[name], *factors)
         except (KronlmError, np.linalg.LinAlgError) as exc:
             raise type(exc)(f"{name}: {exc}") from exc
-        tensors.update(_named(layer, factored))
+        names = [n for n, _ in layer_tensors(layer, factors)]  # a, b, then the bias if any
+        tensors.update(zip(names, [pair.a, pair.b] + [dense[n].copy() for n in names[2:]]))
         reports.append((name, report))
     return TinyGPTModel.from_tensors(teacher.config, tensors), reports
+
+
+def _planned_factors(config: GPTConfig, schedule: CompressionSchedule | None) -> list:
+    """(LayerSpec, factor shapes) for every layer of ``config``'s layout:
+    the (m1, n1, m2, n2) ``schedule`` factors it into, or None.
+
+    Raises PlanningError naming a selected block index that ``config`` lacks,
+    and ShapeError naming a tensor whose factor shapes do not multiply to its
+    shape.
+    """
+    layout = param_layout(config)
+    if schedule is None:
+        return [(layer, None) for layer in layout]
+    for i in schedule.layer_indices:
+        if not 0 <= i < config.n_layers:
+            raise PlanningError(f"layer index {i} out of range for {config.n_layers} blocks")
+    planned = [(layer, schedule.factor_shapes(layer)) for layer in layout]
+    for layer, factors in planned:
+        if factors is None:
+            continue
+        m1, n1, m2, n2 = factors
+        if (m1 * m2, n1 * n2) != layer.shape:
+            raise ShapeError(f"{layer_tensors(layer)[0][0]}: factors ({m1}x{n1}, {m2}x{n2}) "
+                             f"multiply to ({m1 * m2}, {n1 * n2}), not its shape {layer.shape}")
+    return planned
 
 
 def count_config_params(
@@ -498,10 +524,11 @@ def count_config_params(
     schedule: CompressionSchedule | None = None,
     exclude_lm_head: bool = False,
 ) -> int:
-    """Parameter count from shape arithmetic alone; no weights allocated."""
+    """Parameter count from shape arithmetic alone; no weights allocated. A
+    schedule that does not fit ``config`` raises as in _planned_factors."""
     return sum(
         math.prod(shape)
-        for layer in param_layout(config)
+        for layer, factors in _planned_factors(config, schedule)
         if not (exclude_lm_head and layer.kind == "head")
-        for _, shape in layer_tensors(layer, schedule and schedule.factor_shapes(layer))
+        for _, shape in layer_tensors(layer, factors)
     )

@@ -31,9 +31,6 @@ class Rng:
     def normal(self, *shape, scale: float = 1.0) -> np.ndarray:
         return self._gen.standard_normal(shape, dtype=np.float64) * scale
 
-    def uniform(self, *shape, low: float = 0.0, high: float = 1.0) -> np.ndarray:
-        return self._gen.uniform(low, high, shape)
-
     def integers(self, low: int, high: int, size=None) -> np.ndarray:
         return self._gen.integers(low, high, size=size)
 

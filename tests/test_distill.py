@@ -526,6 +526,12 @@ def test_evaluate_lm_rejects_window_arguments_below_one(small_teacher, kwargs, m
         evaluate_lm(small_teacher, tokens, **kwargs)
 
 
+def test_evaluate_lm_rejects_a_2d_id_array_by_shape(small_teacher):
+    tokens = Rng(13).integers(0, 16, size=(3, 40))
+    with pytest.raises(ShapeError, match=r"^eval ids must be 1-D, got an array of shape \(3, 40\)$"):
+        evaluate_lm(small_teacher, tokens, seq_len=8)
+
+
 def test_evaluate_lm_names_an_out_of_vocabulary_target(small_teacher):
     # the inputs are in range; only the last target is not
     with pytest.raises(TokenIdError, match=r"target id 200 out of range \[0, 16\)"):

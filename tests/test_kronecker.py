@@ -147,6 +147,16 @@ def test_nearest_kron_zero():
     assert np.all(pair.a == 0) and np.all(pair.b == 0)
 
 
+@pytest.mark.parametrize("shape, factors", [((0, 4), (0, 2, 1, 2)), ((4, 0), (2, 0, 2, 1))])
+def test_nearest_kron_rejects_a_zero_factor_dimension(shape, factors):
+    m1, n1, m2, n2 = factors
+    message = rf"^rearrange: factors \({m1}x{n1}, {m2}x{n2}\) need every dimension >= 1$"
+    with pytest.raises(ShapeError, match=message):
+        nearest_kron(np.zeros(shape), *factors)
+    with pytest.raises(ShapeError, match=message):
+        rearrange(np.zeros(shape), *factors)
+
+
 def test_rank1_zero_matrix():
     # the rank-1 term of a zero matrix whose rearrangement is not square (4 x 3)
     pair, report = nearest_kron(np.zeros((2, 6)), 2, 2, 1, 3)

@@ -6,8 +6,9 @@ import pytest
 
 from conftest import stored_param_count
 from kronlm.autodiff import Tape
-from kronlm.errors import KronlmError, ShapeError, TokenIdError
-from kronlm.kronecker import kron
+from kronlm.distill import TrainConfig
+from kronlm.errors import KronlmError, PlanningError, ShapeError, TokenIdError
+from kronlm.kronecker import KroneckerPair, kron
 from kronlm.layers import CompressionSchedule, DenseLinear, KroneckerEmbedding, KroneckerLinear
 from kronlm.model import (
     GPTConfig,
@@ -47,6 +48,20 @@ def test_config_fields_below_their_minimum_are_rejected_by_name(field, low):
     GPTConfig(**{"n_heads": 1, field: low})  # the minimum itself is a valid config
     with pytest.raises(ValueError, match=rf"^{field} must be >= {low}, got {low - 1}$"):
         GPTConfig(**{"n_heads": 1, field: low - 1})
+
+
+@pytest.mark.parametrize("build, name, value", [
+    ("config", "d_model", 8.0), ("config", "n_heads", "2"), ("config", "n_layers", True),
+    ("train", "seq_len", 4.0), ("train", "steps", False), ("generate", "n_tokens", 1.5),
+])
+def test_integer_arguments_reject_other_types_by_name(small_teacher, build, name, value):
+    with pytest.raises(ValueError, match=rf"^{name} must be an int, got {re.escape(repr(value))}$"):
+        if build == "config":
+            GPTConfig(**{"n_layers": 2, "n_heads": 2, "d_model": 8, name: value})
+        elif build == "train":
+            TrainConfig(**{name: value})
+        else:
+            small_teacher.greedy_generate(np.array([1, 2]), value)
 
 
 def test_single_token_attention_is_one(small_teacher):
@@ -138,6 +153,29 @@ def test_copy_and_compress_check_tensors_against_the_layout(small_teacher, build
             compress_model(teacher, CompressionSchedule.for_dims(cfg.n_layers, d, cfg.d_ff))
 
 
+def test_compress_model_rejects_an_already_factored_layer(small_student):
+    cfg = small_student.config
+    schedule = CompressionSchedule.for_dims(cfg.n_layers, cfg.d_model, cfg.d_ff)
+    with pytest.raises(ShapeError,
+                       match=r"^tok_emb\.weight: compress_model expects a dense teacher layer$"):
+        compress_model(small_student, schedule)
+    with pytest.raises(ShapeError, match=r"^block1\.wq\.weight: compress_model expects a dense"):
+        compress_model(small_student, replace(schedule, compress_embedding=False))
+
+
+def test_a_schedule_that_does_not_fit_the_layout_is_rejected(small_teacher, small_config):
+    wider = CompressionSchedule.for_dims(2, 16, 64)  # q/k/v factors for d_model 16, not 8
+    message = r"^block1\.wq\.weight: factors \(8x16, 2x1\) multiply to \(16, 16\), not its shape \(8, 8\)$"
+    with pytest.raises(ShapeError, match=message):
+        count_config_params(small_config, wider)
+    with pytest.raises(ShapeError, match=message):
+        compress_model(small_teacher, wider)
+    past_the_end = replace(CompressionSchedule.for_dims(2, 8, 16), layer_indices=(5,))
+    for call in (count_config_params, lambda cfg, s: compress_model(small_teacher, s)):
+        with pytest.raises(PlanningError, match=r"^layer index 5 out of range for 2 blocks$"):
+            call(small_config, past_the_end)
+
+
 def test_compress_model_odd_layer_selection():
     cfg = GPTConfig(n_layers=4, n_heads=2, d_model=8, d_ff=16, vocab_size=16, max_seq_len=8, seed=1)
     teacher = TinyGPTModel.init_random(cfg)
@@ -179,6 +217,24 @@ def test_compress_exactly_factorable_reports_and_logits():
     lt = teacher.forward(tokens).logits
     ls = student.forward(tokens).logits
     assert np.max(np.abs(lt - ls)) <= 1e-5
+
+
+def test_forward_reads_materialized_layer_objects(small_student):
+    # the layer objects stay the source of the tensor map: a copy whose
+    # factored layers are swapped for their dense products runs dense
+    dense = small_student.copy()
+    dense.tok_emb = KroneckerPair(dense.tok_emb.a_e, dense.tok_emb.b_e).materialize()
+    for block in dense.blocks:
+        for role in ("wq", "wk", "wv", "wo", "c_fc", "c_proj"):
+            layer = getattr(block, role)
+            if isinstance(layer, KroneckerLinear):
+                setattr(block, role, DenseLinear(layer.factors.materialize(), layer.bias))
+    names = [name for name, _ in dense.named_parameters()]
+    assert names == [re.sub(r"\.a$", ".weight", name) for name, _ in small_student.named_parameters()
+                     if not name.endswith(".b")]
+    tokens = Rng(23).integers(0, dense.config.vocab_size, size=(2, 9))
+    want = small_student.forward(tokens).logits
+    assert np.max(np.abs(dense.forward(tokens).logits - want)) <= 1e-9
 
 
 def test_trace_shape_equality_teacher_student(small_teacher, small_student):

@@ -98,8 +98,7 @@ def test_softmax_formula_oracle():
 
 
 def test_softmax_rows_sum_to_one_extreme_magnitudes():
-    rng = Rng(9)
-    m = rng.uniform(40, 7, low=-1e4, high=1e4)
+    m = np.random.Generator(np.random.PCG64(9)).uniform(-1e4, 1e4, (40, 7))
     for softmax in SOFTMAXES:
         out = softmax(m)
         assert np.max(np.abs(out.sum(axis=1) - 1.0)) < 1e-9
