@@ -16,11 +16,17 @@ place: the attention ops work out the scale and the causal mask from their
 operands' shapes. Keys may outnumber queries, as in cached decoding: with Tk
 keys and Tq queries per sequence, query i sits at key position i + Tk - Tq.
 
+The tape records only the backward graph. A node requires a gradient when
+it is a leaf or any of its parents requires one; only such nodes go on the
+tape and keep their parents and vjp. A constant, and an op on constants,
+keeps only its value: an evaluation forward holds nothing beyond what its
+caller keeps, and each intermediate is freed once nothing refers to it.
+
 Every vjp returns a gradient for each of its parents. ``backward`` routes
-them: it runs the vjp of a node only when the node requires a gradient, and
-it drops the gradient of a parent that does not (a constant). An op whose
-parents are all constants keeps no vjp, so an evaluation forward holds no
-backward-only arrays.
+them and drops the gradient of a parent that is a constant. It frees the
+graph as it goes: once a node's vjp has run, the node drops its vjp and its
+gradient, so the graph can be walked back only once. A second ``backward``
+that reaches a freed node raises ``KronlmError``.
 """
 
 from __future__ import annotations
@@ -75,14 +81,17 @@ class Node:
 
 
 class Tape:
-    """Append-only op record; topological order is append order."""
+    """Record of the nodes that require a gradient, in creation order, which
+    is a topological order. Constants and ops on constants are not recorded
+    and keep idx -1."""
 
     def __init__(self):
         self.nodes: list[Node] = []
 
     def _register(self, node: Node) -> Node:
-        node.idx = len(self.nodes)
-        self.nodes.append(node)
+        if node.requires_grad:
+            node.idx = len(self.nodes)
+            self.nodes.append(node)
         return node
 
     def leaf(self, value, name=None) -> Node:
@@ -93,9 +102,9 @@ class Tape:
 
     def _op(self, value, parents, vjp) -> Node:
         node = Node(value, any(p.requires_grad for p in parents))
-        node._parents = tuple(parents)
-        # an op on constants keeps no vjp, so the arrays its closure holds are freed
-        node._vjp = vjp if node.requires_grad else None
+        if node.requires_grad:  # an op on constants keeps neither, so its inputs can be freed
+            node._parents = tuple(parents)
+            node._vjp = vjp
         return self._register(node)
 
     # ---- arithmetic -----------------------------------------------------
@@ -340,27 +349,32 @@ class Tape:
 
 
 def backward(tape: Tape, loss: Node) -> GradStore:
-    """Gradients of a scalar loss wrt every named, grad-requiring leaf.
+    """Gradients of a scalar loss wrt every named leaf on the tape.
 
-    Visits the tape strictly in reverse append order; fan-out contributions
-    accumulate additively. Returns a map name -> gradient and also leaves
-    ``.grad`` set on the visited nodes.
+    Visits the tape strictly in reverse creation order; fan-out contributions
+    accumulate additively. Each interior node drops its vjp and its gradient
+    once its vjp has run, so the graph is freed as the walk goes, and a
+    second walk over it raises KronlmError. Returns a map name -> gradient;
+    the leaves keep their ``.grad``.
     """
     if np.ndim(loss.value) != 0:
         raise ShapeError(f"backward needs a scalar loss, got shape {np.shape(loss.value)}")
     loss.grad = 1.0
     for node in reversed(tape.nodes[: loss.idx + 1]):
-        if node.grad is None or node._vjp is None or not node.requires_grad:
+        if node.grad is None or not node._parents:  # not on the loss's path, or a leaf
             continue
+        if node._vjp is None:
+            raise KronlmError(f"backward: {node!r} was freed by an earlier backward over "
+                              f"this tape; a graph can be walked back only once")
         grads = node._vjp(node.grad)
+        node._vjp = node.grad = None
         for parent, g in zip(node._parents, grads):
             if parent.requires_grad:  # a constant's gradient is dropped here
                 parent.grad = g if parent.grad is None else parent.grad + g
     store: GradStore = {}
     for node in tape.nodes:
-        if node._vjp is None and node.requires_grad and node.name is not None:
+        if not node._parents and node.name is not None:
             if node.grad is None:
                 node.grad = np.zeros_like(node.value)
             store[node.name] = node.grad
     return store
-

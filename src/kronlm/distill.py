@@ -34,8 +34,8 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .autodiff import Tape, backward
-from .errors import NonFiniteLossError, ShapeError
-from .model import ForwardTrace, TinyGPTModel, _check_int, _token_ids
+from .errors import NonFiniteLossError, ShapeError, _check_int
+from .model import ForwardTrace, TinyGPTModel, _token_ids
 from .tensor_core import Rng
 
 
@@ -221,10 +221,11 @@ def train_step(
         raise ShapeError(f"train_step: batch must be (B, L) token windows with L >= 2, "
                          f"got shape {batch.shape}")
     inputs = batch[:, :-1]
+    # the teacher first, so its transient arrays are freed before the student's graph exists
+    trace = teacher.forward(inputs) if w.needs_teacher() else None
     tape = Tape()
     params = {name: tape.leaf(arr, name) for name, arr in student.named_parameters()}
     nodes = student.forward_tape(tape, inputs, params)
-    trace = teacher.forward(inputs) if w.needs_teacher() else None
     total, values = build_batch_loss(tape, nodes, trace, batch[:, 1:].reshape(-1), w)
     del trace  # the loss nodes hold what backward needs; free the rest before it runs
     grads = backward(tape, total)

@@ -1,4 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer-argument check."""
+
+
+def _check_int(name: str, value, low: int | None = None) -> None:
+    """Raises ValueError naming ``name`` unless ``value`` is an int (not a
+    bool) of at least ``low``; with ``low`` None only the type is checked."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 class KronlmError(Exception):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PlanningError, ShapeError
+from .errors import PlanningError, ShapeError, _check_int
 from .kronecker import DecompositionReport, KroneckerPair, nearest_kron
 
 
@@ -139,6 +139,17 @@ class CompressionSchedule:
         embedding_factor: int | None = None,
         include_wo: bool = True,
     ) -> "CompressionSchedule":
+        """The schedule for these dimensions. Dimensions, factors and block
+        indices must be ints (not bools), else ValueError names the argument;
+        ranges and splits are PlanningError's."""
+        if embedding_factor is None:
+            embedding_factor = factor
+        args = {"n_layers": n_layers, "d_model": d_model, "d_ff": d_ff, "factor": factor,
+                "embedding_factor": embedding_factor}
+        if not isinstance(layers, str):
+            args.update((f"layers[{j}]", i) for j, i in enumerate(layers))
+        for name, value in args.items():
+            _check_int(name, value)
         if isinstance(layers, str):
             if layers == "odd":
                 idx = tuple(i for i in range(n_layers) if i % 2 == 1)
@@ -149,12 +160,10 @@ class CompressionSchedule:
             else:
                 raise PlanningError(f"unknown layer selector {layers!r}")
         else:
-            idx = tuple(sorted(set(int(i) for i in layers)))
+            idx = tuple(sorted(set(layers)))
             for i in idx:
                 if i < 0 or i >= n_layers:
                     raise PlanningError(f"layer index {i} out of range for {n_layers} blocks")
-        if embedding_factor is None:
-            embedding_factor = factor
         if compress_embedding and (embedding_factor < 1 or d_model % embedding_factor != 0):
             raise PlanningError(
                 f"embedding factor {embedding_factor} is not a positive divisor of "

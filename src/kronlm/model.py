@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .autodiff import Tape
-from .errors import KronlmError, PlanningError, ShapeError, TokenIdError
+from .errors import KronlmError, PlanningError, ShapeError, TokenIdError, _check_int
 from .kronecker import KroneckerPair, nearest_kron
 from .layers import (
     CompressionSchedule,
@@ -46,15 +46,6 @@ from .layers import (
 from .tensor_core import Rng
 
 INIT_STD = 0.02
-
-
-def _check_int(name: str, value, low: int) -> None:
-    """Raises ValueError naming ``name`` unless ``value`` is an int (not a
-    bool) of at least ``low``."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an int, got {value!r}")
-    if value < low:
-        raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 @dataclass

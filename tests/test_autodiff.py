@@ -463,3 +463,49 @@ def test_gradients_deterministic_across_runs():
     g1, g2 = run(), run()
     assert np.array_equal(g1["a"], g2["a"])
     assert np.array_equal(g1["b"], g2["b"])
+
+
+# ---- the tape holds only the backward graph, and backward frees it --------------
+
+
+def linear_gelu_mse(tape, make):
+    """linear -> gelu -> mse over x (4, 3) and w (5, 3), each entering through
+    ``make`` (``tape.leaf`` or ``tape.constant``); returns (loss, interior nodes)."""
+    rng = Rng(60)
+    x, w = make(rng.normal(4, 3), "x"), make(rng.normal(5, 3), "w")
+    lin = tape.linear(x, w)
+    act = tape.gelu(lin)
+    return tape.mse(act, rng.normal(4, 5)), (lin, act)
+
+
+def test_a_graph_of_constants_is_not_recorded():
+    tape = Tape()
+    loss, interior = linear_gelu_mse(tape, tape.constant)
+    assert tape.nodes == []
+    for node in (loss, *interior):
+        assert node._parents == () and node._vjp is None and node.idx == -1
+
+
+def test_backward_frees_interior_nodes_and_leaves_keep_their_grads():
+    tape = Tape()
+    loss, (lin, act) = linear_gelu_mse(tape, tape.leaf)
+    x, w = tape.nodes[:2]
+    # the reference walk: the same vjps, called by hand in reverse order
+    (g_act,) = loss._vjp(1.0)
+    (g_lin,) = act._vjp(g_act)
+    want_x, want_w = lin._vjp(g_lin)
+    store = backward(tape, loss)
+    assert np.array_equal(store["x"], want_x) and np.array_equal(store["w"], want_w)
+    assert store["x"] is x.grad and store["w"] is w.grad
+    for node in (loss, act, lin):
+        assert node.grad is None and node._vjp is None and node._parents
+
+
+def test_a_second_backward_over_the_same_tape_is_refused():
+    tape = Tape()
+    loss, _ = linear_gelu_mse(tape, tape.leaf)
+    first = {name: g.copy() for name, g in backward(tape, loss).items()}
+    with pytest.raises(KronlmError, match=r"^backward: Node\(idx=4, shape=\(\), name=None\) "
+                                          r"was freed by an earlier backward"):
+        backward(tape, loss)
+    assert all(np.array_equal(leaf.grad, first[leaf.name]) for leaf in tape.nodes[:2])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -238,6 +239,16 @@ def test_schedule_layer_selectors():
     assert CompressionSchedule.for_dims(4, 8, 16, layers=(3, 1)).layer_indices == (1, 3)
     with pytest.raises(PlanningError):
         CompressionSchedule.for_dims(4, 8, 16, layers=(5,))
+
+
+@pytest.mark.parametrize("args, kwargs, message", [
+    ((4, 64, 256), {"layers": (1.7, True)}, "layers[0] must be an int, got 1.7"),
+    ((4, 64, 256), {"layers": (1, True)}, "layers[1] must be an int, got True"),
+    ((4, 64.0, 256), {}, "d_model must be an int, got 64.0"),
+])
+def test_schedule_for_dims_takes_ints_only(args, kwargs, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        CompressionSchedule.for_dims(*args, **kwargs)
 
 
 def _check_factor_shapes(shapes, m, n):
