@@ -112,7 +112,7 @@ def archive_write(path, tensors) -> None:
     items = list(tensors.items()) if isinstance(tensors, dict) else list(tensors)
     seen = set()
     chunks = [MAGIC, struct.pack("<II", VERSION, len(items))]
-    for name, arr in items:
+    for i, (name, arr) in enumerate(items):
         if not isinstance(name, str):
             raise ArchiveError(f"tensor {name!r}: name must be a str, got {type(name).__name__}")
         if name in seen:
@@ -128,7 +128,7 @@ def archive_write(path, tensors) -> None:
         except UnicodeEncodeError as exc:
             raise ArchiveError(f"tensor {name!r}: name is not valid UTF-8 ({exc.reason})") from None
         if len(encoded) > 0xFFFF:
-            raise ArchiveError(f"tensor name too long ({len(encoded)} bytes)")
+            raise ArchiveError(f"tensor #{i}: name too long ({len(encoded)} bytes, at most 65535)")
         chunks.append(struct.pack("<H", len(encoded)))
         chunks.append(encoded)
         chunks.append(struct.pack("<BB", _DTYPE_TAGS[arr.dtype], arr.ndim))

@@ -34,7 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import KronlmError, ShapeError, TokenIdError
-from .kronecker import KroneckerPair, kron_matmul, kron_matmul_grads
+from .kronecker import KroneckerPair, _spread, kron_matmul, kron_matmul_grads
 from .tensor_core import GELU_CUBIC_COEFF, GELU_SQRT_2_OVER_PI, causal_mask
 
 # GradStore: map from leaf parameter name -> gradient array of identical shape
@@ -195,16 +195,12 @@ class Tape:
             raise ShapeError(f"kron_embed: b_e must be 1 x f, got {b_e.value.shape}")
         _check_ids(ids, v, "token")
         rows = a_e.value[ids]  # (T, d/f)
-        b_row = b_e.value[0]
-        y = np.empty((len(ids), dpf, f), dtype=np.result_type(rows, b_row))
-        for k in range(f):
-            np.multiply(rows, b_row[k], out=y[:, :, k])
-        y = y.reshape(len(ids), dpf * f)
+        y = _spread(rows[:, None, :], b_e.value.T)  # y[t, i*f + k] = rows[t, i] * b_e[0, k]
 
         def vjp(up):
             u = up.reshape(len(ids), dpf, f)
             ga = np.zeros_like(a_e.value)
-            np.add.at(ga, ids, u @ b_row)
+            np.add.at(ga, ids, u @ b_e.value[0])
             return ga, np.array([[np.vdot(u[:, :, k], rows) for k in range(f)]])
 
         return self._op(y, (a_e, b_e), vjp)

@@ -4,11 +4,12 @@ analytic flop counts, and parameter ratios across the standard shape table."""
 from __future__ import annotations
 
 import io
-import time
+import timeit
 from dataclasses import dataclass, fields
 
 from .kronecker import (
     KroneckerPair,
+    compression_factor,
     dense_matmul_flops,
     kron,
     kron_matmul,
@@ -53,12 +54,7 @@ class BenchRow:
 
 
 def _time_call(fn, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best * 1e3
+    return min(timeit.repeat(fn, number=1, repeat=repeats)) * 1e3
 
 
 def _ratio(dense_ms: float, kron_ms: float) -> float:
@@ -79,16 +75,14 @@ def run_bench(shapes=DEFAULT_SHAPES, rows: int = 32, repeats: int = 5, seed: int
         kron_ms = _time_call(lambda: kron_matmul(pair, x), repeats)
         dense_bwd_ms = _time_call(lambda: (up @ w, up.T @ x), repeats)
         kron_bwd_ms = _time_call(lambda: kron_matmul_grads(pair, x, up), repeats)
-        params_dense = m * n
-        params_kron = m1 * n1 + m2 * n2
         fd = dense_matmul_flops(rows, m, n)
         fk = kron_matmul_flops(rows, m1, n1, m2, n2)
         out.append(
             BenchRow(
                 m=m, n=n, m1=m1, n1=n1, m2=m2, n2=n2,
-                params_dense=params_dense,
-                params_kron=params_kron,
-                param_ratio=params_dense / params_kron,
+                params_dense=m * n,
+                params_kron=m1 * n1 + m2 * n2,
+                param_ratio=compression_factor(m, n, m1, n1, m2, n2),
                 flops_dense=fd,
                 flops_kron=fk,
                 flop_ratio=fd / fk,

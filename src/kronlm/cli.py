@@ -29,12 +29,12 @@ from .distill import (
     weights_for_mode,
 )
 from .errors import ArchiveError, KronlmError, PlanningError, ShapeError
-from .layers import PLANNABLE_FACTORS, CompressionSchedule
+from .layers import PLANNABLE_FACTORS, CompressionSchedule, check_blocks, check_embedding_factor
 from .model import TinyGPTModel, compress_model, layer_tensors, param_layout, stored_factors
 
 
 def _add_seed(parser):
-    parser.add_argument("--seed", type=_seed, default=0, help="deterministic seed")
+    parser.add_argument("--seed", type=_whole, default=0, help="deterministic seed")
 
 
 def _onoff(value: str) -> bool:
@@ -50,8 +50,8 @@ def _count(value: str, low: int = 1) -> int:
     return int(value)
 
 
-def _seed(value: str) -> int:
-    """A seed flag: an integer of at least 0."""
+def _whole(value: str) -> int:
+    """A seed or a factor flag: an integer of at least 0 (the planner checks a factor's range)."""
     return _count(value, low=0)
 
 
@@ -85,9 +85,9 @@ def _shapes(value: str) -> list:
     shapes = []
     for chunk in value.split(";"):
         try:
-            m, n, m1, n1, m2, n2 = (int(x) for x in chunk.split(","))
-            well_formed = min(m1, n1, m2, n2) > 0 and (m, n) == (m1 * m2, n1 * n2)
-        except ValueError:  # a non-integer, or not six values
+            m, n, m1, n1, m2, n2 = (_count(x.strip()) for x in chunk.split(","))
+            well_formed = (m, n) == (m1 * m2, n1 * n2)
+        except (ValueError, argparse.ArgumentTypeError):  # not six integers >= 1
             well_formed = False
         if not well_formed:
             raise argparse.ArgumentTypeError(
@@ -107,9 +107,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", default=None, help="write a JSON compression report here")
     p.add_argument("--layers", default="odd",
                    help="odd|even|all or a comma-separated block index list")
-    p.add_argument("--factor", type=int, default=2)
+    p.add_argument("--factor", type=_whole, default=2)
     p.add_argument("--embedding", type=_onoff, default=True, metavar="on|off")
-    p.add_argument("--embedding-factor", type=int, default=None)
+    p.add_argument("--embedding-factor", type=_whole, default=None)
     p.add_argument("--include-wo", type=_onoff, default=True, metavar="on|off")
     _add_seed(p)
 
@@ -154,13 +154,13 @@ def _layer_selector(raw: str, n_layers: int):
     if raw in ("odd", "even", "all"):
         return raw
     try:
-        blocks = tuple(int(tok) for tok in raw.split(",") if tok.strip() != "")
-    except ValueError as exc:
-        raise PlanningError(f"bad --layers value {raw!r}: {exc}") from exc
-    for i in blocks:
-        if not 0 <= i < n_layers:
-            raise PlanningError(f"--layers {raw}: layer index {i} out of range for "
-                                f"{n_layers} blocks")
+        blocks = tuple(_count(tok.strip(), low=0) for tok in raw.split(",") if tok.strip())
+    except argparse.ArgumentTypeError as exc:
+        raise PlanningError(f"bad --layers value {raw!r}: {exc}") from None
+    try:
+        check_blocks(blocks, n_layers)
+    except PlanningError as exc:
+        raise PlanningError(f"--layers {raw}: {exc}") from None
     return blocks
 
 
@@ -244,10 +244,12 @@ def cmd_compress(args) -> int:
     teacher = _load_model("--input", args.input)
     cfg = teacher.config
     f = args.factor if args.embedding_factor is None else args.embedding_factor
-    if args.embedding and (f < 1 or cfg.d_model % f):  # name the flag that set f
+    try:
+        if args.embedding:
+            check_embedding_factor(f, cfg.d_model)
+    except PlanningError as exc:  # name the flag that set f
         flag = "--factor" if args.embedding_factor is None else "--embedding-factor"
-        raise PlanningError(f"{flag} {f}: embedding factor {f} is not a positive divisor "
-                            f"of d_model {cfg.d_model}")
+        raise PlanningError(f"{flag} {f}: {exc}") from None
     schedule = CompressionSchedule.for_dims(
         n_layers=cfg.n_layers,
         d_model=cfg.d_model,

@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .model import ForwardTrace, TinyGPTModel, _token_ids
 from .tensor_core import Rng
 
 
-@dataclass
+@dataclass(frozen=True)
 class DistillWeights:
     alpha1: float  # embedding MSE
     alpha2: float  # attention KL
@@ -54,14 +54,6 @@ class DistillWeights:
             raise ValueError(f"loss weights must be non-negative, got {a}")
         if all(x == 0 for x in a):
             raise ValueError("at least one loss weight must be positive")
-
-    @classmethod
-    def pretrain(cls) -> "DistillWeights":
-        return cls(0.5, 0.5, 0.5, 0.1)
-
-    @classmethod
-    def lm_only(cls) -> "DistillWeights":
-        return cls(0.0, 0.0, 0.0, 1.0)
 
     def needs_teacher(self) -> bool:
         return self.alpha1 > 0 or self.alpha2 > 0 or self.alpha3 > 0
@@ -237,24 +229,21 @@ def train_step(
 
 # ---- phases ------------------------------------------------------------------
 
-PHASE_MODES = ("none", "lm", "kd", "lm+kd")
+# the ablation grid: each arm's loss weights; 'none' trains nothing
+ARM_WEIGHTS = {
+    "none": None,
+    "lm": DistillWeights(0.0, 0.0, 0.0, 1.0),
+    "kd": DistillWeights(0.5, 0.5, 0.5, 0.0),
+    "lm+kd": DistillWeights(0.5, 0.5, 0.5, 0.1),
+}
+PHASE_MODES = tuple(ARM_WEIGHTS)
 
 
 def weights_for_mode(mode: str) -> DistillWeights | None:
-    """Loss weights of an ablation-grid arm: none / lm / kd / lm+kd.
-
-    Mode 'none' trains nothing (None).
-    """
-    if mode not in PHASE_MODES:
+    """Loss weights of an ablation-grid arm; None for 'none', which trains nothing."""
+    if mode not in ARM_WEIGHTS:
         raise ValueError(f"unknown mode {mode!r}; expected one of {PHASE_MODES}")
-    if mode == "none":
-        return None
-    if mode == "lm":
-        return DistillWeights.lm_only()
-    pretrain = DistillWeights.pretrain()
-    if mode == "kd":
-        return replace(pretrain, alpha4=0.0)
-    return pretrain
+    return ARM_WEIGHTS[mode]
 
 
 def sample_batch(tokens: np.ndarray, batch_size: int, seq_len: int, rng: Rng) -> np.ndarray:

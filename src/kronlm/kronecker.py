@@ -1,6 +1,7 @@
-"""Kronecker algebra: the product itself, the Van Loan-Pitsianis
-rearrangement, exact nearest-Kronecker decomposition by R-SVD, and factored
-matmul kernels that never materialize the full product.
+"""Kronecker algebra: the Van Loan-Pitsianis rearrangement, exact
+nearest-Kronecker decomposition by R-SVD, and factored matmul kernels that
+never materialize the full product. The product itself is numpy's
+``np.kron``, exported here as ``kron``.
 
 All vec/reshape conventions are row-major. Under that convention, for
 W (m1*m2 x n1*n2) sliced into an m1 x n1 grid of m2 x n2 blocks,
@@ -67,12 +68,7 @@ class DecompositionReport:
     power_iterations_used: int  # always 0 (the solver is direct); the benchmark tracer reads it
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product: block (i, j) of the result is a[i, j] * b."""
-    m1, n1 = a.shape
-    m2, n2 = b.shape
-    out = a[:, None, :, None] * b[None, :, None, :]
-    return out.reshape(m1 * m2, n1 * n2)
+kron = np.kron  # block (i, j) of kron(a, b) is a[i, j] * b
 
 
 def _check_shape(w: np.ndarray, m1: int, n1: int, m2: int, n2: int) -> None:

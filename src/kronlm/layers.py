@@ -74,6 +74,23 @@ def decompose_linear(
 
 PLANNABLE_FACTORS = (2, 4)  # the target factors B dims of 1 or 2 can express
 
+# the schedule field that holds each linear role's factor shapes
+SHAPE_FIELDS = {"wq": "shape_qkv", "wk": "shape_qkv", "wv": "shape_qkv", "wo": "shape_wo",
+                "c_fc": "shape_cfc", "c_proj": "shape_cproj"}
+
+
+def check_blocks(indices, n_layers: int) -> None:
+    """Raises PlanningError naming the first block index outside range(n_layers)."""
+    for i in indices:
+        if not 0 <= i < n_layers:
+            raise PlanningError(f"layer index {i} out of range for {n_layers} blocks")
+
+
+def check_embedding_factor(f: int, d_model: int) -> None:
+    """Raises PlanningError unless f is a positive divisor of d_model."""
+    if f < 1 or d_model % f:
+        raise PlanningError(f"embedding factor {f} is not a positive divisor of d_model {d_model}")
+
 
 def plan_shapes(m: int, n: int, target_factor: int) -> tuple[int, int, int, int]:
     """Factor shapes (m1, n1, m2, n2) for compressing an m x n matrix.
@@ -161,14 +178,9 @@ class CompressionSchedule:
                 raise PlanningError(f"unknown layer selector {layers!r}")
         else:
             idx = tuple(sorted(set(layers)))
-            for i in idx:
-                if i < 0 or i >= n_layers:
-                    raise PlanningError(f"layer index {i} out of range for {n_layers} blocks")
-        if compress_embedding and (embedding_factor < 1 or d_model % embedding_factor != 0):
-            raise PlanningError(
-                f"embedding factor {embedding_factor} is not a positive divisor of "
-                f"d_model {d_model}"
-            )
+            check_blocks(idx, n_layers)
+        if compress_embedding:
+            check_embedding_factor(embedding_factor, d_model)
         return CompressionSchedule(
             layer_indices=idx,
             compress_embedding=compress_embedding,
@@ -178,27 +190,18 @@ class CompressionSchedule:
             shape_cfc=plan_shapes(d_ff, d_model, factor),
         )
 
-    def selects(self, layer_index: int) -> bool:
-        return layer_index in self.layer_indices
-
     def factor_shapes(self, layer) -> tuple[int, int, int, int] | None:
         """(m1, n1, m2, n2) the schedule factors a layer into, or None if it
         stays dense; ``layer`` is a ``kronlm.model.LayerSpec``."""
         if layer.kind == "embedding":
             return self.embedding_shapes(*layer.shape) if self.compress_embedding else None
-        if layer.kind != "linear" or not self.selects(layer.block):
+        if layer.kind != "linear" or layer.block not in self.layer_indices:
             return None
         if layer.role == "wo" and not self.include_wo:
             return None
-        return {
-            "wq": self.shape_qkv, "wk": self.shape_qkv, "wv": self.shape_qkv,
-            "wo": self.shape_wo, "c_fc": self.shape_cfc, "c_proj": self.shape_cproj,
-        }[layer.role]
+        return getattr(self, SHAPE_FIELDS[layer.role])
 
     def embedding_shapes(self, vocab: int, d_model: int) -> tuple[int, int, int, int]:
         f = self.embedding_factor
-        if f < 1 or d_model % f != 0:
-            raise PlanningError(
-                f"embedding factor {f} is not a positive divisor of d_model {d_model}"
-            )
+        check_embedding_factor(f, d_model)
         return (vocab, d_model // f, 1, f)

@@ -36,11 +36,13 @@ from .autodiff import Tape
 from .errors import KronlmError, PlanningError, ShapeError, TokenIdError, _check_int
 from .kronecker import KroneckerPair, nearest_kron
 from .layers import (
+    SHAPE_FIELDS,
     CompressionSchedule,
     DenseLinear,
     KroneckerEmbedding,
     KroneckerLinear,
     LayerNorm,
+    check_blocks,
     decompose_linear,  # unused here: the benchmark tracer patches model.decompose_linear
 )
 from .tensor_core import Rng
@@ -489,24 +491,27 @@ def _planned_factors(config: GPTConfig, schedule: CompressionSchedule | None) ->
     """(LayerSpec, factor shapes) for every layer of ``config``'s layout:
     the (m1, n1, m2, n2) ``schedule`` factors it into, or None.
 
-    Raises PlanningError naming a selected block index that ``config`` lacks,
-    and ShapeError naming a tensor whose factor shapes do not multiply to its
-    shape.
+    Raises PlanningError naming a selected block that ``config`` lacks or a
+    tensor with no four factor dimensions, and ShapeError naming a tensor
+    whose factor shapes do not multiply to its shape.
     """
     layout = param_layout(config)
     if schedule is None:
         return [(layer, None) for layer in layout]
-    for i in schedule.layer_indices:
-        if not 0 <= i < config.n_layers:
-            raise PlanningError(f"layer index {i} out of range for {config.n_layers} blocks")
-    planned = [(layer, schedule.factor_shapes(layer)) for layer in layout]
-    for layer, factors in planned:
-        if factors is None:
-            continue
-        m1, n1, m2, n2 = factors
-        if (m1 * m2, n1 * n2) != layer.shape:
-            raise ShapeError(f"{layer_tensors(layer)[0][0]}: factors ({m1}x{n1}, {m2}x{n2}) "
-                             f"multiply to ({m1 * m2}, {n1 * n2}), not its shape {layer.shape}")
+    check_blocks(schedule.layer_indices, config.n_layers)
+    planned = []
+    for layer in layout:  # in order: c_fc's shapes are checked before c_proj's transpose them
+        factors = schedule.factor_shapes(layer)
+        if factors is not None:
+            name = layer_tensors(layer)[0][0]
+            if len(factors) != 4:
+                raise PlanningError(f"{name}: the schedule's {SHAPE_FIELDS[layer.role]} is "
+                                    f"{factors!r}, not the factor shapes (m1, n1, m2, n2)")
+            m1, n1, m2, n2 = factors
+            if (m1 * m2, n1 * n2) != layer.shape:
+                raise ShapeError(f"{name}: factors ({m1}x{n1}, {m2}x{n2}) multiply to "
+                                 f"({m1 * m2}, {n1 * n2}), not its shape {layer.shape}")
+        planned.append((layer, factors))
     return planned
 
 

@@ -17,7 +17,6 @@ from kronlm.archive import archive_read, archive_write, load_model, save_model
 from kronlm.autodiff import Tape
 from kronlm.corpus import load_corpus
 from kronlm.distill import (
-    DistillWeights,
     TrainConfig,
     build_batch_loss,
     evaluate_lm,
@@ -179,7 +178,7 @@ def test_criterion_06_gradient_correctness():
     schedule = CompressionSchedule.for_dims(2, 8, 16, factor=2)
     student, _ = compress_model(teacher, schedule)
     batch = Rng(3).integers(0, 16, size=(2, 8)).astype(np.int64)
-    w = DistillWeights.pretrain()
+    w = weights_for_mode("lm+kd")
 
     def total_loss():
         tape = Tape()
@@ -257,7 +256,7 @@ def test_criterion_07_loss_definitions():
     student, _ = compress_model(
         teacher, CompressionSchedule.for_dims(2, 8, 16, factor=2)
     )
-    w = DistillWeights.pretrain()
+    w = weights_for_mode("lm+kd")
     assert (w.alpha1, w.alpha2, w.alpha3, w.alpha4) == (0.5, 0.5, 0.5, 0.1)
     opt = Adam(student.named_parameters(), lr=1e-3)
     batch = Rng(6).integers(0, 16, size=(2, 9)).astype(np.int64)

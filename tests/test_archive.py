@@ -195,6 +195,23 @@ def test_a_name_that_is_not_a_str_is_rejected_before_the_file_is_opened(tmp_path
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("case, error, message", [
+    ("long_name", ArchiveError, "tensor #1: name too long (65536 bytes, at most 65535)"),
+    ("stored_duplicate", DuplicateNameError, "duplicate tensor name 'w'"),
+    ("crc_cut", TruncationError, "archive truncated: 2 bytes left, CRC needs 4"),
+], ids=["long_name", "stored_duplicate", "crc_cut"])
+def test_archive_faults_are_rejected_by_name(tmp_path, case, error, message):
+    path = tmp_path / "f.knz"
+    if case == "long_name":
+        call = lambda: archive_write(path, [("ok", np.ones(2)), ("x" * 65536, np.ones(2))])
+    else:
+        data = _archive_bytes(("w", 2, (1,), bytes(8)), ("w", 2, (1,), bytes(8)))
+        path.write_bytes(data if case == "stored_duplicate" else _archive_bytes()[:-2])
+        call = lambda: archive_read(path)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
 def test_a_stored_name_that_is_not_utf8_is_rejected_by_index(tmp_path):
     path = tmp_path / "n.knz"
     path.write_bytes(_archive_bytes(("ok", 2, (1,), bytes(8)), (b"w\xff", 2, (1,), bytes(8))))

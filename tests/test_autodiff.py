@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -268,6 +270,28 @@ def test_attn_kl_rejects_a_node_masked_softmax_did_not_return():
     scores = tape.leaf(rng.normal(2, 16).reshape(2, 4, 4), "p0")
     with pytest.raises(KronlmError, match="is not a node that masked_softmax returned"):
         tape.attn_kl(scores, teacher_probs)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda tape, leaf: tape.add(leaf(2, 3), leaf(3, 2)), ShapeError,
+     "add shape mismatch: (2, 3) vs (3, 2)"),
+    (lambda tape, leaf: tape.add_n([]), ValueError, "add_n needs at least one node"),
+    (lambda tape, leaf: tape.kron_embed(leaf(5, 2), leaf(2, 2), np.array([0, 1])), ShapeError,
+     "kron_embed: b_e must be 1 x f, got (2, 2)"),
+    (lambda tape, leaf: tape.attn_scores(leaf(8, 4), leaf(8, 6), 2, 4), ShapeError,
+     "attn_scores: q (8, 4), k (8, 6) are not B sequences of 4 queries and at least 4 keys each"),
+    (lambda tape, leaf: tape.mse(leaf(2, 3), np.zeros((3, 2))), ShapeError,
+     "mse shape mismatch: (2, 3) vs (3, 2)"),
+    (lambda tape, leaf: tape.attn_kl(tape.masked_softmax(leaf(2, 4, 4)), np.full((2, 4, 3), 1 / 3)),
+     ShapeError, "attn_kl shape mismatch: (2, 4, 3) vs (2, 4, 4)"),
+    (lambda tape, leaf: tape.cross_entropy(leaf(4, 5), np.zeros((4, 1), dtype=np.int64)),
+     ShapeError, "cross_entropy: targets shape (4, 1) != (4,)"),
+], ids=["add", "add_n", "kron_embed", "attn_scores", "mse", "attn_kl", "cross_entropy"])
+def test_tape_ops_reject_mismatched_operands_by_name(call, error, message):
+    rng, tape = Rng(4), Tape()
+    leaf = lambda *shape: tape.leaf(rng.normal(*shape), "x")  # a fresh random leaf
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(tape, leaf)
 
 
 def test_fanout_accumulates_additively():

@@ -157,6 +157,37 @@ def test_compress_names_layers_when_a_block_index_is_out_of_range(tmp_path, caps
     assert not out.exists()
 
 
+def _compress_exit(tmp_path, teacher_ckpt, *flags):
+    """Exit code of ``compress`` with extra flags: argparse's 2 or the command's."""
+    try:
+        return run_cli("compress", "--input", teacher_ckpt, "--output", tmp_path / "x.knz",
+                       *flags)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("flag, value, code, message", [
+    ("--factor", "٢", 2, "argument --factor: expected an integer >= 0, got '٢'"),
+    ("--factor", "2_0", 2, "argument --factor: expected an integer >= 0, got '2_0'"),
+    ("--embedding-factor", "٢", 2, "argument --embedding-factor: expected an integer >= 0, got '٢'"),
+    ("--layers", "0_1", 1, "bad --layers value '0_1': expected an integer >= 0, got '0_1'"),
+    ("--layers", "٣", 1, "bad --layers value '٣': expected an integer >= 0, got '٣'"),
+    ("--layers", "a,b", 1, "bad --layers value 'a,b': expected an integer >= 0, got 'a'"),
+    ("--embedding", "maybe", 2, "argument --embedding: expected on|off, got 'maybe'"),
+], ids=["factor_indic", "factor_underscore", "embedding_factor_indic", "layers_underscore",
+        "layers_indic", "layers_letters", "embedding"])
+def test_compress_rejects_a_malformed_flag_by_name(tmp_path, teacher_ckpt, capsys,
+                                                   flag, value, code, message):
+    assert _compress_exit(tmp_path, teacher_ckpt, flag, value) == code
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x.knz").exists()
+
+
+def test_compress_layer_entries_may_be_spaced(tmp_path, teacher_ckpt):
+    assert _compress_exit(tmp_path, teacher_ckpt, "--layers", " 1, 0 ,") == 0
+    assert isinstance(load_model(tmp_path / "x.knz").blocks[0].wq, KroneckerLinear)
+
+
 def test_eval_rejects_a_checkpoint_whose_meta_holds_inf(tmp_path, teacher_ckpt, corpus_file,
                                                        capsys):
     tensors = archive_read(teacher_ckpt)
@@ -524,8 +555,10 @@ def test_bench_rejects_bad_shape(capsys):
     ("12,12,6,12,2,1,1", "12,12,6,12,2,1,1"),  # seven values
     ("12,12,6,12,2,1;0,0,0,0,0,0", "0,0,0,0,0,0"),  # a zero product
     ("12,12,-6,12,-2,1", "12,12,-6,12,-2,1"),  # negative factors
+    ("1_2,12,6,12,2,1", "1_2,12,6,12,2,1"),  # int() would read 12
+    ("١٢,12,6,12,2,1", "١٢,12,6,12,2,1"),  # so would it these digits
 ], ids=["non_integer", "trailing_semicolon", "five_values", "seven_values", "zero_dims",
-        "negative_dims"])
+        "negative_dims", "underscore", "indic_digits"])
 def test_bench_rejects_malformed_shapes_naming_the_flag(capsys, value, chunk):
     with pytest.raises(SystemExit) as exit_info:
         run_cli("bench", "--shapes", value, "--rows", 2, "--repeats", 1)

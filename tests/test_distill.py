@@ -146,7 +146,7 @@ def test_loss_hidden_formula_oracle():
 
 def cross_entropy(logits, ids):
     student = offset(random_trace(Rng(0), t=len(logits)), logits=logits)
-    return trace_losses(student, None, ids, DistillWeights.lm_only())["L_ce"]
+    return trace_losses(student, None, ids, weights_for_mode("lm"))["L_ce"]
 
 
 def test_loss_cross_entropy_cases():
@@ -179,7 +179,7 @@ def test_loss_total_degenerate_weights():
 def test_loss_total_pretrain_weights_hand_combination():
     student, (tt, _) = random_trace(Rng(16)), random_trace(Rng(17))
     ids = np.array([2, 2, 1, 0])
-    w = DistillWeights.pretrain()
+    w = weights_for_mode("lm+kd")
     assert (w.alpha1, w.alpha2, w.alpha3, w.alpha4) == (0.5, 0.5, 0.5, 0.1)
     total = trace_losses(student, tt, ids, w)["L_total"]
     c = trace_losses(student, tt, ids)  # each component at weight 1
@@ -225,7 +225,7 @@ def test_weights_for_mode():
     assert weights_for_mode("lm") == DistillWeights(0, 0, 0, 1.0)
     kd = weights_for_mode("kd")
     assert kd.alpha4 == 0.0 and kd.alpha1 == 0.5
-    assert weights_for_mode("lm+kd") == DistillWeights.pretrain()
+    assert weights_for_mode("lm+kd") == DistillWeights(0.5, 0.5, 0.5, 0.1)
     with pytest.raises(ValueError):
         weights_for_mode("bogus")
 
@@ -238,7 +238,7 @@ def test_train_step_zero_lr_leaves_student_unchanged(small_teacher, small_studen
     batch = make_batch(Rng(0), small_student.config.vocab_size, 2, 6)
     opt = Adam(small_student.named_parameters(), lr=0.0)
     before = small_student.state_hash()
-    train_step(small_student, small_teacher, batch, DistillWeights.pretrain(), opt)
+    train_step(small_student, small_teacher, batch, weights_for_mode("lm+kd"), opt)
     assert small_student.state_hash() == before
 
 
@@ -246,7 +246,7 @@ def test_train_step_descends_on_repeated_batch(small_teacher, small_student):
     batch = make_batch(Rng(1), small_student.config.vocab_size, 2, 6)
     opt = Adam(small_student.named_parameters(), lr=1e-3)
     losses = [
-        train_step(small_student, small_teacher, batch, DistillWeights.pretrain(), opt,
+        train_step(small_student, small_teacher, batch, weights_for_mode("lm+kd"), opt,
                    step_index=i).L_total
         for i in range(50)
     ]
@@ -259,14 +259,14 @@ def test_teacher_frozen_across_steps(small_teacher, small_student):
     opt = Adam(small_student.named_parameters(), lr=1e-3)
     h0 = small_teacher.state_hash()
     for i in range(10):
-        train_step(small_student, small_teacher, batch, DistillWeights.pretrain(), opt, step_index=i)
+        train_step(small_student, small_teacher, batch, weights_for_mode("lm+kd"), opt, step_index=i)
     assert small_teacher.state_hash() == h0
 
 
 def test_step_metrics_linear_combination_identity(small_teacher, small_student):
     batch = make_batch(Rng(3), small_student.config.vocab_size, 2, 6)
     opt = Adam(small_student.named_parameters(), lr=1e-4)
-    w = DistillWeights.pretrain()
+    w = weights_for_mode("lm+kd")
     for i in range(5):
         m = train_step(small_student, small_teacher, batch, w, opt, step_index=i)
         combo = w.alpha1 * m.L_emb + w.alpha2 * m.L_att + w.alpha3 * m.L_hid + w.alpha4 * m.L_ce
@@ -276,7 +276,7 @@ def test_step_metrics_linear_combination_identity(small_teacher, small_student):
 def test_train_step_lm_mode_needs_no_teacher(small_student):
     batch = make_batch(Rng(4), small_student.config.vocab_size, 2, 6)
     opt = Adam(small_student.named_parameters(), lr=1e-3)
-    m = train_step(small_student, None, batch, DistillWeights.lm_only(), opt)
+    m = train_step(small_student, None, batch, weights_for_mode("lm"), opt)
     assert m.L_emb == 0.0 and m.L_att == 0.0 and m.L_hid == 0.0
     assert m.L_ce > 0
 
@@ -293,7 +293,7 @@ def test_train_step_takes_whole_number_float_ids_as_their_ints(small_student):
     runs = []
     for batch in (ids, ids.astype(np.float64)):
         s = small_student.copy()
-        m = train_step(s, None, batch, DistillWeights.lm_only(), Adam(s.named_parameters(), 1e-3))
+        m = train_step(s, None, batch, weights_for_mode("lm"), Adam(s.named_parameters(), 1e-3))
         runs.append((m.L_total, m.grad_norm, s.state_hash()))
     assert runs[0] == runs[1]
 
@@ -301,7 +301,7 @@ def test_train_step_takes_whole_number_float_ids_as_their_ints(small_student):
 def test_train_step_names_a_target_id_that_is_not_whole(small_student):
     opt = Adam(small_student.named_parameters(), lr=1e-3)
     with pytest.raises(TokenIdError, match=r"token id 4\.5 is not a whole number"):
-        train_step(small_student, None, np.array([[1, 2, 3, 4.5]]), DistillWeights.lm_only(), opt)
+        train_step(small_student, None, np.array([[1, 2, 3, 4.5]]), weights_for_mode("lm"), opt)
 
 
 def test_non_finite_loss_names_component(small_teacher, small_student):
@@ -310,7 +310,7 @@ def test_non_finite_loss_names_component(small_teacher, small_student):
     batch = make_batch(Rng(6), student.config.vocab_size, 1, 4)
     opt = Adam(student.named_parameters(), lr=1e-3)
     with pytest.raises(NonFiniteLossError, match="L_"):
-        train_step(student, small_teacher, batch, DistillWeights.pretrain(), opt)
+        train_step(student, small_teacher, batch, weights_for_mode("lm+kd"), opt)
 
 
 def test_clip_global_norm_scales_and_rejects_non_finite():
@@ -338,7 +338,7 @@ def test_non_finite_gradient_never_reaches_adam(monkeypatch, small_teacher, smal
     opt = Adam(small_student.named_parameters(), lr=1e-3)
     before = small_student.state_hash()
     with pytest.raises(NonFiniteLossError, match="gradient norm"):
-        train_step(small_student, small_teacher, batch, DistillWeights.pretrain(), opt)
+        train_step(small_student, small_teacher, batch, weights_for_mode("lm+kd"), opt)
     assert small_student.state_hash() == before
     assert opt.t == 0
     assert all(not m.any() for m in opt.m.values())
@@ -356,7 +356,7 @@ def loss_and_grads(student, teacher, batch, w):
 
 def test_batched_graph_equals_mean_of_single_sequence_graphs(small_teacher, small_student):
     batch = make_batch(Rng(14), small_student.config.vocab_size, 3, 6)
-    w = DistillWeights.pretrain()
+    w = weights_for_mode("lm+kd")
     values, grads = loss_and_grads(small_student, small_teacher, batch, w)
     rows = [loss_and_grads(small_student, small_teacher, batch[b : b + 1], w) for b in range(3)]
     for name, value in values.items():
@@ -385,7 +385,7 @@ def test_lm_kd_train_step_builds_one_student_and_one_teacher_tape(monkeypatch, s
     monkeypatch.setattr(Tape, "__init__", counting_init)
     batch = make_batch(Rng(15), small_student.config.vocab_size, 4, 6)
     opt = Adam(small_student.named_parameters(), lr=1e-3)
-    train_step(small_student, small_teacher, batch, DistillWeights.pretrain(), opt)
+    train_step(small_student, small_teacher, batch, weights_for_mode("lm+kd"), opt)
     assert len(tapes) == 2
 
 
@@ -412,7 +412,7 @@ def test_train_step_takes_each_attention_softmax_once(monkeypatch, mode, calls):
 
 def test_step_metrics_report_the_gradient_norm_before_clipping(small_teacher, small_student):
     batch = make_batch(Rng(16), small_student.config.vocab_size, 2, 6)
-    w = DistillWeights.lm_only()
+    w = weights_for_mode("lm")
     _, grads = loss_and_grads(small_student, small_teacher, batch, w)
     norm = float(np.sqrt(sum(np.sum(g * g) for g in grads.values())))
     assert norm > distill.CLIP_NORM  # so the step clips
@@ -424,7 +424,7 @@ def test_step_metrics_report_the_gradient_norm_before_clipping(small_teacher, sm
 def test_train_step_rejects_a_1d_batch(small_teacher, small_student):
     opt = Adam(small_student.named_parameters(), lr=1e-3)
     with pytest.raises(ShapeError, match=r"\(7,\)"):
-        train_step(small_student, small_teacher, np.arange(7) % 16, DistillWeights.pretrain(), opt)
+        train_step(small_student, small_teacher, np.arange(7) % 16, weights_for_mode("lm+kd"), opt)
     assert opt.t == 0
 
 
@@ -440,7 +440,7 @@ def test_train_step_trace_losses_require_a_teacher(monkeypatch, small_student):
     batch = make_batch(Rng(18), small_student.config.vocab_size, 2, 6)
     opt = Adam(small_student.named_parameters(), lr=1e-3)
     with pytest.raises(ValueError, match="trace losses require a teacher model"):
-        train_step(small_student, None, batch, DistillWeights.pretrain(), opt)
+        train_step(small_student, None, batch, weights_for_mode("lm+kd"), opt)
     assert tapes == [] and opt.t == 0
 
 
@@ -469,7 +469,7 @@ def test_run_phase_metrics_file(tmp_path, small_student):
     tokens = Rng(8).integers(0, 16, size=4000).astype(np.int64)
     cfg = TrainConfig(batch_size=2, learning_rate=1e-3, steps=5, seed=9, seq_len=8)
     path = tmp_path / "metrics.jsonl"
-    hist = run_phase(small_student.copy(), None, tokens, cfg, DistillWeights.lm_only(),
+    hist = run_phase(small_student.copy(), None, tokens, cfg, weights_for_mode("lm"),
                      metrics_path=path)
     assert len(hist) == 5
     lines = path.read_text().strip().splitlines()
@@ -485,7 +485,7 @@ def test_run_phase_deterministic_metrics(small_teacher, small_student):
 
     def run():
         s = small_student.copy()
-        hist = run_phase(s, small_teacher, tokens, cfg, DistillWeights.pretrain())
+        hist = run_phase(s, small_teacher, tokens, cfg, weights_for_mode("lm+kd"))
         return [(m.L_emb, m.L_att, m.L_hid, m.L_ce, m.L_total) for m in hist], s.state_hash()
 
     r1, r2 = run(), run()
@@ -498,7 +498,7 @@ def test_run_phase_default_steps_are_one_pass_over_the_tokens(small_student, n_t
     tokens = np.arange(n_tokens) % 16
     cfg = TrainConfig(batch_size=2, learning_rate=1e-3, seed=0, seq_len=8)
     assert cfg.steps is None
-    hist = run_phase(small_student.copy(), None, tokens, cfg, DistillWeights.lm_only())
+    hist = run_phase(small_student.copy(), None, tokens, cfg, weights_for_mode("lm"))
     assert [m.step for m in hist] == list(range(steps))
 
 

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -350,6 +351,15 @@ def test_kron_matmul_shape_error():
     pair = KroneckerPair(np.eye(2), np.eye(3))
     with pytest.raises(ShapeError):
         kron_matmul(pair, np.zeros((2, 5)))
+
+
+@pytest.mark.parametrize("upstream, message", [
+    (np.zeros((2, 5)), "kron_matmul_grads: upstream shape (2, 5) != (2, 4)"),
+    (np.zeros((3, 4)), "kron_matmul_grads: upstream shape (3, 4) != (2, 4)"),
+], ids=["columns", "rows"])
+def test_kron_matmul_grads_rejects_an_upstream_of_another_shape(upstream, message):
+    with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+        kron_matmul_grads(KroneckerPair(np.eye(2), np.eye(2, 3)), np.zeros((2, 6)), upstream)
 
 
 # One B of each shape class, and both multiplication orders: 2x1 takes A

@@ -251,6 +251,21 @@ def test_schedule_for_dims_takes_ints_only(args, kwargs, message):
         CompressionSchedule.for_dims(*args, **kwargs)
 
 
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: DenseLinear(np.zeros((4, 3)), np.zeros(3)), ShapeError,
+     "bias length (3,) != weight rows 4"),
+    (lambda: KroneckerLinear(KroneckerPair(np.zeros((2, 3)), np.zeros((2, 1))), np.zeros(2)),
+     ShapeError, "bias length (2,) != product rows 4"),
+    (lambda: KroneckerEmbedding(np.zeros((5, 2)), np.zeros((2, 2))), ShapeError,
+     "b_e must be 1 x f, got (2, 2)"),
+    (lambda: CompressionSchedule((), embedding_factor=3).embedding_shapes(16, 8), PlanningError,
+     "embedding factor 3 is not a positive divisor of d_model 8"),
+], ids=["dense_bias", "kron_bias", "embedding_b_e", "embedding_divisor"])
+def test_layer_arguments_are_rejected_by_operand(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()
+
+
 def _check_factor_shapes(shapes, m, n):
     m1, n1, m2, n2 = shapes
     assert m1 * m2 == m and n1 * n2 == n, (shapes, m, n)

@@ -31,7 +31,7 @@ def exactly_factorable_teacher(config, schedule, seed=0):
         "wo": schedule.shape_wo, "c_fc": schedule.shape_cfc, "c_proj": schedule.shape_cproj,
     }
     for i, block in enumerate(model.blocks):
-        if not schedule.selects(i):
+        if i not in schedule.layer_indices:
             continue
         for role in ("wq", "wk", "wv", "wo", "c_fc", "c_proj"):
             m1, n1, m2, n2 = shape_for[role]
@@ -48,6 +48,11 @@ def test_config_fields_below_their_minimum_are_rejected_by_name(field, low):
     GPTConfig(**{"n_heads": 1, field: low})  # the minimum itself is a valid config
     with pytest.raises(ValueError, match=rf"^{field} must be >= {low}, got {low - 1}$"):
         GPTConfig(**{"n_heads": 1, field: low - 1})
+
+
+def test_config_rejects_d_model_not_divisible_by_n_heads():
+    with pytest.raises(ShapeError, match=r"^d_model 10 not divisible by n_heads 3$"):
+        GPTConfig(d_model=10, n_heads=3)
 
 
 @pytest.mark.parametrize("build, name, value", [
@@ -174,6 +179,25 @@ def test_a_schedule_that_does_not_fit_the_layout_is_rejected(small_teacher, smal
     for call in (count_config_params, lambda cfg, s: compress_model(small_teacher, s)):
         with pytest.raises(PlanningError, match=r"^layer index 5 out of range for 2 blocks$"):
             call(small_config, past_the_end)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({}, r"^block1\.wq\.weight: the schedule's shape_qkv is \(\), not the factor shapes"),
+    ({"shape_qkv": (4, 8, 2, 1)},
+     r"^block1\.c_fc\.weight: the schedule's shape_cfc is \(\), not the factor shapes"),
+    ({"shape_qkv": (4, 8, 2, 1), "shape_cfc": (8, 8, 2)},
+     r"^block1\.c_fc\.weight: the schedule's shape_cfc is \(8, 8, 2\), not the factor"),
+], ids=["no_shape_qkv", "no_shape_cfc", "short_shape_cfc"])
+def test_a_schedule_without_factor_shapes_is_rejected_by_tensor_and_field(
+        small_teacher, small_config, fields, message):
+    schedule = CompressionSchedule(layer_indices=(1,), **fields)
+    with pytest.raises(PlanningError, match=message):
+        count_config_params(small_config, schedule)
+    with pytest.raises(PlanningError, match=message):
+        compress_model(small_teacher, schedule)
+    # a schedule that selects no block needs no linear factor shapes
+    assert count_config_params(small_config, CompressionSchedule(layer_indices=())) < (
+        count_config_params(small_config))
 
 
 def test_compress_model_odd_layer_selection():
