@@ -37,9 +37,6 @@ from .errors import KronlmError, ShapeError, TokenIdError
 from .kronecker import KroneckerPair, _spread, kron_matmul, kron_matmul_grads
 from .tensor_core import GELU_CUBIC_COEFF, GELU_SQRT_2_OVER_PI, causal_mask
 
-# GradStore: map from leaf parameter name -> gradient array of identical shape
-GradStore = dict
-
 
 def _softmax(z: np.ndarray, causal: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """(p, log p) of the row softmax over the last axis, from one exp pass.
@@ -344,7 +341,7 @@ class Tape:
         return self._op(value, probs._parents, lambda up: (up * (q - p) / n_rows,))
 
 
-def backward(tape: Tape, loss: Node) -> GradStore:
+def backward(tape: Tape, loss: Node) -> dict:
     """Gradients of a scalar loss wrt every named leaf on the tape.
 
     Visits the tape strictly in reverse creation order; fan-out contributions
@@ -367,7 +364,7 @@ def backward(tape: Tape, loss: Node) -> GradStore:
         for parent, g in zip(node._parents, grads):
             if parent.requires_grad:  # a constant's gradient is dropped here
                 parent.grad = g if parent.grad is None else parent.grad + g
-    store: GradStore = {}
+    store = {}
     for node in tape.nodes:
         if not node._parents and node.name is not None:
             if node.grad is None:

@@ -172,8 +172,9 @@ class Adam:
             p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
-def clip_global_norm(grads: dict, max_norm: float) -> float:
-    """Scale all gradients so their joint L2 norm is at most max_norm.
+def clip_global_norm(grads: dict) -> float:
+    """Scale all gradients so their joint L2 norm is at most CLIP_NORM;
+    returns the norm before clipping.
 
     Raises NonFiniteLossError, leaving every gradient as it was, when the norm
     is NaN or infinite: no such step may reach the optimizer.
@@ -181,8 +182,8 @@ def clip_global_norm(grads: dict, max_norm: float) -> float:
     total = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
     if not np.isfinite(total):
         raise NonFiniteLossError(f"non-finite gradient norm: {total}")
-    if total > max_norm > 0:
-        factor = max_norm / total
+    if total > CLIP_NORM:
+        factor = CLIP_NORM / total
         for g in grads.values():
             g *= factor
     return total
@@ -221,7 +222,7 @@ def train_step(
     total, values = build_batch_loss(tape, nodes, trace, batch[:, 1:].reshape(-1), w)
     del trace  # the loss nodes hold what backward needs; free the rest before it runs
     grads = backward(tape, total)
-    grad_norm = clip_global_norm(grads, CLIP_NORM)
+    grad_norm = clip_global_norm(grads)
     optimizer.step(grads)
     return StepMetrics(step=step_index, **values, L_total=float(total.value),
                        grad_norm=grad_norm, wall_ms=(time.perf_counter() - t0) * 1e3)

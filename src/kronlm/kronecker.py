@@ -21,7 +21,8 @@ most k x k) of a QR of R, then the SVD of T, which has R's singular values
 and right singular vectors; the left vector is R v0 / s0. T comes from a
 TSQR (Demmel, Grigori, Hoemmen & Langou 2012): R is cut into slabs of whole
 rows of A, each at most SLAB_BYTES, each slab is QR'd on its own, and the
-stacked slab triangles are QR'd once more. R is never formed whole: each
+stacked slab triangles are QR'd once more, one slab or many: a second QR of
+one triangle returns it unchanged. R is never formed whole: each
 slab is rearranged from its rows of W when it is needed, once for T and once
 for R v0, and numpy's copies of it stay in cache. This is as exact as a
 thin SVD of R, with Householder stability, and no array the size of W is
@@ -107,8 +108,8 @@ def nearest_kron(
     ``step`` whole rows of A (at most SLAB_BYTES): the triangles of the
     slabs' QRs are stacked and QR'd once more, and a second pass over the
     slabs forms R v0. R is never formed whole, nor is R's U, as tall as R.
-    When R fits in one slab, T is that slab's triangle. sigma is split evenly
-    (sqrt(sigma) into each factor) so the factors have balanced magnitudes.
+    sigma is split evenly (sqrt(sigma) into each factor) so the factors have
+    balanced magnitudes.
     The sign is fixed so the largest-magnitude entry of vec(A) (the first,
     on a tie) is positive, and the residual is read off the remaining
     singular values of T.
@@ -130,7 +131,7 @@ def nearest_kron(
         return rearrange(w[i * m2 : j * m2], j - i, n1, m2, n2)
 
     tris = [np.linalg.qr(slab(i, j), mode="r") for i, j in bounds]
-    t = tris[0] if len(tris) == 1 else np.linalg.qr(np.vstack(tris), mode="r")
+    t = np.linalg.qr(np.vstack(tris), mode="r")
     _, s, vt = np.linalg.svd(t)
     scale = np.sqrt(s[0])
     # a = sqrt(s0) u0 = R v0 / sqrt(s0), slab by slab; s0 is 0 only if w is

@@ -134,6 +134,20 @@ class CompressionSchedule:
     shape_qkv: tuple[int, int, int, int] = ()
     shape_cfc: tuple[int, int, int, int] = ()
 
+    def __post_init__(self):
+        """Types only, each rejected by name with ValueError; ranges and
+        lengths are checked where the schedule meets a config."""
+        for name in ("layer_indices", "shape_qkv", "shape_cfc"):
+            value = getattr(self, name)
+            if not isinstance(value, tuple):
+                raise ValueError(f"{name} must be a tuple of ints, got {value!r}")
+            for j, i in enumerate(value):
+                _check_int(f"{name}[{j}]", i)
+        _check_int("embedding_factor", self.embedding_factor)
+        for name in ("compress_embedding", "include_wo"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
+
     @property
     def shape_wo(self) -> tuple[int, int, int, int]:
         """wo is square like q/k/v and takes their factor shapes."""

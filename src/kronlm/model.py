@@ -10,10 +10,12 @@ same config produce identically-shaped traces, so teacher/student
 differences can be taken directly without projections. ``forward_tape``
 returns the trace as tape nodes, ``forward`` as arrays.
 
-The forward and ``compress_model`` read the named tensor map of
-``named_parameters``: a layer whose ``a``/``b`` pair is stored is factored.
-The layer objects are read only through ``_arrays`` and built only by
-``_make_layer``.
+``param_layout`` is the one list of the model's parts, and the model sets
+each layer under its role: on the model, or on ``blocks[i]``, a namespace,
+for block i. The forward and ``compress_model`` read the named tensor map
+of ``named_parameters``: a layer whose ``a``/``b`` pair is stored is
+factored. The layer objects are read only through ``_arrays`` and built
+only by ``_make_layer``.
 
 A trace also keeps each block's attention keys and values. Passed back as
 ``forward_tape(..., past=trace)``, it makes the forward incremental: the new
@@ -28,6 +30,7 @@ import functools
 import hashlib
 import math
 from dataclasses import dataclass, field, fields
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -50,7 +53,7 @@ from .tensor_core import Rng
 INIT_STD = 0.02
 
 
-@dataclass
+@dataclass(frozen=True)
 class GPTConfig:
     n_layers: int = 4
     n_heads: int = 4
@@ -62,7 +65,7 @@ class GPTConfig:
 
     def __post_init__(self):
         if self.d_ff is None:
-            self.d_ff = 4 * self.d_model
+            object.__setattr__(self, "d_ff", 4 * self.d_model)
         for f in fields(self):
             _check_int(f.name, getattr(self, f.name), 0 if f.name in ("n_layers", "seed") else 1)
         if self.d_model % self.n_heads != 0:
@@ -106,18 +109,6 @@ class ForwardTrace:
         )
 
 
-@dataclass
-class Block:
-    ln1: LayerNorm
-    wq: DenseLinear | KroneckerLinear
-    wk: DenseLinear | KroneckerLinear
-    wv: DenseLinear | KroneckerLinear
-    wo: DenseLinear | KroneckerLinear
-    ln2: LayerNorm
-    c_fc: DenseLinear | KroneckerLinear
-    c_proj: DenseLinear | KroneckerLinear
-
-
 # ---- parameter layout ------------------------------------------------------
 
 
@@ -134,18 +125,14 @@ class LayerSpec(NamedTuple):
         return self.role if self.block is None else f"block{self.block}.{self.role}"
 
 
+@functools.lru_cache(maxsize=64)
 def param_layout(config: GPTConfig) -> tuple:
     """Every parameter-holding layer of a model, in named_parameters order.
 
     This is the single definition of the tensor naming scheme;
     ``layer_tensors`` spells out the tensors of each layer.
     """
-    return _layout(config.n_layers, config.d_model, config.d_ff, config.vocab_size,
-                   config.max_seq_len)
-
-
-@functools.lru_cache(maxsize=64)
-def _layout(n_layers: int, d: int, dff: int, v: int, max_seq_len: int) -> tuple:
+    d, dff, v = config.d_model, config.d_ff, config.vocab_size
     block = [
         ("ln1", "norm", (d,)),
         ("wq", "linear", (d, d)), ("wk", "linear", (d, d)),
@@ -155,8 +142,8 @@ def _layout(n_layers: int, d: int, dff: int, v: int, max_seq_len: int) -> tuple:
     ]
     return tuple(
         [LayerSpec(None, "tok_emb", "embedding", (v, d)),
-         LayerSpec(None, "pos_emb", "table", (max_seq_len, d))]
-        + [LayerSpec(i, *entry) for i in range(n_layers) for entry in block]
+         LayerSpec(None, "pos_emb", "table", (config.max_seq_len, d))]
+        + [LayerSpec(i, *entry) for i in range(config.n_layers) for entry in block]
         + [LayerSpec(None, "ln_f", "norm", (d,)), LayerSpec(None, "lm_head", "head", (v, d))]
     )
 
@@ -240,13 +227,13 @@ def _make_layer(kind: str, arrays: list, factored: bool):
 
 
 class TinyGPTModel:
-    def __init__(self, config: GPTConfig, tok_emb, pos_emb, blocks, ln_f, lm_head):
+    def __init__(self, config: GPTConfig, layers: dict):
+        """Model over ``{LayerSpec: layer object}`` for param_layout(config):
+        each layer is set under its role on the model or on its block."""
         self.config = config
-        self.tok_emb = tok_emb  # (v, d) ndarray or KroneckerEmbedding
-        self.pos_emb = pos_emb  # (max_seq_len, d)
-        self.blocks = blocks
-        self.ln_f = ln_f
-        self.lm_head = lm_head  # DenseLinear, never factored
+        self.blocks = [SimpleNamespace() for _ in range(config.n_layers)]
+        for layer, obj in layers.items():
+            setattr(self if layer.block is None else self.blocks[layer.block], layer.role, obj)
 
     # ---- construction ----------------------------------------------------
 
@@ -285,12 +272,7 @@ class TinyGPTModel:
             if name not in names:
                 raise ShapeError(f"tensors include an unexpected tensor {name!r} "
                                  f"of shape {arr.shape}")
-        blocks = [
-            Block(**{layer.role: obj for layer, obj in made.items() if layer.block == i})
-            for i in range(config.n_layers)
-        ]
-        top = {layer.role: obj for layer, obj in made.items() if layer.block is None}
-        return cls(config, blocks=blocks, **top)
+        return cls(config, made)
 
     @classmethod
     def init_random(cls, config: GPTConfig) -> "TinyGPTModel":

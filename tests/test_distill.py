@@ -315,12 +315,12 @@ def test_non_finite_loss_names_component(small_teacher, small_student):
 
 def test_clip_global_norm_scales_and_rejects_non_finite():
     grads = {"a": np.array([3.0, 0.0]), "b": np.array([[4.0]])}
-    assert clip_global_norm(grads, 1.0) == 5.0
+    assert clip_global_norm(grads) == 5.0
     assert np.allclose(grads["a"], [0.6, 0.0]) and np.allclose(grads["b"], [[0.8]])
     for bad in (np.inf, -np.inf, np.nan):
         grads = {"a": np.array([bad, 3.0]), "b": np.array([[4.0]])}
         with pytest.raises(NonFiniteLossError, match="gradient norm"):
-            clip_global_norm(grads, 1.0)
+            clip_global_norm(grads)
         assert grads["a"][1] == 3.0 and grads["b"][0, 0] == 4.0
 
 

@@ -251,6 +251,33 @@ def test_schedule_for_dims_takes_ints_only(args, kwargs, message):
         CompressionSchedule.for_dims(*args, **kwargs)
 
 
+QKV, CFC = (4, 8, 2, 1), (16, 8, 2, 1)  # the factor-2 shapes of d_model 8, d_ff 32
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: CompressionSchedule((1,), shape_qkv=(4.0, 8, 2, 1), shape_cfc=CFC),
+     "shape_qkv[0] must be an int, got 4.0"),
+    (lambda: CompressionSchedule((1,), embedding_factor=2.0, shape_qkv=QKV, shape_cfc=CFC),
+     "embedding_factor must be an int, got 2.0"),
+    (lambda: CompressionSchedule((1,), shape_qkv=(True, 8, 8, 1), shape_cfc=CFC),
+     "shape_qkv[0] must be an int, got True"),
+    (lambda: CompressionSchedule((1.0,), shape_qkv=QKV, shape_cfc=CFC),
+     "layer_indices[0] must be an int, got 1.0"),
+    (lambda: CompressionSchedule((True,), shape_qkv=QKV, shape_cfc=CFC),
+     "layer_indices[0] must be an int, got True"),
+    (lambda: CompressionSchedule.for_dims(2, 8, 32, include_wo="off"),
+     "include_wo must be a bool, got 'off'"),
+    (lambda: CompressionSchedule.for_dims(2, 8, 32, compress_embedding="no"),
+     "compress_embedding must be a bool, got 'no'"),
+    (lambda: CompressionSchedule((1,), shape_qkv=[4, 8, 2, 1], shape_cfc=CFC),
+     "shape_qkv must be a tuple of ints, got [4, 8, 2, 1]"),
+], ids=["float_shape", "float_embedding_factor", "bool_shape", "float_index", "bool_index",
+        "str_include_wo", "str_compress_embedding", "list_shape"])
+def test_schedule_fields_are_type_checked_by_name(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
 @pytest.mark.parametrize("build, error, message", [
     (lambda: DenseLinear(np.zeros((4, 3)), np.zeros(3)), ShapeError,
      "bias length (3,) != weight rows 4"),

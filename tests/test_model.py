@@ -1,5 +1,5 @@
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from kronlm.model import (
     TinyGPTModel,
     compress_model,
     count_config_params,
+    param_layout,
 )
 from kronlm.tensor_core import Rng
 
@@ -198,6 +199,30 @@ def test_a_schedule_without_factor_shapes_is_rejected_by_tensor_and_field(
     # a schedule that selects no block needs no linear factor shapes
     assert count_config_params(small_config, CompressionSchedule(layer_indices=())) < (
         count_config_params(small_config))
+
+
+def test_a_rejected_float_schedule_leaves_the_int_count_an_int():
+    cfg = GPTConfig(n_layers=2, n_heads=2, d_model=8, d_ff=32, vocab_size=16, max_seq_len=8)
+    schedule = CompressionSchedule(layer_indices=(1,), shape_qkv=(4, 8, 2, 1),
+                                   shape_cfc=(16, 8, 2, 1))
+    with pytest.raises(ValueError, match=r"^embedding_factor must be an int, got 2\.0$"):
+        replace(schedule, embedding_factor=2.0)
+    count = count_config_params(cfg, schedule)
+    assert type(count) is int and count == 1646
+
+
+@pytest.mark.parametrize("kind", ["init_random", "compressed"])
+def test_the_layout_places_each_layer_and_is_cached_on_the_frozen_config(
+        small_teacher, small_student, kind):
+    model = {"init_random": small_teacher, "compressed": small_student}[kind]
+    layout = param_layout(model.config)
+    for i, block in enumerate(model.blocks):
+        assert list(vars(block)) == [layer.role for layer in layout if layer.block == i]
+    top = [layer.role for layer in layout if layer.block is None]
+    assert [name for name in vars(model) if name not in ("config", "blocks")] == top
+    with pytest.raises(FrozenInstanceError):
+        model.config.d_model = 16
+    assert param_layout(model.config) is param_layout(replace(model.config))
 
 
 def test_compress_model_odd_layer_selection():
