@@ -14,20 +14,35 @@ Layout (all integers little-endian):
     crc32   u32   of every preceding byte (IEEE polynomial)
 
 Round trips are bit-exact; any single-byte corruption or truncation is
-detected either structurally or by the trailing CRC. Writes and reads
-stream one tensor at a time, straight from and into the arrays' buffers;
-a read checks every length against the file size before it allocates.
-The CRC is computed on a worker thread that each read or write call starts
-and joins before it returns or raises: the calling thread does the I/O
-while the worker hashes the same buffers, in file order, with no copy
+detected either structurally or by the trailing CRC. There is one writer,
+``archive_write``, and one reader, ``archive_reader``; both stream one
+tensor at a time, straight from and into the arrays' buffers. The writer
+takes the tensor count up front and writes each tensor as it arrives, so
+its input may be a generator that makes them one by one. The reader yields
+each tensor as it is read, after checking every length against the file
+size before it allocates, and checks the trailing CRC once the last tensor
+has been read; ``archive_read`` is a dict over it. The CRC is computed on a
+worker thread that each read or write starts and joins before it returns
+or raises, however far a reader's caller got: the calling thread does the
+I/O while the worker hashes the same buffers, in file order, with no copy
 (``zlib.crc32`` releases the GIL for buffers over 5 KB). The bytes on disk
 are the same as with a CRC computed in series. Names are UTF-8 both ways:
 one that cannot be encoded or decoded is an ``ArchiveError``. Writes go to
-a temporary file and are renamed into place.
+a temporary file, which is renamed into place only once every tensor is
+written, and removed on any error.
+
+Model checkpoints add a ``__meta__`` record of the config. ``load_model``
+reads a whole checkpoint into a model; ``read_checkpoint`` streams one
+tensor at a time, in file order, for ``kronlm compress``, which so holds at
+most one teacher tensor and its factors at a time (tensors stored ahead of
+their layer wait for it). Both name the offending tensor as
+``from_tensors`` does, and both report a file that fails its CRC as that
+before anything about its tensors.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import queue
@@ -35,6 +50,7 @@ import struct
 import tempfile
 import threading
 import zlib
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -48,7 +64,7 @@ from .errors import (
     ShapeError,
     TruncationError,
 )
-from .model import GPTConfig, TinyGPTModel
+from .model import GPTConfig, TinyGPTModel, check_tensor_count
 
 MAGIC = b"KTNZ"
 VERSION = 1
@@ -101,47 +117,57 @@ class _Crc32:
         self._join()
 
 
-def archive_write(path, tensors) -> None:
-    """Write named tensors (dict or (name, array) pairs) to ``path``.
+def archive_write(path, tensors, count: int | None = None) -> None:
+    """Write named tensors (a dict, or (name, array) pairs) to ``path``.
 
-    Only float32/float64 arrays are accepted; names must be unique,
-    UTF-8 encodable ``str``s. Every tensor is checked before the file is
-    opened; the data is then written from each array's own buffer while a
-    worker thread computes the CRC of the same chunks.
+    Each pair is written as it arrives, so ``tensors`` may be a generator
+    that makes them one at a time; ``count``, the number of pairs, goes in
+    the header before the first one (by default ``len(tensors)``). Only
+    float32/float64 arrays are accepted; names must be unique, UTF-8
+    encodable ``str``s. Each tensor is checked just before its bytes are
+    written, from the array's own buffer, while a worker thread computes the
+    CRC of the same chunks. The file is renamed into place only once
+    ``tensors`` is exhausted, having given exactly ``count`` pairs; on any
+    error the temporary file is removed and ``path`` is left as it was.
     """
-    items = list(tensors.items()) if isinstance(tensors, dict) else list(tensors)
-    seen = set()
-    chunks = [MAGIC, struct.pack("<II", VERSION, len(items))]
-    for i, (name, arr) in enumerate(items):
-        if not isinstance(name, str):
-            raise ArchiveError(f"tensor {name!r}: name must be a str, got {type(name).__name__}")
-        if name in seen:
-            raise DuplicateNameError(f"duplicate tensor name {name!r}")
-        seen.add(name)
-        arr = np.asarray(arr)
-        if not arr.flags.c_contiguous:
-            arr = np.ascontiguousarray(arr)  # never hit for 0-d, which it would promote
-        if arr.dtype not in _DTYPE_TAGS:  # both tags are little-endian, so the data is too
-            raise ArchiveError(f"tensor {name!r}: unsupported dtype {arr.dtype}")
-        try:
-            encoded = name.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            raise ArchiveError(f"tensor {name!r}: name is not valid UTF-8 ({exc.reason})") from None
-        if len(encoded) > 0xFFFF:
-            raise ArchiveError(f"tensor #{i}: name too long ({len(encoded)} bytes, at most 65535)")
-        chunks.append(struct.pack("<H", len(encoded)))
-        chunks.append(encoded)
-        chunks.append(struct.pack("<BB", _DTYPE_TAGS[arr.dtype], arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        chunks.append(memoryview(arr.reshape(-1)))
+    items = tensors.items() if isinstance(tensors, dict) else tensors
+    if count is None:
+        count = len(items)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh, _Crc32() as crc:
-            for chunk in chunks:
-                crc.put(chunk)
-            for chunk in chunks:
-                fh.write(chunk)
+            def put(*chunks):
+                for chunk in chunks:
+                    crc.put(chunk)
+                    fh.write(chunk)
+
+            put(MAGIC, struct.pack("<II", VERSION, count))
+            seen = set()
+            for i, (name, arr) in enumerate(items):
+                if i == count:
+                    raise ArchiveError(f"more tensors than the {count} the header counts")
+                if not isinstance(name, str):
+                    raise ArchiveError(f"tensor {name!r}: name must be a str, got {type(name).__name__}")
+                if name in seen:
+                    raise DuplicateNameError(f"duplicate tensor name {name!r}")
+                seen.add(name)
+                arr = np.asarray(arr)
+                if not arr.flags.c_contiguous:
+                    arr = np.ascontiguousarray(arr)  # never hit for 0-d, which it would promote
+                if arr.dtype not in _DTYPE_TAGS:  # both tags are little-endian, so the data is too
+                    raise ArchiveError(f"tensor {name!r}: unsupported dtype {arr.dtype}")
+                try:
+                    encoded = name.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    raise ArchiveError(f"tensor {name!r}: name is not valid UTF-8 ({exc.reason})") from None
+                if len(encoded) > 0xFFFF:
+                    raise ArchiveError(f"tensor #{i}: name too long ({len(encoded)} bytes, at most 65535)")
+                put(struct.pack("<H", len(encoded)), encoded,
+                    struct.pack("<BB", _DTYPE_TAGS[arr.dtype], arr.ndim),
+                    struct.pack(f"<{arr.ndim}Q", *arr.shape), memoryview(arr.reshape(-1)))
+            if len(seen) != count:
+                raise ArchiveError(f"{len(seen)} tensors given, the header counts {count}")
             fh.write(struct.pack("<I", crc.value()))
         os.replace(tmp, path)
     except BaseException:
@@ -199,9 +225,48 @@ class _Reader:
         self.crc.put(buf)
         return out
 
+    def tensors(self, count: int):
+        """The ``count`` (name, array) pairs after the header, each read when
+        asked for; once the last is read, the trailing CRC is checked."""
+        seen = set()
+        for i in range(count):
+            label = f"tensor #{i}"
+            (name_len,) = struct.unpack("<H", self.take(2, f"{label} name length"))
+            try:
+                name = self.take(name_len, f"{label} name").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ArchiveError(f"{label} name is not valid UTF-8 "
+                                   f"({exc.reason} at byte {exc.start})") from None
+            label = f"tensor #{i} ({name!r})"
+            tag, rank = struct.unpack("<BB", self.take(2, f"{label} dtype/rank"))
+            if tag not in _TAG_DTYPES:
+                raise ArchiveError(f"{label}: unknown dtype tag {tag}")
+            dims = struct.unpack(f"<{rank}Q", self.take(8 * rank, f"{label} dims"))
+            arr = self.take_array(dims, _TAG_DTYPES[tag], f"{label} data")
+            if name in seen:
+                raise DuplicateNameError(f"duplicate tensor name {name!r}")
+            seen.add(name)
+            yield name, arr
+        remaining = self.size - self.pos
+        if remaining < 4:
+            raise TruncationError(f"archive truncated: {remaining} bytes left, CRC needs 4")
+        if remaining > 4:
+            raise ArchiveError(f"{remaining - 4} unexpected trailing bytes before CRC")
+        (stored,) = struct.unpack("<I", self.read(4, "CRC"))
+        actual = self.crc.value()  # of every byte before the CRC
+        if stored != actual:
+            raise CrcError(f"CRC mismatch: stored {stored:#010x}, computed {actual:#010x}")
 
-def archive_read(path) -> dict:
-    """Read an archive back into an ordered {name: array} dict."""
+
+@contextmanager
+def archive_reader(path):
+    """``(count, tensors)`` of the archive at ``path``: the number of tensors
+    its header gives and an iterator over its (name, array) pairs in file
+    order. Each pair is read when it is asked for, so a caller can drop one
+    before it reads the next; the trailing CRC is checked once the last one
+    is read, and a name stored twice is a DuplicateNameError. Leaving the
+    block closes the file and joins the CRC worker, however far the
+    iteration got."""
     with open(path, "rb") as fh, _Crc32() as crc:
         magic = fh.read(4)
         if magic != MAGIC:
@@ -210,34 +275,13 @@ def archive_read(path) -> dict:
         version, count = struct.unpack("<II", cur.take(8, "header"))
         if version != VERSION:
             raise BadVersionError(f"unsupported archive version {version}")
-        tensors = {}
-        for i in range(count):
-            label = f"tensor #{i}"
-            (name_len,) = struct.unpack("<H", cur.take(2, f"{label} name length"))
-            try:
-                name = cur.take(name_len, f"{label} name").decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ArchiveError(f"{label} name is not valid UTF-8 "
-                                   f"({exc.reason} at byte {exc.start})") from None
-            label = f"tensor #{i} ({name!r})"
-            tag, rank = struct.unpack("<BB", cur.take(2, f"{label} dtype/rank"))
-            if tag not in _TAG_DTYPES:
-                raise ArchiveError(f"{label}: unknown dtype tag {tag}")
-            dims = struct.unpack(f"<{rank}Q", cur.take(8 * rank, f"{label} dims"))
-            arr = cur.take_array(dims, _TAG_DTYPES[tag], f"{label} data")
-            if name in tensors:
-                raise DuplicateNameError(f"duplicate tensor name {name!r}")
-            tensors[name] = arr
-        remaining = cur.size - cur.pos
-        if remaining < 4:
-            raise TruncationError(f"archive truncated: {remaining} bytes left, CRC needs 4")
-        if remaining > 4:
-            raise ArchiveError(f"{remaining - 4} unexpected trailing bytes before CRC")
-        (stored_crc,) = struct.unpack("<I", cur.read(4, "CRC"))
-        actual = crc.value()  # of every byte before the CRC
-    if stored_crc != actual:
-        raise CrcError(f"CRC mismatch: stored {stored_crc:#010x}, computed {actual:#010x}")
-    return tensors
+        yield count, cur.tensors(count)
+
+
+def archive_read(path) -> dict:
+    """Read an archive back into an ordered {name: array} dict."""
+    with archive_reader(path) as (_, tensors):
+        return dict(tensors)
 
 
 # ---- model checkpoints -------------------------------------------------------
@@ -247,25 +291,84 @@ _META_NAME = "__meta__"
 _META_FIELDS = ("n_layers", "n_heads", "d_model", "d_ff", "vocab_size", "max_seq_len", "seed")
 
 
+def write_checkpoint(path, config: GPTConfig, tensors, count: int) -> None:
+    """Write the checkpoint of a model of ``config`` whose ``count``
+    parameter tensors ``tensors`` gives, as (name, array) pairs in
+    named_parameters order; each is written as it arrives (archive_write)."""
+    meta = np.array([getattr(config, f) for f in _META_FIELDS], dtype=np.float64)
+    archive_write(path, itertools.chain([(_META_NAME, meta)], tensors), count + 1)
+
+
 def save_model(model: TinyGPTModel, path) -> None:
-    meta = np.array([getattr(model.config, f) for f in _META_FIELDS], dtype=np.float64)
-    tensors = [(_META_NAME, meta)] + [(n, a) for n, a in model.named_parameters()]
-    archive_write(path, tensors)
+    params = model.named_parameters()
+    write_checkpoint(path, model.config, params, len(params))
 
 
 def load_model(path) -> TinyGPTModel:
     """The model stored at ``path``; an archive error names the file."""
     try:
-        return _model_from(archive_read(path))
+        tensors = archive_read(path)
+        with _checkpoint(len(tensors), iter(tensors.items())) as (config, _, params):
+            return TinyGPTModel.from_tensors(config, dict(params))
     except ArchiveError as exc:
         raise type(exc)(f"{path}: {exc}") from exc
 
 
-def _model_from(tensors: dict) -> TinyGPTModel:
-    tensors = {k: v.astype(np.float64, copy=False) for k, v in tensors.items()}
-    meta = tensors.pop(_META_NAME, None)
-    if meta is None:
-        raise ArchiveError("checkpoint has no __meta__ record; not a model archive")
+@contextmanager
+def read_checkpoint(path):
+    """``(config, count, tensors)`` of the model checkpoint at ``path``, read
+    front to back (archive_reader): its GPTConfig, the number of tensors
+    besides __meta__, and an iterator over those as (name, float64 array)
+    pairs. Tensors stored before __meta__ are held until it is read, and
+    come first. Errors are those of load_model, raised in the same order:
+    an ArchiveError naming the file, which a ShapeError raised in the block,
+    about the checkpoint's tensors, becomes; and a KronlmError raised in the
+    block is raised only once the rest of the file has been read, so that a
+    file that fails its CRC is reported as that."""
+    try:
+        with archive_reader(path) as (count, stream), _checkpoint(count, stream) as checkpoint:
+            yield checkpoint
+    except ArchiveError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
+@contextmanager
+def _checkpoint(count: int, stream):
+    """``(config, count - 1, tensors)`` of the ``count`` (name, array) pairs
+    of a checkpoint that ``stream`` gives: ``tensors`` gives every pair but
+    __meta__, as float64, those before __meta__ first. A KronlmError in the
+    block is raised once ``stream`` is exhausted, a ShapeError as an
+    ArchiveError of the checkpoint."""
+    try:
+        held = {}
+        for name, arr in stream:
+            if name == _META_NAME:
+                config = _config(arr.astype(np.float64, copy=False))
+                break
+            held[name] = arr
+        else:
+            raise ArchiveError("checkpoint has no __meta__ record; not a model archive")
+        check_tensor_count(config, count - 1)
+        yield config, count - 1, _float64(held, stream)
+    except KronlmError as exc:
+        for _ in stream:  # an error of the file itself comes first
+            pass
+        if isinstance(exc, ShapeError):
+            raise ArchiveError(f"checkpoint {exc}") from exc
+        raise
+
+
+def _float64(held: dict, stream):
+    """The pairs of ``held``, each dropped from it as it goes, then those of
+    ``stream``, with every array as float64."""
+    for name in list(held):
+        yield name, held.pop(name).astype(np.float64, copy=False)
+    for name, arr in stream:
+        yield name, arr.astype(np.float64, copy=False)
+
+
+def _config(meta: np.ndarray) -> GPTConfig:
+    """The GPTConfig a checkpoint's __meta__ record holds."""
     if meta.shape != (len(_META_FIELDS),):
         raise ArchiveError(
             f"checkpoint __meta__: expected shape ({len(_META_FIELDS)},), found {meta.shape}"
@@ -274,10 +377,6 @@ def _model_from(tensors: dict) -> TinyGPTModel:
         if not x.is_integer():  # nor are NaN and the infinities
             raise ArchiveError(f"checkpoint __meta__ {f} {x} is not a whole number")
     try:
-        cfg = GPTConfig(**{f: int(x) for f, x in zip(_META_FIELDS, meta)})
+        return GPTConfig(**{f: int(x) for f, x in zip(_META_FIELDS, meta)})
     except (KronlmError, ValueError) as exc:
         raise ArchiveError(f"checkpoint __meta__ {meta.tolist()} is not a model config: {exc}") from exc
-    try:
-        return TinyGPTModel.from_tensors(cfg, tensors)
-    except ShapeError as exc:
-        raise ArchiveError(f"checkpoint {exc}") from exc

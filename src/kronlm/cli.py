@@ -6,6 +6,12 @@ metrics and benchmark output; compress and eval draw nothing random, so
 neither output depends on a seed. Exit code 0 on success; failures print a
 diagnostic to stderr and exit nonzero. An error about a file names the flag that gave it,
 and every output's directory is checked before any work starts.
+
+compress streams from file to file: it reads one teacher tensor, solves it
+or passes it through, writes the result and drops it before it reads the
+next, so it holds at most one teacher tensor and its factors at a time. The
+output is renamed into place only after the input's CRC has been checked;
+on any error the previous output, if any, is left as it was.
 """
 
 from __future__ import annotations
@@ -15,8 +21,9 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 
-from .archive import load_model, save_model
+from .archive import load_model, read_checkpoint, save_model, write_checkpoint
 from .bench import DEFAULT_SHAPES, rows_to_csv, run_bench
 from .corpus import load_corpus
 from .distill import (
@@ -30,7 +37,13 @@ from .distill import (
 )
 from .errors import ArchiveError, KronlmError, PlanningError, ShapeError
 from .layers import PLANNABLE_FACTORS, CompressionSchedule, check_blocks, check_embedding_factor
-from .model import TinyGPTModel, compress_model, layer_tensors, param_layout, stored_factors
+from .model import (
+    TinyGPTModel,
+    _planned_factors,
+    compress_model,  # unused here: the benchmark tracer patches cli.compress_model
+    compress_stream,
+    layer_tensors,
+)
 
 
 def _add_seed(parser):
@@ -174,6 +187,24 @@ def _load_model(flag: str, path) -> TinyGPTModel:
         raise KronlmError(f"{flag} {path}: {exc.strerror or exc}") from None
 
 
+@contextmanager
+def _read_checkpoint(flag: str, path):
+    """The streamed checkpoint (read_checkpoint) a flag names. An archive
+    error names the flag and the file, and so does an OSError from opening
+    it; one from the block, which may be an output's, passes as it is."""
+    opened = False
+    try:
+        with read_checkpoint(path) as checkpoint:
+            opened = True
+            yield checkpoint
+    except ArchiveError as exc:  # its message starts with the path
+        raise type(exc)(f"{flag} {exc}") from None
+    except OSError as exc:
+        if opened:
+            raise
+        raise KronlmError(f"{flag} {path}: {exc.strerror or exc}") from None
+
+
 def _check_outputs(args, *flags) -> None:
     """Fail before any work if an output flag's path cannot be written: its
     directory is missing or read-only, or the path is a directory."""
@@ -196,23 +227,23 @@ def _check_seq_len(seq_len: int, model: TinyGPTModel, path) -> None:
                           f"{model.config.max_seq_len} of {path}")
 
 
-def _compression_report(student: TinyGPTModel, reports) -> dict:
-    """Per-tensor accounting for every stored tensor except the LM head,
-    which is never compressed and excluded from the parameter totals. A
-    factored weight is listed under its dense name, with its solve's leading
-    singular value and the ratio s[1]/s[0] of the next one to it; biases and
-    norm vectors are their own (uncompressed) entries."""
-    reports = dict(reports)
-    tensors = dict(student.named_parameters())
-    entries = []
-    for layer in param_layout(student.config):
+def _compression_report(layers) -> dict:
+    """Per-tensor accounting of a compression, from the (LayerSpec, factor
+    shapes or None, DecompositionReport or None) of each layer that
+    compress_stream lists: every stored tensor except the LM head, which is
+    never compressed and excluded from the parameter totals. A factored
+    weight is listed under its dense name, with its solve's leading singular
+    value and the ratio s[1]/s[0] of the next one to it; biases and norm
+    vectors are their own (uncompressed) entries."""
+    entries, head = [], 0
+    for layer, factors, report in layers:
         if layer.kind == "head":
+            head = math.prod(layer.shape)
             continue
-        factors = stored_factors(layer, tensors)
         for k, (name, shape) in enumerate(layer_tensors(layer)):
             size = math.prod(shape)
             factored = factors is not None and k == 0  # the weight comes first
-            rep = reports.get(name)  # a report exists for each factored weight only
+            rep = report if k == 0 else None  # a report exists for each solved weight only
             entries.append({
                 "name": name,
                 "original_shape": list(shape),
@@ -232,17 +263,12 @@ def _compression_report(student: TinyGPTModel, reports) -> dict:
             "params_after": after,
             "compression_factor": before / after,
         },
-        "excluded_lm_head_params": tensors["lm_head.weight"].size,
+        "excluded_lm_head_params": head,
     }
 
 
-def cmd_compress(args) -> int:
-    if args.factor not in PLANNABLE_FACTORS:
-        raise PlanningError(f"--factor {args.factor}: only the factors {PLANNABLE_FACTORS} "
-                            "are plannable")
-    _check_outputs(args, "--output", "--report")
-    teacher = _load_model("--input", args.input)
-    cfg = teacher.config
+def _schedule(args, cfg) -> CompressionSchedule:
+    """The schedule the compress flags ask for on a checkpoint of ``cfg``."""
     f = args.factor if args.embedding_factor is None else args.embedding_factor
     try:
         if args.embedding:
@@ -250,7 +276,7 @@ def cmd_compress(args) -> int:
     except PlanningError as exc:  # name the flag that set f
         flag = "--factor" if args.embedding_factor is None else "--embedding-factor"
         raise PlanningError(f"{flag} {f}: {exc}") from None
-    schedule = CompressionSchedule.for_dims(
+    return CompressionSchedule.for_dims(
         n_layers=cfg.n_layers,
         d_model=cfg.d_model,
         d_ff=cfg.d_ff,
@@ -260,9 +286,22 @@ def cmd_compress(args) -> int:
         embedding_factor=args.embedding_factor,
         include_wo=args.include_wo,
     )
-    student, reports = compress_model(teacher, schedule)
-    save_model(student, args.output)
-    report = _compression_report(student, reports)
+
+
+def cmd_compress(args) -> int:
+    if args.factor not in PLANNABLE_FACTORS:
+        raise PlanningError(f"--factor {args.factor}: only the factors {PLANNABLE_FACTORS} "
+                            "are plannable")
+    _check_outputs(args, "--output", "--report")
+    layers = []
+    # one teacher tensor at a time, from the input through the solver to the output
+    with _read_checkpoint("--input", args.input) as (cfg, count, tensors):
+        plan = _planned_factors(cfg, _schedule(args, cfg))
+        # each solved weight is stored as two tensors
+        count += sum(len(layer_tensors(layer, factors)) - len(layer_tensors(layer))
+                     for layer, factors in plan if factors is not None)
+        write_checkpoint(args.output, cfg, compress_stream(plan, tensors, layers), count)
+    report = _compression_report(layers)
     if args.report:
         with open(args.report, "w") as fh:
             json.dump(report, fh, indent=2)

@@ -29,12 +29,12 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .autodiff import Tape, backward
-from .errors import NonFiniteLossError, ShapeError, _check_int
+from .errors import NonFiniteLossError, ShapeError, _check_int, _check_real
 from .model import ForwardTrace, TinyGPTModel, _token_ids
 from .tensor_core import Rng
 
@@ -47,6 +47,8 @@ class DistillWeights:
     alpha4: float  # cross entropy
 
     def __post_init__(self):
+        for f in fields(self):
+            _check_real(f.name, getattr(self, f.name))
         a = (self.alpha1, self.alpha2, self.alpha3, self.alpha4)
         if not all(math.isfinite(x) for x in a):
             raise ValueError(f"loss weights must be finite, got {a}")
@@ -72,6 +74,7 @@ class TrainConfig:
             _check_int(name, getattr(self, name), low)
         if self.steps is not None:
             _check_int("steps", self.steps, 1)
+        _check_real("learning_rate", self.learning_rate)
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
 

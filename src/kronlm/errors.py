@@ -1,4 +1,7 @@
-"""Exception types shared across the package, and the integer-argument check."""
+"""Exception types shared across the package, and the integer and real-number
+argument checks."""
+
+import numbers
 
 
 def _check_int(name: str, value, low: int | None = None) -> None:
@@ -8,6 +11,13 @@ def _check_int(name: str, value, low: int | None = None) -> None:
         raise ValueError(f"{name} must be an int, got {value!r}")
     if low is not None and value < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
+def _check_real(name: str, value) -> None:
+    """Raises ValueError naming ``name`` unless ``value`` is a real number
+    (not a bool)."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 class KronlmError(Exception):

@@ -116,7 +116,7 @@ def plan_shapes(m: int, n: int, target_factor: int) -> tuple[int, int, int, int]
     raise PlanningError(f"no divisor split for ({m}, {n}) at factor 4: need both dims even")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CompressionSchedule:
     """Which tensors get factored and into what shapes.
 
@@ -136,7 +136,8 @@ class CompressionSchedule:
 
     def __post_init__(self):
         """Types only, each rejected by name with ValueError; ranges and
-        lengths are checked where the schedule meets a config."""
+        lengths are checked where the schedule meets a config. The schedule
+        is frozen, so no later assignment gets round these checks."""
         for name in ("layer_indices", "shape_qkv", "shape_cfc"):
             value = getattr(self, name)
             if not isinstance(value, tuple):

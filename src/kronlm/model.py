@@ -12,10 +12,12 @@ returns the trace as tape nodes, ``forward`` as arrays.
 
 ``param_layout`` is the one list of the model's parts, and the model sets
 each layer under its role: on the model, or on ``blocks[i]``, a namespace,
-for block i. The forward and ``compress_model`` read the named tensor map
-of ``named_parameters``: a layer whose ``a``/``b`` pair is stored is
-factored. The layer objects are read only through ``_arrays`` and built
-only by ``_make_layer``.
+for block i. The forward reads the named tensor map of
+``named_parameters``: a layer whose ``a``/``b`` pair is stored is factored.
+Compression is one loop, ``compress_stream``, over a stream of (name,
+array) pairs: ``compress_model`` feeds it a model's tensors, and ``kronlm
+compress`` a checkpoint's, read one at a time. The layer objects are read
+only through ``_arrays`` and built only by ``_make_layer``.
 
 A trace also keeps each block's attention keys and values. Passed back as
 ``forward_tape(..., past=trace)``, it makes the forward incremental: the new
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
@@ -179,6 +182,41 @@ def stored_factors(layer: LayerSpec, tensors: dict):
     return a.shape + b.shape if a.ndim == b.ndim == 2 else None
 
 
+def check_tensor_count(config: GPTConfig, n_tensors: int) -> None:
+    """Raises ShapeError if ``n_tensors`` tensors are too few for
+    ``config``'s blocks; checked before a claimed n_layers sizes a layout."""
+    if 16 * config.n_layers > n_tensors:
+        raise ShapeError(f"n_layers {config.n_layers}: {n_tensors} tensors cannot hold "
+                         "that many blocks, which store at least 16 each")
+
+
+def _checked_factors(layer: LayerSpec, tensors: dict):
+    """stored_factors of a layer, once ``tensors`` is found to hold each of
+    its tensors with its shape; raises ShapeError naming the first that it
+    does not, or a factor pair whose product is not the layer's shape."""
+    factors = stored_factors(layer, tensors)
+    expected = layer_tensors(layer, factors)
+    if factors is not None and (
+        (factors[0] * factors[2], factors[1] * factors[3]) != layer.shape
+        or (layer.kind == "embedding" and factors[2] != 1)  # one A row per token
+    ):
+        (a, a_shape), (b, b_shape) = expected[:2]
+        raise ShapeError(f"tensors {a!r} x {b!r}: expected a {layer.kind} product of "
+                         f"shape {layer.shape}, found {a_shape} x {b_shape}")
+    for name, shape in expected:
+        found = tensors[name].shape if name in tensors else "no tensor"
+        if found != shape:
+            raise ShapeError(f"tensor {name!r}: expected shape {shape}, found {found}")
+    return factors
+
+
+def _reject_extra(pairs) -> None:
+    """Raises ShapeError naming the first of the (name, array) ``pairs``
+    left over once every layer has taken its tensors."""
+    for name, arr in pairs:
+        raise ShapeError(f"tensors include an unexpected tensor {name!r} of shape {arr.shape}")
+
+
 def _token_ids(tokens) -> np.ndarray:
     """``tokens`` as an int64 array. Raises TokenIdError naming the first
     float that is not a whole number in the int64 range, rather than
@@ -247,31 +285,15 @@ class TinyGPTModel:
         param_layout names for ``config``, each with its shape, and each
         factor pair's product has its layer's dense shape.
         """
-        if 16 * config.n_layers > len(tensors):  # before a claimed n_layers sizes the layout
-            raise ShapeError(f"n_layers {config.n_layers}: {len(tensors)} tensors cannot hold "
-                             "that many blocks, which store at least 16 each")
+        check_tensor_count(config, len(tensors))
         made, names = {}, set()
         for layer in param_layout(config):
-            factors = stored_factors(layer, tensors)
-            expected = layer_tensors(layer, factors)
-            if factors is not None and (
-                (factors[0] * factors[2], factors[1] * factors[3]) != layer.shape
-                or (layer.kind == "embedding" and factors[2] != 1)  # one A row per token
-            ):
-                (a, a_shape), (b, b_shape) = expected[:2]
-                raise ShapeError(f"tensors {a!r} x {b!r}: expected a {layer.kind} product of "
-                                 f"shape {layer.shape}, found {a_shape} x {b_shape}")
-            for name, shape in expected:
-                found = tensors[name].shape if name in tensors else "no tensor"
-                if found != shape:
-                    raise ShapeError(f"tensor {name!r}: expected shape {shape}, found {found}")
-                names.add(name)
-            arrays = [tensors[name] for name, _ in expected]
-            made[layer] = _make_layer(layer.kind, arrays, factors is not None)
-        for name, arr in tensors.items():
-            if name not in names:
-                raise ShapeError(f"tensors include an unexpected tensor {name!r} "
-                                 f"of shape {arr.shape}")
+            factors = _checked_factors(layer, tensors)
+            expected = [name for name, _ in layer_tensors(layer, factors)]
+            names.update(expected)
+            made[layer] = _make_layer(layer.kind, [tensors[name] for name in expected],
+                                      factors is not None)
+        _reject_extra((name, arr) for name, arr in tensors.items() if name not in names)
         return cls(config, made)
 
     @classmethod
@@ -436,37 +458,76 @@ class TinyGPTModel:
 def compress_model(
     teacher: TinyGPTModel, schedule: CompressionSchedule, rng: Rng | None = None
 ) -> tuple[TinyGPTModel, list]:
-    """Kronecker-compress a dense model per the schedule.
+    """Kronecker-compress a dense model per the schedule (compress_stream
+    over its named_parameters).
 
     Selected blocks get their q/k/v (optionally wo) and both FFN projections
-    replaced by nearest-Kronecker factors, and so does the embedding table:
-    each planned weight is stored as the (a, b) pair of one ``nearest_kron``
-    solve. Everything else (biases, layer norms, positions, the LM head,
-    unselected blocks) is copied verbatim; the student shares no array with
-    the teacher. Returns the student and a list of (tensor name,
+    replaced by nearest-Kronecker factors, and so does the embedding table.
+    Everything else (biases, layer norms, positions, the LM head, unselected
+    blocks) is copied verbatim; the student shares no array with the
+    teacher. Returns the student and a list of (tensor name,
     DecompositionReport) in named_parameters order. ``rng`` is accepted and
     ignored: the decomposition is exact and draws nothing random. A planned
     layer that the teacher already stores factored raises ShapeError, and so
     does a schedule that does not fit the teacher (see _planned_factors).
     """
     dense = dict(teacher.named_parameters())
-    tensors, reports = {}, []
-    for layer, factors in _planned_factors(teacher.config, schedule):
-        stored = stored_factors(layer, dense)
-        if factors is None:
-            tensors.update((name, dense[name].copy()) for name, _ in layer_tensors(layer, stored))
-            continue
-        name = layer_tensors(layer)[0][0]
-        if stored is not None:
-            raise ShapeError(f"{name}: compress_model expects a dense teacher layer")
-        try:
-            pair, report = nearest_kron(dense[name], *factors)
-        except (KronlmError, np.linalg.LinAlgError) as exc:
-            raise type(exc)(f"{name}: {exc}") from exc
-        names = [n for n, _ in layer_tensors(layer, factors)]  # a, b, then the bias if any
-        tensors.update(zip(names, [pair.a, pair.b] + [dense[n].copy() for n in names[2:]]))
-        reports.append((name, report))
+    layers = []
+    pairs = compress_stream(_planned_factors(teacher.config, schedule), dense.items(), layers)
+    # only what passed through is the teacher's own array
+    tensors = {name: arr.copy() if arr is dense.get(name) else arr for name, arr in pairs}
+    reports = [(layer_tensors(layer)[0][0], rep) for layer, _, rep in layers if rep is not None]
     return TinyGPTModel.from_tensors(teacher.config, tensors), reports
+
+
+def compress_stream(plan: list, tensors, layers: list):
+    """The student of a teacher's (name, array) ``tensors``, compressed one
+    layer at a time per ``plan`` (_planned_factors), as (name, array) pairs
+    in named_parameters order.
+
+    Each planned weight is replaced by the (a, b) pair of one
+    ``nearest_kron`` solve; every other tensor passes through as it is, not
+    copied. ``tensors`` may come in any order: each is read when its layer
+    comes up, or held from then until it does. A layer's tensors get the
+    checks of ``from_tensors`` when it comes up, and a tensor left once the
+    layout is done is unexpected: each is a ShapeError naming the tensor,
+    as is a planned layer that the teacher already stores factored. Once a
+    layer's pairs are out, (LayerSpec, the factor shapes the student stores
+    it with or None, the DecompositionReport of its solve or None) is
+    appended to ``layers``.
+    """
+    held, source = {}, iter(tensors)
+
+    def read_until(ready) -> None:
+        """Hold the pairs of ``source`` until ``ready()`` or its end."""
+        while not ready() and (pair := next(source, None)) is not None:
+            held[pair[0]] = pair[1]
+
+    for layer, factors in plan:
+        weight = layer_tensors(layer)[0][0]
+        read_until(lambda: weight in held or stored_factors(layer, held) is not None)
+        names = [name for name, _ in layer_tensors(layer, stored_factors(layer, held))]
+        read_until(lambda: all(name in held for name in names))
+        stored = _checked_factors(layer, held)
+        if factors is None:
+            for name in names:
+                yield name, held.pop(name)
+            layers.append((layer, stored, None))
+            continue
+        if stored is not None:
+            raise ShapeError(f"{weight}: compress_model expects a dense teacher layer")
+        try:
+            pair, report = nearest_kron(held.pop(weight), *factors)
+        except (KronlmError, np.linalg.LinAlgError) as exc:
+            raise type(exc)(f"{weight}: {exc}") from exc
+        (a, _), (b, _) = layer_tensors(layer, factors)[:2]
+        yield a, pair.a
+        yield b, pair.b
+        del pair  # not held while the next layer is read and solved
+        for name in names[1:]:  # the bias, if any
+            yield name, held.pop(name)
+        layers.append((layer, factors, report))
+    _reject_extra(itertools.chain(held.items(), source))
 
 
 def _planned_factors(config: GPTConfig, schedule: CompressionSchedule | None) -> list:

@@ -1,8 +1,12 @@
 import csv
+import errno
 import io
 import json
+import os
 import subprocess
 import sys
+import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,8 +17,15 @@ from kronlm.archive import archive_read, archive_write, load_model, save_model
 from kronlm import cli
 from kronlm.cli import build_parser, main
 from kronlm.kronecker import kron, rearrange
-from kronlm.layers import KroneckerEmbedding, KroneckerLinear
-from kronlm.model import GPTConfig, TinyGPTModel
+from kronlm.layers import CompressionSchedule, KroneckerEmbedding, KroneckerLinear
+from kronlm.model import (
+    GPTConfig,
+    TinyGPTModel,
+    compress_model,
+    layer_tensors,
+    param_layout,
+    stored_factors,
+)
 
 CLI_CONFIG = GPTConfig(
     n_layers=2, n_heads=2, d_model=16, d_ff=32, vocab_size=256, max_seq_len=32, seed=21
@@ -634,7 +645,7 @@ def test_an_unwritable_output_fails_before_any_work(tmp_path, teacher_ckpt, corp
     def no_work(*args, **kwargs):
         raise AssertionError("the work started before the output path was checked")
 
-    for name in ("run_phase", "compress_model", "run_bench"):
+    for name in ("run_phase", "compress_model", "compress_stream", "run_bench"):
         monkeypatch.setattr(cli, name, no_work)
     path = tmp_path / "missing" / "x.out" if where == "missing_directory" else tmp_path
     args = {
@@ -647,6 +658,145 @@ def test_an_unwritable_output_fails_before_any_work(tmp_path, teacher_ckpt, corp
     reason = (f"directory {path.parent} does not exist" if where == "missing_directory"
               else "is a directory")
     assert f"{flag} {path}: {reason}" in capsys.readouterr().err
+
+
+def _reference_report(student, reports) -> dict:
+    """The --report JSON of a compression, read off compress_model's student
+    and reports: every tensor but the LM head under its dense name."""
+    reports, tensors = dict(reports), dict(student.named_parameters())
+    entries = []
+    for layer in param_layout(student.config):
+        factors = stored_factors(layer, tensors)
+        for k, (name, shape) in enumerate(layer_tensors(layer) if layer.kind != "head" else ()):
+            factored = factors is not None and k == 0
+            entry = {"name": name, "original_shape": list(shape),
+                     "factor_shapes": [list(factors[:2]), list(factors[2:])] if factored else None,
+                     "params_before": int(np.prod(shape)),
+                     "params_after": (factors[0] * factors[1] + factors[2] * factors[3]
+                                      if factored else int(np.prod(shape))),
+                     "relative_residual": 0.0}
+            if name in reports:
+                rep = reports[name]
+                entry.update(relative_residual=rep.relative_residual,
+                             singular_value=rep.singular_value, sv_ratio=rep.sv_ratio)
+            entries.append(entry)
+    before = sum(e["params_before"] for e in entries)
+    after = sum(e["params_after"] for e in entries)
+    return {"tensors": entries,
+            "totals": {"params_before": before, "params_after": after,
+                       "compression_factor": before / after},
+            "excluded_lm_head_params": tensors["lm_head.weight"].size}
+
+
+def _compress_model_files(teacher_path, flags, out):
+    """save_model(compress_model(...)) at ``out`` for the compress flags, and
+    the --report text of its reference report."""
+    args = build_parser().parse_args(["compress", "--input", "-", "--output", "-", *flags])
+    teacher = load_model(teacher_path)
+    cfg = teacher.config
+    schedule = CompressionSchedule.for_dims(
+        cfg.n_layers, cfg.d_model, cfg.d_ff, factor=args.factor, layers=args.layers,
+        compress_embedding=args.embedding, include_wo=args.include_wo)
+    student, reports = compress_model(teacher, schedule)
+    save_model(student, out)
+    return json.dumps(_reference_report(student, reports), indent=2)
+
+
+@pytest.mark.parametrize("flags", [[], ["--layers", "all"], ["--embedding", "off"],
+                                   ["--include-wo", "off"], ["--factor", "4"]],
+                         ids=["defaults", "layers_all", "embedding_off", "include_wo_off",
+                              "factor_4"])
+def test_streamed_compress_writes_what_compress_model_and_save_model_write(tmp_path, teacher_ckpt,
+                                                                           flags):
+    out, report, ref = tmp_path / "s.knz", tmp_path / "r.json", tmp_path / "ref.knz"
+    assert run_cli("compress", "--input", teacher_ckpt, "--output", out, "--report", report,
+                   *flags) == 0
+    ref_report = _compress_model_files(teacher_ckpt, flags, ref)
+    assert out.read_bytes() == ref.read_bytes()
+    assert report.read_text() == ref_report
+
+
+@pytest.mark.parametrize("variant", ["shuffled_meta_last", "float32"])
+def test_any_valid_checkpoint_compresses_as_compress_model_does(tmp_path, teacher_ckpt, variant):
+    tensors = list(archive_read(teacher_ckpt).items())
+    assert tensors[0][0] == "__meta__"
+    if variant == "float32":  # read back as float64, as load_model reads it
+        tensors = [(name, arr.astype(np.float32)) for name, arr in tensors]
+    else:
+        shuffled = tensors[1:]
+        np.random.default_rng(3).shuffle(shuffled)
+        tensors = shuffled + tensors[:1]
+    path, out, ref = tmp_path / f"{variant}.knz", tmp_path / "s.knz", tmp_path / "ref.knz"
+    archive_write(path, tensors)
+    assert run_cli("compress", "--input", path, "--output", out) == 0
+    _compress_model_files(path, [], ref)
+    assert out.read_bytes() == ref.read_bytes()
+    if variant != "float32":  # the same bytes as from the checkpoint in layout order
+        assert run_cli("compress", "--input", teacher_ckpt, "--output", ref) == 0
+        assert out.read_bytes() == ref.read_bytes()
+
+
+class _FullDisk(io.FileIO):
+    """A raw file whose disk is full after its first 100 bytes."""
+
+    def write(self, b):
+        if self.tell() + memoryview(b).nbytes > 100:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return super().write(b)
+
+
+@pytest.mark.parametrize("fault, reason", [
+    ("crc_byte", "CRC mismatch"),
+    ("truncated_tail", "archive truncated"),
+    ("factored_teacher", "block1.wq.weight: compress_model expects a dense teacher layer"),
+    ("full_disk", None),
+])
+def test_a_failed_compress_leaves_the_old_output_and_no_temporary_or_thread(
+        tmp_path, teacher_ckpt, capsys, monkeypatch, fault, reason):
+    data = teacher_ckpt.read_bytes()
+    bad = tmp_path / "bad.knz"
+    if fault == "crc_byte":
+        bad.write_bytes(data[:-1] + bytes([data[-1] ^ 1]))
+    elif fault == "truncated_tail":
+        bad.write_bytes(data[:-100])
+    elif fault == "factored_teacher":  # the default flags plan the blocks it stores factored
+        assert run_cli("compress", "--input", teacher_ckpt, "--output", bad, "--embedding",
+                       "off") == 0
+    else:
+        bad = teacher_ckpt
+        monkeypatch.setattr(os, "fdopen", lambda fd, mode: io.BufferedWriter(_FullDisk(fd, "w")))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = out_dir / "s.knz"
+    out.write_bytes(b"the previous output")
+    threads = threading.active_count()
+    capsys.readouterr()
+    assert run_cli("compress", "--input", bad, "--output", out) == 1
+    err = capsys.readouterr().err
+    if reason is None:  # the output's error is not the input's
+        assert "No space left on device" in err and "--input" not in err
+    else:
+        assert f"error: --input {bad}: " in err and reason in err
+    assert out.read_bytes() == b"the previous output"
+    assert list(out_dir.iterdir()) == [out]
+    assert threading.active_count() == threads
+
+
+def test_compress_holds_one_teacher_tensor_at_a_time(tmp_path):
+    cfg = GPTConfig(n_layers=4, n_heads=2, d_model=128, d_ff=512, vocab_size=16, max_seq_len=8)
+    teacher = TinyGPTModel.init_random(cfg)
+    teacher_bytes = sum(arr.nbytes for _, arr in teacher.named_parameters())
+    save_model(teacher, tmp_path / "t.knz")
+    del teacher
+    tracemalloc.start()
+    try:
+        assert run_cli("compress", "--input", tmp_path / "t.knz", "--output",
+                       tmp_path / "s.knz", "--report", tmp_path / "r.json") == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a whole teacher, or a whole student, is about as large as the bound or larger
+    assert peak < teacher_bytes / 2, (peak, teacher_bytes)
 
 
 def test_console_entry_point_subprocess(tmp_path, teacher_ckpt):

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -211,6 +212,21 @@ def test_distill_weights_validation():
 def test_train_config_rejects_a_bad_learning_rate(lr):
     with pytest.raises(ValueError, match="learning_rate must be finite and > 0"):
         TrainConfig(learning_rate=lr)
+
+
+@pytest.mark.parametrize("lr", ["0.1", True, None, 1j])
+def test_train_config_names_a_learning_rate_that_is_not_a_real_number(lr):
+    with pytest.raises(ValueError, match=f"^learning_rate must be a real number, got {re.escape(repr(lr))}$"):
+        TrainConfig(learning_rate=lr)
+
+
+@pytest.mark.parametrize("index, value", [(0, True), (1, "0.5"), (3, None), (2, False)])
+def test_distill_weights_name_an_alpha_that_is_not_a_real_number(index, value):
+    alphas = [0.5, 0.5, 0.5, 0.1]
+    alphas[index] = value
+    with pytest.raises(ValueError,
+                       match=f"^alpha{index + 1} must be a real number, got {re.escape(repr(value))}$"):
+        DistillWeights(*alphas)
 
 
 @pytest.mark.parametrize("name, value", [("steps", 0), ("steps", -2), ("batch_size", 0),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -276,6 +277,14 @@ QKV, CFC = (4, 8, 2, 1), (16, 8, 2, 1)  # the factor-2 shapes of d_model 8, d_ff
 def test_schedule_fields_are_type_checked_by_name(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
+
+
+def test_schedule_fields_cannot_be_reassigned():
+    # the type checks run once, at construction: an assignment would get round them
+    s = CompressionSchedule((1,), shape_qkv=(4, 8, 2, 1), shape_cfc=CFC)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.shape_qkv = (4.0, 8, 2, 1)
+    assert s.shape_qkv == (4, 8, 2, 1)
 
 
 @pytest.mark.parametrize("build, error, message", [
