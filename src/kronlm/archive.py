@@ -15,29 +15,29 @@ Layout (all integers little-endian):
 
 Round trips are bit-exact; any single-byte corruption or truncation is
 detected either structurally or by the trailing CRC. There is one writer,
-``archive_write``, and one reader, ``archive_reader``; both stream one
-tensor at a time, straight from and into the arrays' buffers. The writer
-takes the tensor count up front and writes each tensor as it arrives, so
-its input may be a generator that makes them one by one. The reader yields
-each tensor as it is read, after checking every length against the file
-size before it allocates, and checks the trailing CRC once the last tensor
-has been read; ``archive_read`` is a dict over it. The CRC is computed on a
+``archive_write``, which writes each tensor straight from its array's
+buffer, and one reader, ``archive_reader``, which yields one tensor at a
+time, as it is read, after checking every length against the file size
+before it allocates, and checks the trailing CRC once the last tensor has
+been read; ``archive_read`` is a dict over it. The CRC is computed on a
 worker thread that each read or write starts and joins before it returns
 or raises, however far a reader's caller got: the calling thread does the
 I/O while the worker hashes the same buffers, in file order, with no copy
-(``zlib.crc32`` releases the GIL for buffers over 5 KB). The bytes on disk
-are the same as with a CRC computed in series. Names are UTF-8 both ways:
-one that cannot be encoded or decoded is an ``ArchiveError``. Writes go to
-a temporary file, which is renamed into place only once every tensor is
-written, and removed on any error.
+(``zlib.crc32`` releases the GIL for buffers over 5 KB). The worker's queue
+holds two buffers at most, so a lagging worker keeps no more than those
+alive. The bytes on disk are the same as with a CRC computed in series.
+Names are UTF-8 both ways: one that cannot be encoded or decoded is an
+``ArchiveError``. Writes go to a temporary file, which is renamed into
+place only once every tensor is written, and removed on any error.
 
 Model checkpoints add a ``__meta__`` record of the config. ``load_model``
-reads a whole checkpoint into a model; ``read_checkpoint`` streams one
-tensor at a time, in file order, for ``kronlm compress``, which so holds at
-most one teacher tensor and its factors at a time (tensors stored ahead of
-their layer wait for it). Both name the offending tensor as
-``from_tensors`` does, and both report a file that fails its CRC as that
-before anything about its tensors.
+reads a whole checkpoint into a model; ``read_checkpoint`` gives its
+tensors one at a time, in file order, for ``kronlm compress``, which so
+holds the student it builds and at most one teacher tensor and its factors
+at a time (tensors stored ahead of their layer wait for it), and writes
+the student only after the input's CRC has been checked. Both name the
+offending tensor as ``from_tensors`` does, and both report a file that
+fails its CRC as that before anything about its tensors.
 """
 
 from __future__ import annotations
@@ -78,23 +78,25 @@ class _Crc32:
     its own. Use it as a context manager: leaving the block joins the thread,
     so none outlives the archive call, and a child made by ``fork`` after the
     call inherits no half-alive worker. The buffers are hashed where they
-    lie, so they must not change once put."""
+    lie, so they must not change once put; ``put`` waits while two are
+    queued, so the worker keeps at most those and the one it hashes alive."""
 
     def __init__(self):
-        self._queue = queue.SimpleQueue()
+        self._queue = queue.Queue(maxsize=2)
         self._crc = 0
         self._error = None
         self._thread = threading.Thread(target=self._run, name="kronlm-archive-crc")
         self._thread.start()
 
     def _run(self) -> None:
-        crc = 0
-        try:
-            while (buf := self._queue.get()) is not None:
-                crc = zlib.crc32(buf, crc)
-        except BaseException as exc:  # re-raised in the caller by value()
-            self._error = exc
-        self._crc = crc
+        crc, error = 0, None
+        while (buf := self._queue.get()) is not None:
+            if error is None:  # after an error, only drain, so that no put waits for ever
+                try:
+                    crc = zlib.crc32(buf, crc)
+                except BaseException as exc:  # re-raised in the caller by value()
+                    error = exc
+        self._crc, self._error = crc, error
 
     def put(self, buf) -> None:
         self._queue.put(buf)
@@ -117,57 +119,46 @@ class _Crc32:
         self._join()
 
 
-def archive_write(path, tensors, count: int | None = None) -> None:
-    """Write named tensors (a dict, or (name, array) pairs) to ``path``.
+def archive_write(path, tensors) -> None:
+    """Write named tensors (dict or (name, array) pairs) to ``path``.
 
-    Each pair is written as it arrives, so ``tensors`` may be a generator
-    that makes them one at a time; ``count``, the number of pairs, goes in
-    the header before the first one (by default ``len(tensors)``). Only
-    float32/float64 arrays are accepted; names must be unique, UTF-8
-    encodable ``str``s. Each tensor is checked just before its bytes are
-    written, from the array's own buffer, while a worker thread computes the
-    CRC of the same chunks. The file is renamed into place only once
-    ``tensors`` is exhausted, having given exactly ``count`` pairs; on any
-    error the temporary file is removed and ``path`` is left as it was.
+    Only float32/float64 arrays are accepted; names must be unique,
+    UTF-8 encodable ``str``s. Every tensor is checked before the file is
+    opened; the data is then written from each array's own buffer while a
+    worker thread computes the CRC of the same chunks.
     """
-    items = tensors.items() if isinstance(tensors, dict) else tensors
-    if count is None:
-        count = len(items)
+    items = list(tensors.items()) if isinstance(tensors, dict) else list(tensors)
+    seen = set()
+    chunks = [MAGIC, struct.pack("<II", VERSION, len(items))]
+    for i, (name, arr) in enumerate(items):
+        if not isinstance(name, str):
+            raise ArchiveError(f"tensor {name!r}: name must be a str, got {type(name).__name__}")
+        if name in seen:
+            raise DuplicateNameError(f"duplicate tensor name {name!r}")
+        seen.add(name)
+        arr = np.asarray(arr)
+        if not arr.flags.c_contiguous:
+            arr = np.ascontiguousarray(arr)  # never hit for 0-d, which it would promote
+        if arr.dtype not in _DTYPE_TAGS:  # both tags are little-endian, so the data is too
+            raise ArchiveError(f"tensor {name!r}: unsupported dtype {arr.dtype}")
+        try:
+            encoded = name.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ArchiveError(f"tensor {name!r}: name is not valid UTF-8 ({exc.reason})") from None
+        if len(encoded) > 0xFFFF:
+            raise ArchiveError(f"tensor #{i}: name too long ({len(encoded)} bytes, at most 65535)")
+        chunks.append(struct.pack("<H", len(encoded)))
+        chunks.append(encoded)
+        chunks.append(struct.pack("<BB", _DTYPE_TAGS[arr.dtype], arr.ndim))
+        chunks.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
+        chunks.append(memoryview(arr.reshape(-1)))
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh, _Crc32() as crc:
-            def put(*chunks):
-                for chunk in chunks:
-                    crc.put(chunk)
-                    fh.write(chunk)
-
-            put(MAGIC, struct.pack("<II", VERSION, count))
-            seen = set()
-            for i, (name, arr) in enumerate(items):
-                if i == count:
-                    raise ArchiveError(f"more tensors than the {count} the header counts")
-                if not isinstance(name, str):
-                    raise ArchiveError(f"tensor {name!r}: name must be a str, got {type(name).__name__}")
-                if name in seen:
-                    raise DuplicateNameError(f"duplicate tensor name {name!r}")
-                seen.add(name)
-                arr = np.asarray(arr)
-                if not arr.flags.c_contiguous:
-                    arr = np.ascontiguousarray(arr)  # never hit for 0-d, which it would promote
-                if arr.dtype not in _DTYPE_TAGS:  # both tags are little-endian, so the data is too
-                    raise ArchiveError(f"tensor {name!r}: unsupported dtype {arr.dtype}")
-                try:
-                    encoded = name.encode("utf-8")
-                except UnicodeEncodeError as exc:
-                    raise ArchiveError(f"tensor {name!r}: name is not valid UTF-8 ({exc.reason})") from None
-                if len(encoded) > 0xFFFF:
-                    raise ArchiveError(f"tensor #{i}: name too long ({len(encoded)} bytes, at most 65535)")
-                put(struct.pack("<H", len(encoded)), encoded,
-                    struct.pack("<BB", _DTYPE_TAGS[arr.dtype], arr.ndim),
-                    struct.pack(f"<{arr.ndim}Q", *arr.shape), memoryview(arr.reshape(-1)))
-            if len(seen) != count:
-                raise ArchiveError(f"{len(seen)} tensors given, the header counts {count}")
+            for chunk in chunks:  # put waits while two are queued, so put each as it is written
+                crc.put(chunk)
+                fh.write(chunk)
             fh.write(struct.pack("<I", crc.value()))
         os.replace(tmp, path)
     except BaseException:
@@ -291,84 +282,64 @@ _META_NAME = "__meta__"
 _META_FIELDS = ("n_layers", "n_heads", "d_model", "d_ff", "vocab_size", "max_seq_len", "seed")
 
 
-def write_checkpoint(path, config: GPTConfig, tensors, count: int) -> None:
-    """Write the checkpoint of a model of ``config`` whose ``count``
-    parameter tensors ``tensors`` gives, as (name, array) pairs in
-    named_parameters order; each is written as it arrives (archive_write)."""
-    meta = np.array([getattr(config, f) for f in _META_FIELDS], dtype=np.float64)
-    archive_write(path, itertools.chain([(_META_NAME, meta)], tensors), count + 1)
-
-
 def save_model(model: TinyGPTModel, path) -> None:
-    params = model.named_parameters()
-    write_checkpoint(path, model.config, params, len(params))
+    meta = np.array([getattr(model.config, f) for f in _META_FIELDS], dtype=np.float64)
+    archive_write(path, [(_META_NAME, meta)] + model.named_parameters())
 
 
 def load_model(path) -> TinyGPTModel:
     """The model stored at ``path``; an archive error names the file."""
     try:
         tensors = archive_read(path)
-        with _checkpoint(len(tensors), iter(tensors.items())) as (config, _, params):
-            return TinyGPTModel.from_tensors(config, dict(params))
+        config = _config(tensors.pop(_META_NAME, None))
+        return TinyGPTModel.from_tensors(
+            config, {name: arr.astype(np.float64, copy=False) for name, arr in tensors.items()})
+    except ShapeError as exc:  # about the checkpoint's tensors
+        raise ArchiveError(f"{path}: checkpoint {exc}") from exc
     except ArchiveError as exc:
         raise type(exc)(f"{path}: {exc}") from exc
 
 
 @contextmanager
 def read_checkpoint(path):
-    """``(config, count, tensors)`` of the model checkpoint at ``path``, read
-    front to back (archive_reader): its GPTConfig, the number of tensors
-    besides __meta__, and an iterator over those as (name, float64 array)
-    pairs. Tensors stored before __meta__ are held until it is read, and
-    come first. Errors are those of load_model, raised in the same order:
-    an ArchiveError naming the file, which a ShapeError raised in the block,
+    """``(config, tensors)`` of the model checkpoint at ``path``, read front
+    to back (archive_reader): its GPTConfig and an iterator over every
+    tensor but __meta__, as (name, float64 array) pairs. Tensors stored
+    before __meta__ are held until it is read, and come first, each dropped
+    as it goes. Errors are those of load_model, raised in the same order: an
+    ArchiveError naming the file, which a ShapeError raised in the block,
     about the checkpoint's tensors, becomes; and a KronlmError raised in the
     block is raised only once the rest of the file has been read, so that a
     file that fails its CRC is reported as that."""
     try:
-        with archive_reader(path) as (count, stream), _checkpoint(count, stream) as checkpoint:
-            yield checkpoint
+        with archive_reader(path) as (count, stream):
+            try:
+                held, meta = {}, None
+                for name, arr in stream:
+                    if name == _META_NAME:
+                        meta = arr
+                        break
+                    held[name] = arr
+                config = _config(meta)
+                check_tensor_count(config, count - 1)  # before the config sizes a layout
+                early = ((name, held.pop(name)) for name in list(held))
+                yield config, ((name, arr.astype(np.float64, copy=False))
+                               for name, arr in itertools.chain(early, stream))
+            except KronlmError as exc:
+                for _ in stream:  # an error of the file itself comes first
+                    pass
+                if isinstance(exc, ShapeError):
+                    raise ArchiveError(f"checkpoint {exc}") from exc
+                raise
     except ArchiveError as exc:
         raise type(exc)(f"{path}: {exc}") from exc
 
 
-@contextmanager
-def _checkpoint(count: int, stream):
-    """``(config, count - 1, tensors)`` of the ``count`` (name, array) pairs
-    of a checkpoint that ``stream`` gives: ``tensors`` gives every pair but
-    __meta__, as float64, those before __meta__ first. A KronlmError in the
-    block is raised once ``stream`` is exhausted, a ShapeError as an
-    ArchiveError of the checkpoint."""
-    try:
-        held = {}
-        for name, arr in stream:
-            if name == _META_NAME:
-                config = _config(arr.astype(np.float64, copy=False))
-                break
-            held[name] = arr
-        else:
-            raise ArchiveError("checkpoint has no __meta__ record; not a model archive")
-        check_tensor_count(config, count - 1)
-        yield config, count - 1, _float64(held, stream)
-    except KronlmError as exc:
-        for _ in stream:  # an error of the file itself comes first
-            pass
-        if isinstance(exc, ShapeError):
-            raise ArchiveError(f"checkpoint {exc}") from exc
-        raise
-
-
-def _float64(held: dict, stream):
-    """The pairs of ``held``, each dropped from it as it goes, then those of
-    ``stream``, with every array as float64."""
-    for name in list(held):
-        yield name, held.pop(name).astype(np.float64, copy=False)
-    for name, arr in stream:
-        yield name, arr.astype(np.float64, copy=False)
-
-
-def _config(meta: np.ndarray) -> GPTConfig:
-    """The GPTConfig a checkpoint's __meta__ record holds."""
+def _config(meta) -> GPTConfig:
+    """The GPTConfig a checkpoint's __meta__ record (None if it has none) holds."""
+    if meta is None:
+        raise ArchiveError("checkpoint has no __meta__ record; not a model archive")
+    meta = meta.astype(np.float64, copy=False)
     if meta.shape != (len(_META_FIELDS),):
         raise ArchiveError(
             f"checkpoint __meta__: expected shape ({len(_META_FIELDS)},), found {meta.shape}"

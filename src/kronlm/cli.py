@@ -7,11 +7,11 @@ neither output depends on a seed. Exit code 0 on success; failures print a
 diagnostic to stderr and exit nonzero. An error about a file names the flag that gave it,
 and every output's directory is checked before any work starts.
 
-compress streams from file to file: it reads one teacher tensor, solves it
-or passes it through, writes the result and drops it before it reads the
-next, so it holds at most one teacher tensor and its factors at a time. The
-output is renamed into place only after the input's CRC has been checked;
-on any error the previous output, if any, is left as it was.
+compress reads the teacher one tensor at a time and solves it or keeps it
+for the student before it reads the next, so it holds the student and at
+most one teacher tensor and its factors at a time, never the whole teacher.
+The student is written only after the input's CRC has been checked; on any
+error the previous output, if any, is left as it was.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import os
 import sys
 from contextlib import contextmanager
 
-from .archive import load_model, read_checkpoint, save_model, write_checkpoint
+from .archive import load_model, read_checkpoint, save_model
 from .bench import DEFAULT_SHAPES, rows_to_csv, run_bench
 from .corpus import load_corpus
 from .distill import (
@@ -37,13 +37,7 @@ from .distill import (
 )
 from .errors import ArchiveError, KronlmError, PlanningError, ShapeError
 from .layers import PLANNABLE_FACTORS, CompressionSchedule, check_blocks, check_embedding_factor
-from .model import (
-    TinyGPTModel,
-    _planned_factors,
-    compress_model,  # unused here: the benchmark tracer patches cli.compress_model
-    compress_stream,
-    layer_tensors,
-)
+from .model import TinyGPTModel, compress_model, layer_tensors, param_layout, stored_factors
 
 
 def _add_seed(parser):
@@ -177,32 +171,22 @@ def _layer_selector(raw: str, n_layers: int):
     return blocks
 
 
+@contextmanager
+def _reading(flag: str, path):
+    """Name the flag and the file in an error from reading the checkpoint a
+    flag gives (load_model or read_checkpoint) in the block."""
+    try:
+        yield
+    except ArchiveError as exc:  # its message starts with the path
+        raise type(exc)(f"{flag} {exc}") from None
+    except OSError as exc:
+        raise KronlmError(f"{flag} {path}: {exc.strerror or exc}") from None
+
+
 def _load_model(flag: str, path) -> TinyGPTModel:
     """The checkpoint a flag names; a failure to read it names the flag and the file."""
-    try:
+    with _reading(flag, path):
         return load_model(path)
-    except ArchiveError as exc:  # its message starts with the path
-        raise type(exc)(f"{flag} {exc}") from None
-    except OSError as exc:
-        raise KronlmError(f"{flag} {path}: {exc.strerror or exc}") from None
-
-
-@contextmanager
-def _read_checkpoint(flag: str, path):
-    """The streamed checkpoint (read_checkpoint) a flag names. An archive
-    error names the flag and the file, and so does an OSError from opening
-    it; one from the block, which may be an output's, passes as it is."""
-    opened = False
-    try:
-        with read_checkpoint(path) as checkpoint:
-            opened = True
-            yield checkpoint
-    except ArchiveError as exc:  # its message starts with the path
-        raise type(exc)(f"{flag} {exc}") from None
-    except OSError as exc:
-        if opened:
-            raise
-        raise KronlmError(f"{flag} {path}: {exc.strerror or exc}") from None
 
 
 def _check_outputs(args, *flags) -> None:
@@ -227,23 +211,23 @@ def _check_seq_len(seq_len: int, model: TinyGPTModel, path) -> None:
                           f"{model.config.max_seq_len} of {path}")
 
 
-def _compression_report(layers) -> dict:
-    """Per-tensor accounting of a compression, from the (LayerSpec, factor
-    shapes or None, DecompositionReport or None) of each layer that
-    compress_stream lists: every stored tensor except the LM head, which is
-    never compressed and excluded from the parameter totals. A factored
-    weight is listed under its dense name, with its solve's leading singular
-    value and the ratio s[1]/s[0] of the next one to it; biases and norm
-    vectors are their own (uncompressed) entries."""
-    entries, head = [], 0
-    for layer, factors, report in layers:
+def _compression_report(student: TinyGPTModel, reports) -> dict:
+    """Per-tensor accounting for every stored tensor except the LM head,
+    which is never compressed and excluded from the parameter totals. A
+    factored weight is listed under its dense name, with its solve's leading
+    singular value and the ratio s[1]/s[0] of the next one to it; biases and
+    norm vectors are their own (uncompressed) entries."""
+    reports = dict(reports)
+    tensors = dict(student.named_parameters())
+    entries = []
+    for layer in param_layout(student.config):
         if layer.kind == "head":
-            head = math.prod(layer.shape)
             continue
+        factors = stored_factors(layer, tensors)
         for k, (name, shape) in enumerate(layer_tensors(layer)):
             size = math.prod(shape)
             factored = factors is not None and k == 0  # the weight comes first
-            rep = report if k == 0 else None  # a report exists for each solved weight only
+            rep = reports.get(name)  # a report exists for each factored weight only
             entries.append({
                 "name": name,
                 "original_shape": list(shape),
@@ -263,7 +247,7 @@ def _compression_report(layers) -> dict:
             "params_after": after,
             "compression_factor": before / after,
         },
-        "excluded_lm_head_params": head,
+        "excluded_lm_head_params": tensors["lm_head.weight"].size,
     }
 
 
@@ -293,15 +277,11 @@ def cmd_compress(args) -> int:
         raise PlanningError(f"--factor {args.factor}: only the factors {PLANNABLE_FACTORS} "
                             "are plannable")
     _check_outputs(args, "--output", "--report")
-    layers = []
-    # one teacher tensor at a time, from the input through the solver to the output
-    with _read_checkpoint("--input", args.input) as (cfg, count, tensors):
-        plan = _planned_factors(cfg, _schedule(args, cfg))
-        # each solved weight is stored as two tensors
-        count += sum(len(layer_tensors(layer, factors)) - len(layer_tensors(layer))
-                     for layer, factors in plan if factors is not None)
-        write_checkpoint(args.output, cfg, compress_stream(plan, tensors, layers), count)
-    report = _compression_report(layers)
+    # the teacher is read one tensor at a time, never held whole
+    with _reading("--input", args.input), read_checkpoint(args.input) as (cfg, tensors):
+        student, reports = compress_model((cfg, tensors), _schedule(args, cfg))
+    save_model(student, args.output)
+    report = _compression_report(student, reports)
     if args.report:
         with open(args.report, "w") as fh:
             json.dump(report, fh, indent=2)

@@ -14,10 +14,10 @@ returns the trace as tape nodes, ``forward`` as arrays.
 each layer under its role: on the model, or on ``blocks[i]``, a namespace,
 for block i. The forward reads the named tensor map of
 ``named_parameters``: a layer whose ``a``/``b`` pair is stored is factored.
-Compression is one loop, ``compress_stream``, over a stream of (name,
-array) pairs: ``compress_model`` feeds it a model's tensors, and ``kronlm
-compress`` a checkpoint's, read one at a time. The layer objects are read
-only through ``_arrays`` and built only by ``_make_layer``.
+Compression is one loop, in ``compress_model``, over a stream of (name,
+array) pairs: a model's tensors, or for ``kronlm compress`` a checkpoint's,
+read one at a time. The layer objects are read only through ``_arrays`` and
+built only by ``_make_layer``.
 
 A trace also keeps each block's attention keys and values. Passed back as
 ``forward_tape(..., past=trace)``, it makes the forward incremental: the new
@@ -456,54 +456,49 @@ class TinyGPTModel:
 
 
 def compress_model(
-    teacher: TinyGPTModel, schedule: CompressionSchedule, rng: Rng | None = None
+    teacher, schedule: CompressionSchedule, rng: Rng | None = None
 ) -> tuple[TinyGPTModel, list]:
-    """Kronecker-compress a dense model per the schedule (compress_stream
-    over its named_parameters).
+    """Kronecker-compress a dense model per the schedule.
 
     Selected blocks get their q/k/v (optionally wo) and both FFN projections
-    replaced by nearest-Kronecker factors, and so does the embedding table.
-    Everything else (biases, layer norms, positions, the LM head, unselected
-    blocks) is copied verbatim; the student shares no array with the
-    teacher. Returns the student and a list of (tensor name,
-    DecompositionReport) in named_parameters order. ``rng`` is accepted and
-    ignored: the decomposition is exact and draws nothing random. A planned
-    layer that the teacher already stores factored raises ShapeError, and so
-    does a schedule that does not fit the teacher (see _planned_factors).
+    replaced by nearest-Kronecker factors, and so does the embedding table:
+    each planned weight is stored as the (a, b) pair of one ``nearest_kron``
+    solve. Everything else (biases, layer norms, positions, the LM head,
+    unselected blocks) is kept verbatim. Returns the student and a list of
+    (tensor name, DecompositionReport) in named_parameters order. ``rng`` is
+    accepted and ignored: the decomposition is exact and draws nothing
+    random.
+
+    ``teacher`` is a TinyGPTModel, whose kept arrays are copied, so that the
+    student shares none with it; or the ``(config, tensors)`` of a
+    checkpoint read front to back (archive.read_checkpoint), whose (name,
+    array) pairs are taken as they come, in any order, and kept as they are.
+    A tensor read ahead of its layer is held until the layer comes up, and
+    each planned weight is dropped once solved, so the teacher is never held
+    whole. Each layer gets the checks of ``from_tensors`` when it comes up,
+    and a tensor left once the layout is done is unexpected: each is a
+    ShapeError naming the tensor, as is a planned layer that the teacher
+    already stores factored. A schedule that does not fit the teacher raises
+    as in _planned_factors.
     """
-    dense = dict(teacher.named_parameters())
-    layers = []
-    pairs = compress_stream(_planned_factors(teacher.config, schedule), dense.items(), layers)
-    # only what passed through is the teacher's own array
-    tensors = {name: arr.copy() if arr is dense.get(name) else arr for name, arr in pairs}
-    reports = [(layer_tensors(layer)[0][0], rep) for layer, _, rep in layers if rep is not None]
-    return TinyGPTModel.from_tensors(teacher.config, tensors), reports
-
-
-def compress_stream(plan: list, tensors, layers: list):
-    """The student of a teacher's (name, array) ``tensors``, compressed one
-    layer at a time per ``plan`` (_planned_factors), as (name, array) pairs
-    in named_parameters order.
-
-    Each planned weight is replaced by the (a, b) pair of one
-    ``nearest_kron`` solve; every other tensor passes through as it is, not
-    copied. ``tensors`` may come in any order: each is read when its layer
-    comes up, or held from then until it does. A layer's tensors get the
-    checks of ``from_tensors`` when it comes up, and a tensor left once the
-    layout is done is unexpected: each is a ShapeError naming the tensor,
-    as is a planned layer that the teacher already stores factored. Once a
-    layer's pairs are out, (LayerSpec, the factor shapes the student stores
-    it with or None, the DecompositionReport of its solve or None) is
-    appended to ``layers``.
-    """
-    held, source = {}, iter(tensors)
+    if isinstance(teacher, TinyGPTModel):
+        config, own = teacher.config, dict(teacher.named_parameters())
+        source = iter(own.items())
+    else:
+        (config, tensors), own = teacher, {}
+        source = iter(tensors)
+    held, student, reports = {}, {}, []
 
     def read_until(ready) -> None:
         """Hold the pairs of ``source`` until ``ready()`` or its end."""
         while not ready() and (pair := next(source, None)) is not None:
             held[pair[0]] = pair[1]
 
-    for layer, factors in plan:
+    def keep(name: str) -> None:
+        arr = held.pop(name)
+        student[name] = arr.copy() if arr is own.get(name) else arr
+
+    for layer, factors in _planned_factors(config, schedule):
         weight = layer_tensors(layer)[0][0]
         read_until(lambda: weight in held or stored_factors(layer, held) is not None)
         names = [name for name, _ in layer_tensors(layer, stored_factors(layer, held))]
@@ -511,8 +506,7 @@ def compress_stream(plan: list, tensors, layers: list):
         stored = _checked_factors(layer, held)
         if factors is None:
             for name in names:
-                yield name, held.pop(name)
-            layers.append((layer, stored, None))
+                keep(name)
             continue
         if stored is not None:
             raise ShapeError(f"{weight}: compress_model expects a dense teacher layer")
@@ -521,13 +515,12 @@ def compress_stream(plan: list, tensors, layers: list):
         except (KronlmError, np.linalg.LinAlgError) as exc:
             raise type(exc)(f"{weight}: {exc}") from exc
         (a, _), (b, _) = layer_tensors(layer, factors)[:2]
-        yield a, pair.a
-        yield b, pair.b
-        del pair  # not held while the next layer is read and solved
+        student[a], student[b] = pair.a, pair.b
+        reports.append((weight, report))
         for name in names[1:]:  # the bias, if any
-            yield name, held.pop(name)
-        layers.append((layer, factors, report))
+            keep(name)
     _reject_extra(itertools.chain(held.items(), source))
+    return TinyGPTModel.from_tensors(config, student), reports
 
 
 def _planned_factors(config: GPTConfig, schedule: CompressionSchedule | None) -> list:

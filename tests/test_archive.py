@@ -342,21 +342,6 @@ def test_archive_calls_leave_no_thread_behind(tmp_path, monkeypatch):
         assert set(threading.enumerate()) == before
 
 
-def test_a_generator_is_written_as_it_arrives_with_the_count_it_gives(tmp_path):
-    tensors = [("w", np.arange(6.0).reshape(2, 3)), ("v", np.ones(4, dtype=np.float32))]
-    listed, streamed = tmp_path / "listed.knz", tmp_path / "streamed.knz"
-    archive_write(listed, tensors)
-    archive_write(streamed, (pair for pair in tensors), count=2)
-    assert streamed.read_bytes() == listed.read_bytes()
-    before = listed.read_bytes()
-    for count, message in ((1, "more tensors than the 1 the header counts"),
-                           (3, "2 tensors given, the header counts 3")):
-        with pytest.raises(ArchiveError, match=f"^{message}$"):
-            archive_write(listed, iter(tensors), count=count)
-        assert listed.read_bytes() == before
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["listed.knz", "streamed.knz"]
-
-
 def test_a_reader_left_part_way_joins_its_worker(tmp_path):
     path = tmp_path / "a.knz"
     archive_write(path, {"first": np.ones((64, 64)), "second": np.zeros(3)})
