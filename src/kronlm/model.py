@@ -456,7 +456,7 @@ class TinyGPTModel:
 
 
 def compress_model(
-    teacher, schedule: CompressionSchedule, rng: Rng | None = None
+    teacher: TinyGPTModel | tuple, schedule: CompressionSchedule, rng: Rng | None = None
 ) -> tuple[TinyGPTModel, list]:
     """Kronecker-compress a dense model per the schedule.
 
