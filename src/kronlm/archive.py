@@ -19,13 +19,9 @@ detected either structurally or by the trailing CRC. There is one writer,
 buffer, and one reader, ``archive_reader``, which yields one tensor at a
 time, as it is read, after checking every length against the file size
 before it allocates, and checks the trailing CRC once the last tensor has
-been read; ``archive_read`` is a dict over it. The CRC is computed on a
-worker thread that each read or write starts and joins before it returns
-or raises, however far a reader's caller got: the calling thread does the
-I/O while the worker hashes the same buffers, in file order, with no copy
-(``zlib.crc32`` releases the GIL for buffers over 5 KB). The worker's queue
-holds two buffers at most, so a lagging worker keeps no more than those
-alive. The bytes on disk are the same as with a CRC computed in series.
+been read; ``archive_read`` is a dict over it. The CRC is chained, in the
+calling thread, over each buffer as it is written or read, in file order
+and with no copy.
 Names are UTF-8 both ways: one that cannot be encoded or decoded is an
 ``ArchiveError``. Writes go to a temporary file, which is renamed into
 place only once every tensor is written, and removed on any error.
@@ -45,10 +41,8 @@ from __future__ import annotations
 import itertools
 import math
 import os
-import queue
 import struct
 import tempfile
-import threading
 import zlib
 from contextlib import contextmanager
 
@@ -73,59 +67,13 @@ _DTYPE_TAGS = {np.dtype("<f4"): 1, np.dtype("<f8"): 2}
 _TAG_DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<f8")}
 
 
-class _Crc32:
-    """CRC-32 of the buffers ``put`` to it, in order, computed on a thread of
-    its own. Use it as a context manager: leaving the block joins the thread,
-    so none outlives the archive call, and a child made by ``fork`` after the
-    call inherits no half-alive worker. The buffers are hashed where they
-    lie, so they must not change once put; ``put`` waits while two are
-    queued, so the worker keeps at most those and the one it hashes alive."""
-
-    def __init__(self):
-        self._queue = queue.Queue(maxsize=2)
-        self._crc = 0
-        self._error = None
-        self._thread = threading.Thread(target=self._run, name="kronlm-archive-crc")
-        self._thread.start()
-
-    def _run(self) -> None:
-        crc, error = 0, None
-        while (buf := self._queue.get()) is not None:
-            if error is None:  # after an error, only drain, so that no put waits for ever
-                try:
-                    crc = zlib.crc32(buf, crc)
-                except BaseException as exc:  # re-raised in the caller by value()
-                    error = exc
-        self._crc, self._error = crc, error
-
-    def put(self, buf) -> None:
-        self._queue.put(buf)
-
-    def _join(self) -> None:
-        self._queue.put(None)
-        self._thread.join()
-
-    def value(self) -> int:
-        """The CRC of every buffer put so far; the worker ends here."""
-        self._join()
-        if self._error is not None:
-            raise self._error
-        return self._crc
-
-    def __enter__(self) -> "_Crc32":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._join()
-
-
 def archive_write(path, tensors) -> None:
     """Write named tensors (dict or (name, array) pairs) to ``path``.
 
     Only float32/float64 arrays are accepted; names must be unique,
     UTF-8 encodable ``str``s. Every tensor is checked before the file is
-    opened; the data is then written from each array's own buffer while a
-    worker thread computes the CRC of the same chunks.
+    opened; the data is then written from each array's own buffer, and the
+    CRC is chained over the same chunks as they are written.
     """
     items = list(tensors.items()) if isinstance(tensors, dict) else list(tensors)
     seen = set()
@@ -155,11 +103,12 @@ def archive_write(path, tensors) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "wb") as fh, _Crc32() as crc:
-            for chunk in chunks:  # put waits while two are queued, so put each as it is written
-                crc.put(chunk)
+        with os.fdopen(fd, "wb") as fh:
+            crc = 0
+            for chunk in chunks:
+                crc = zlib.crc32(chunk, crc)
                 fh.write(chunk)
-            fh.write(struct.pack("<I", crc.value()))
+            fh.write(struct.pack("<I", crc))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -169,21 +118,21 @@ def archive_write(path, tensors) -> None:
 
 class _Reader:
     """Reads an open archive front to back. Every length is checked against
-    the file size before it is read or allocated, and every byte ``take``
-    and ``take_array`` return is put to ``crc``, in file order."""
+    the file size before it is read or allocated, and ``crc`` is chained
+    over every byte ``take`` and ``take_array`` return, in file order."""
 
-    def __init__(self, fh, head: bytes, crc: _Crc32):
+    def __init__(self, fh, head: bytes):
         self.fh = fh
         self.size = os.fstat(fh.fileno()).st_size
         self.pos = len(head)
-        self.crc = crc
-        crc.put(head)
+        self.crc = zlib.crc32(head)
 
     def _claim(self, n: int, what: str) -> None:
-        if self.pos + n > self.size:
+        if self.pos + n > self.size:  # n, from the file's dims, may have thousands of digits
+            needed = n if n.bit_length() <= 128 else f"at least 2**{n.bit_length() - 1}"
             raise TruncationError(
                 f"archive truncated while reading {what}: "
-                f"needed {n} bytes at offset {self.pos}, file has {self.size}"
+                f"needed {needed} bytes at offset {self.pos}, file has {self.size}"
             )
 
     def _advance(self, buf, n: int, what: str) -> None:
@@ -201,7 +150,7 @@ class _Reader:
 
     def take(self, n: int, what: str) -> bytes:
         out = self.read(n, what)
-        self.crc.put(out)
+        self.crc = zlib.crc32(out, self.crc)
         return out
 
     def take_array(self, dims, dtype: np.dtype, what: str) -> np.ndarray:
@@ -213,7 +162,7 @@ class _Reader:
             raise ArchiveError(f"{what}: dims {dims} are not a numpy shape") from None
         buf = memoryview(out.reshape(-1)).cast("B")
         self._advance(buf[: self.fh.readinto(buf)], n, what)
-        self.crc.put(buf)
+        self.crc = zlib.crc32(buf, self.crc)
         return out
 
     def tensors(self, count: int):
@@ -244,9 +193,8 @@ class _Reader:
         if remaining > 4:
             raise ArchiveError(f"{remaining - 4} unexpected trailing bytes before CRC")
         (stored,) = struct.unpack("<I", self.read(4, "CRC"))
-        actual = self.crc.value()  # of every byte before the CRC
-        if stored != actual:
-            raise CrcError(f"CRC mismatch: stored {stored:#010x}, computed {actual:#010x}")
+        if stored != self.crc:  # of every byte before the CRC
+            raise CrcError(f"CRC mismatch: stored {stored:#010x}, computed {self.crc:#010x}")
 
 
 @contextmanager
@@ -256,13 +204,12 @@ def archive_reader(path):
     order. Each pair is read when it is asked for, so a caller can drop one
     before it reads the next; the trailing CRC is checked once the last one
     is read, and a name stored twice is a DuplicateNameError. Leaving the
-    block closes the file and joins the CRC worker, however far the
-    iteration got."""
-    with open(path, "rb") as fh, _Crc32() as crc:
+    block closes the file, however far the iteration got."""
+    with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != MAGIC:
             raise BadMagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
-        cur = _Reader(fh, magic, crc)
+        cur = _Reader(fh, magic)
         version, count = struct.unpack("<II", cur.take(8, "header"))
         if version != VERSION:
             raise BadVersionError(f"unsupported archive version {version}")

@@ -333,7 +333,7 @@ class TinyGPTModel:
         h = hashlib.sha256()
         for name, arr in self.named_parameters():
             h.update(name.encode())
-            h.update(np.ascontiguousarray(arr).tobytes())
+            h.update(np.ascontiguousarray(arr))
         return h.hexdigest()
 
     # ---- forward -----------------------------------------------------------

@@ -150,8 +150,10 @@ def _archive_bytes(*records):
         ((2**32, 2**32), TruncationError, rf"needed {2**67} bytes at offset 33, file has 37"),
         # zero-size, but a dim numpy cannot hold
         ((0, 2**63), ArchiveError, r"dims \(0, 9223372036854775808\)"),
+        # rank 255: a product of thousands of digits, too long to print
+        ((2**64 - 1,) * 255, TruncationError, r"needed at least 2\*\*16322 bytes at offset 2057"),
     ],
-    ids=["product_overflows_u64", "zero_size_beyond_numpy"],
+    ids=["product_overflows_u64", "zero_size_beyond_numpy", "product_of_thousands_of_digits"],
 )
 def test_dims_numpy_cannot_take_are_rejected_by_name(tmp_path, dims, error, message):
     path = tmp_path / "dims.knz"
@@ -292,7 +294,7 @@ def test_a_failed_write_leaves_the_old_archive_and_no_temporary(tmp_path, monkey
 
 def test_crc_covers_every_chunk_in_file_order(tmp_path):
     rng = np.random.default_rng(19)
-    big = rng.standard_normal((2, 512, 1024))  # two 4 MiB tensors, hashed off the calling thread
+    big = rng.standard_normal((2, 512, 1024))  # two 4 MiB tensors, each chained as one buffer
     tensors = [("scalar", np.float64(2.5)), ("tiny32", np.float32([1, 2, 3])),
                ("big0", big[0]), ("tiny64", np.arange(3.0)), ("big1", big[1]),
                ("small32", rng.standard_normal((7, 5)).astype(np.float32))]
@@ -311,7 +313,7 @@ def test_crc_covers_every_chunk_in_file_order(tmp_path):
         archive_read(path)
 
 
-def test_archive_calls_leave_no_thread_behind(tmp_path, monkeypatch):
+def test_archive_reads_and_writes_start_no_thread(tmp_path, monkeypatch):
     good = tmp_path / "good.knz"
     tensors = {"w": np.ones((256, 256)), "b": np.zeros(3)}
     archive_write(good, tensors)
@@ -322,41 +324,27 @@ def test_archive_calls_leave_no_thread_behind(tmp_path, monkeypatch):
         BadMagicError: b"NOPE" + data[4:],
     }
 
-    def full_disk_write():
-        with monkeypatch.context() as patch:
-            patch.setattr(os, "fdopen", lambda fd, mode: io.BufferedWriter(_FullDisk(fd, "w")))
-            with pytest.raises(OSError, match="No space left"):
-                archive_write(tmp_path / "full.knz", tensors)
+    def no_thread(self):
+        raise AssertionError(f"an archive call started thread {self.name!r}")
 
-    def bad_read(error, content):
-        path = tmp_path / "bad.knz"
-        path.write_bytes(content)
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    archive_write(good, tensors)
+    assert list(archive_read(good)) == ["w", "b"]
+    with archive_reader(good) as (count, stream):  # left part-way
+        assert count == 2 and next(stream)[0] == "w"
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "fdopen", lambda fd, mode: io.BufferedWriter(_FullDisk(fd, "w")))
+        with pytest.raises(OSError, match="No space left"):
+            archive_write(tmp_path / "full.knz", tensors)
+    for error, content in broken.items():
+        (tmp_path / "bad.knz").write_bytes(content)
         with pytest.raises(error):
-            archive_read(path)
-
-    calls = [lambda: archive_write(good, tensors), lambda: archive_read(good), full_disk_write]
-    calls += [lambda e=e, c=c: bad_read(e, c) for e, c in broken.items()]
-    for call in calls:
-        before = set(threading.enumerate())
-        call()
-        assert set(threading.enumerate()) == before
+            archive_read(tmp_path / "bad.knz")
 
 
-def test_a_reader_left_part_way_joins_its_worker(tmp_path):
-    path = tmp_path / "a.knz"
-    archive_write(path, {"first": np.ones((64, 64)), "second": np.zeros(3)})
-    before = set(threading.enumerate())
-    with archive_reader(path) as (count, tensors):
-        assert count == 2
-        name, arr = next(tensors)
-        assert name == "first" and arr.shape == (64, 64)
-    assert set(threading.enumerate()) == before
-
-
-def test_an_error_in_the_crc_worker_is_raised_in_the_caller(tmp_path, monkeypatch):
+def test_a_failing_crc32_propagates_and_leaves_no_temporary(tmp_path, monkeypatch):
     path = tmp_path / "w.knz"
     archive_write(path, {"w": np.ones(4096)})
-    before = set(threading.enumerate())
 
     def failing_crc32(data, value=0):
         raise MemoryError("crc32 failed")
@@ -366,7 +354,6 @@ def test_an_error_in_the_crc_worker_is_raised_in_the_caller(tmp_path, monkeypatc
         archive_write(tmp_path / "new.knz", {"w": np.ones(4096)})
     with pytest.raises(MemoryError, match="crc32 failed"):
         archive_read(path)
-    assert set(threading.enumerate()) == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["w.knz"]
 
 

@@ -2,7 +2,9 @@ import csv
 import errno
 import io
 import json
+import math
 import os
+import struct
 import subprocess
 import sys
 import threading
@@ -16,6 +18,7 @@ from conftest import stored_param_count
 from kronlm.archive import archive_read, archive_write, load_model, save_model
 from kronlm import archive, cli
 from kronlm.cli import build_parser, main
+from kronlm.errors import KronlmError
 from kronlm.kronecker import kron, rearrange
 from kronlm.layers import CompressionSchedule, KroneckerEmbedding, KroneckerLinear
 from kronlm.model import (
@@ -794,6 +797,43 @@ def test_a_failed_compress_leaves_the_old_output_and_no_temporary_or_thread(
     assert threading.active_count() == threads
 
 
+def _structural_offsets(data: bytes) -> list:
+    """The offsets of the header and of every tensor's name length, dtype,
+    rank and dims in the archive ``data``."""
+    offsets, pos = list(range(12)), 12
+    for _ in range(struct.unpack_from("<I", data, 8)[0]):
+        (name_len,) = struct.unpack_from("<H", data, pos)
+        dims_at = pos + 4 + name_len
+        tag, rank = data[dims_at - 2: dims_at]
+        offsets += [pos, pos + 1, dims_at - 2, dims_at - 1, *range(dims_at, dims_at + 8 * rank)]
+        size = math.prod(struct.unpack_from(f"<{rank}Q", data, dims_at))
+        pos = dims_at + 8 * rank + size * {1: 4, 2: 8}[tag]
+    return offsets
+
+
+@pytest.mark.parametrize("entry", ["load_model", "compress"])
+def test_every_structural_byte_flipped_or_cut_fails_typed(tmp_path, capsys, entry):
+    cfg = GPTConfig(n_layers=2, n_heads=2, d_model=8, d_ff=32, vocab_size=16, max_seq_len=16)
+    good = tmp_path / "t.knz"
+    save_model(TinyGPTModel.init_random(cfg), good)
+    data = good.read_bytes()
+    offsets = _structural_offsets(data)
+    assert len(offsets) == 12 + sum(4 + 8 * arr.ndim for _, arr in archive_read(good).items())
+    cases = [data[:i] + bytes([data[i] ^ flip]) + data[i + 1:]
+             for i in offsets for flip in (0x01, 0x80, 0xFF)]
+    cases += [data[:i] for i in offsets]
+    bad, out = tmp_path / "bad.knz", tmp_path / "s.knz"
+    for i, content in enumerate(cases):
+        bad.write_bytes(content)
+        if entry == "load_model":
+            with pytest.raises(KronlmError):
+                load_model(bad)
+        else:
+            assert run_cli("compress", "--input", bad, "--output", out) == 1, i
+            assert f"error: --input {bad}: " in capsys.readouterr().err, i
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("n_layers", [2, 4])
 def test_compress_holds_the_student_and_one_teacher_tensor_at_a_time(tmp_path, n_layers):
     cfg = GPTConfig(n_layers=n_layers, n_heads=2, d_model=128, d_ff=512, vocab_size=16,
@@ -812,8 +852,8 @@ def test_compress_holds_the_student_and_one_teacher_tensor_at_a_time(tmp_path, n
         finally:
             tracemalloc.stop()
     student = sum(arr.nbytes for _, arr in load_model(tmp_path / "s.knz").named_parameters())
-    # besides the student: one teacher tensor, the solver's copy of it and the
-    # CRC worker's queue; the whole teacher is 6 (2 blocks) to 12 times the largest
+    # besides the student: one teacher tensor and the solver's copy of it; the
+    # whole teacher is 6 (2 blocks) to 12 times the largest
     assert max(peaks) < student + 2.5 * largest, (peaks, student, largest)
 
 
