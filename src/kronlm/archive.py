@@ -26,14 +26,15 @@ Names are UTF-8 both ways: one that cannot be encoded or decoded is an
 ``ArchiveError``. Writes go to a temporary file, which is renamed into
 place only once every tensor is written, and removed on any error.
 
-Model checkpoints add a ``__meta__`` record of the config. ``load_model``
-reads a whole checkpoint into a model; ``read_checkpoint`` gives its
-tensors one at a time, in file order, for ``kronlm compress``, which so
-holds the student it builds and at most one teacher tensor and its factors
-at a time (tensors stored ahead of their layer wait for it), and writes
-the student only after the input's CRC has been checked. Both name the
-offending tensor as ``from_tensors`` does, and both report a file that
-fails its CRC as that before anything about its tensors.
+Model checkpoints add a ``__meta__`` record of the config. There is one
+checkpoint reader, ``read_checkpoint``, which gives the config and then the
+tensors one at a time, in file order, to the model's one layout walk:
+``load_model`` is ``from_tensors`` over it, and ``kronlm compress`` passes
+it to ``compress_model``, which so holds the student it builds and at most
+one teacher tensor and its factors at a time (tensors stored ahead of their
+layer wait for it), and writes the student only after the input's CRC has
+been checked. Either way the walk names the offending tensor, and a file
+that fails its CRC is reported as that before anything about its tensors.
 """
 
 from __future__ import annotations
@@ -235,16 +236,10 @@ def save_model(model: TinyGPTModel, path) -> None:
 
 
 def load_model(path) -> TinyGPTModel:
-    """The model stored at ``path``; an archive error names the file."""
-    try:
-        tensors = archive_read(path)
-        config = _config(tensors.pop(_META_NAME, None))
-        return TinyGPTModel.from_tensors(
-            config, {name: arr.astype(np.float64, copy=False) for name, arr in tensors.items()})
-    except ShapeError as exc:  # about the checkpoint's tensors
-        raise ArchiveError(f"{path}: checkpoint {exc}") from exc
-    except ArchiveError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
+    """The model stored at ``path``: read_checkpoint's tensors, built by
+    ``from_tensors``. Its errors are read_checkpoint's."""
+    with read_checkpoint(path) as (config, tensors):
+        return TinyGPTModel.from_tensors(config, dict(tensors))
 
 
 @contextmanager
@@ -253,11 +248,10 @@ def read_checkpoint(path):
     to back (archive_reader): its GPTConfig and an iterator over every
     tensor but __meta__, as (name, float64 array) pairs. Tensors stored
     before __meta__ are held until it is read, and come first, each dropped
-    as it goes. Errors are those of load_model, raised in the same order: an
-    ArchiveError naming the file, which a ShapeError raised in the block,
-    about the checkpoint's tensors, becomes; and a KronlmError raised in the
-    block is raised only once the rest of the file has been read, so that a
-    file that fails its CRC is reported as that."""
+    as it goes. An error of the file is an ArchiveError naming it, and so is
+    a ShapeError raised in the block, about the checkpoint's tensors; a
+    KronlmError raised in the block is raised only once the rest of the file
+    has been read, so that a file that fails its CRC is reported as that."""
     try:
         with archive_reader(path) as (count, stream):
             try:

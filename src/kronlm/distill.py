@@ -61,7 +61,7 @@ class DistillWeights:
         return self.alpha1 > 0 or self.alpha2 > 0 or self.alpha3 > 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     batch_size: int = 8
     learning_rate: float = 2.5e-4

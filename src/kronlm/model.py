@@ -14,10 +14,11 @@ returns the trace as tape nodes, ``forward`` as arrays.
 each layer under its role: on the model, or on ``blocks[i]``, a namespace,
 for block i. The forward reads the named tensor map of
 ``named_parameters``: a layer whose ``a``/``b`` pair is stored is factored.
-Compression is one loop, in ``compress_model``, over a stream of (name,
-array) pairs: a model's tensors, or for ``kronlm compress`` a checkpoint's,
-read one at a time. The layer objects are read only through ``_arrays`` and
-built only by ``_make_layer``.
+One walk, ``_collect_layers``, turns (name, array) pairs, in any order,
+into the checked layers of every model: ``from_tensors`` (so also
+``init_random``, ``copy`` and ``load_model``) and ``compress_model``, whose
+pairs may be a checkpoint's, read one at a time. The layer objects are read
+only through ``_arrays`` and built only by ``_make_layer``.
 
 A trace also keeps each block's attention keys and values. Passed back as
 ``forward_tape(..., past=trace)``, it makes the forward incremental: the new
@@ -177,9 +178,9 @@ def stored_factors(layer: LayerSpec, tensors: dict):
         return None
     (a_name, _), (b_name, _) = layer_tensors(layer, (0, 0, 0, 0))[:2]  # names only
     a, b = tensors.get(a_name), tensors.get(b_name)
-    if a is None or b is None:
-        return None
-    return a.shape + b.shape if a.ndim == b.ndim == 2 else None
+    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and a.ndim == b.ndim == 2:
+        return a.shape + b.shape
+    return None
 
 
 def check_tensor_count(config: GPTConfig, n_tensors: int) -> None:
@@ -192,8 +193,14 @@ def check_tensor_count(config: GPTConfig, n_tensors: int) -> None:
 
 def _checked_factors(layer: LayerSpec, tensors: dict):
     """stored_factors of a layer, once ``tensors`` is found to hold each of
-    its tensors with its shape; raises ShapeError naming the first that it
-    does not, or a factor pair whose product is not the layer's shape."""
+    its tensors as a float64 array of its shape; raises ShapeError naming the
+    first that it does not (a non-float64 one of either form first), or a
+    factor pair whose product is not the layer's shape."""
+    for name, _ in layer_tensors(layer) + layer_tensors(layer, (0, 0, 0, 0))[:2]:
+        arr = tensors.get(name)
+        if name in tensors and not (isinstance(arr, np.ndarray) and arr.dtype == np.float64):
+            found = f"dtype {arr.dtype}" if isinstance(arr, np.ndarray) else type(arr).__name__
+            raise ShapeError(f"tensor {name!r}: expected a float64 array, found {found}")
     factors = stored_factors(layer, tensors)
     expected = layer_tensors(layer, factors)
     if factors is not None and (
@@ -214,7 +221,7 @@ def _reject_extra(pairs) -> None:
     """Raises ShapeError naming the first of the (name, array) ``pairs``
     left over once every layer has taken its tensors."""
     for name, arr in pairs:
-        raise ShapeError(f"tensors include an unexpected tensor {name!r} of shape {arr.shape}")
+        raise ShapeError(f"tensors include an unexpected tensor {name!r} of shape {np.shape(arr)}")
 
 
 def _token_ids(tokens) -> np.ndarray:
@@ -264,6 +271,41 @@ def _make_layer(kind: str, arrays: list, factored: bool):
     return DenseLinear(arrays[0], bias)
 
 
+def _collect_layers(plan: list, pairs, copy: bool = False) -> tuple:
+    """({LayerSpec: layer object}, [(weight name, DecompositionReport)]) of
+    the layers ``plan`` (_planned_factors) lays out, over (name, array)
+    ``pairs`` in any order: a pair read ahead of its layer is held until the
+    layer comes up. Each layer is checked by _checked_factors once it has its
+    tensors; a weight the plan factors is solved and dropped, and the other
+    arrays are kept, or copied with ``copy``. Raises ShapeError naming a
+    tensor that does not fit, a planned layer stored factored already, or a
+    tensor left over."""
+    source, held, layers, reports = iter(pairs), {}, {}, []
+    for layer, factors in plan:
+        weight = layer_tensors(layer)[0][0]
+        # hold pairs until each tensor of the form the layer is stored in is held, or none is left
+        while any(name not in held for name, _ in layer_tensors(layer, stored_factors(layer, held))):
+            if (item := next(source, None)) is None:
+                break
+            held[item[0]] = item[1]
+        stored = _checked_factors(layer, held)
+        names = [name for name, _ in layer_tensors(layer, stored)]
+        arrays = []
+        if factors is not None:
+            if stored is not None:
+                raise ShapeError(f"{weight}: compress_model expects a dense teacher layer")
+            try:
+                pair, report = nearest_kron(held.pop(names.pop(0)), *factors)
+            except (KronlmError, np.linalg.LinAlgError) as exc:
+                raise type(exc)(f"{weight}: {exc}") from exc
+            arrays, stored = [pair.a, pair.b], factors
+            reports.append((weight, report))
+        arrays += [held.pop(name).copy() if copy else held.pop(name) for name in names]
+        layers[layer] = _make_layer(layer.kind, arrays, stored is not None)
+    _reject_extra(itertools.chain(held.items(), source))
+    return layers, reports
+
+
 class TinyGPTModel:
     def __init__(self, config: GPTConfig, layers: dict):
         """Model over ``{LayerSpec: layer object}`` for param_layout(config):
@@ -282,19 +324,12 @@ class TinyGPTModel:
         factored.
 
         Raises ShapeError unless ``tensors`` holds exactly the tensors that
-        param_layout names for ``config``, each with its shape, and each
-        factor pair's product has its layer's dense shape.
+        param_layout names for ``config``, each a float64 array of its shape,
+        and each factor pair's product has its layer's dense shape.
         """
         check_tensor_count(config, len(tensors))
-        made, names = {}, set()
-        for layer in param_layout(config):
-            factors = _checked_factors(layer, tensors)
-            expected = [name for name, _ in layer_tensors(layer, factors)]
-            names.update(expected)
-            made[layer] = _make_layer(layer.kind, [tensors[name] for name in expected],
-                                      factors is not None)
-        _reject_extra((name, arr) for name, arr in tensors.items() if name not in names)
-        return cls(config, made)
+        layers, _ = _collect_layers(_planned_factors(config, None), tensors.items())
+        return cls(config, layers)
 
     @classmethod
     def init_random(cls, config: GPTConfig) -> "TinyGPTModel":
@@ -469,58 +504,19 @@ def compress_model(
     accepted and ignored: the decomposition is exact and draws nothing
     random.
 
-    ``teacher`` is a TinyGPTModel, whose kept arrays are copied, so that the
-    student shares none with it; or the ``(config, tensors)`` of a
-    checkpoint read front to back (archive.read_checkpoint), whose (name,
-    array) pairs are taken as they come, in any order, and kept as they are.
-    A tensor read ahead of its layer is held until the layer comes up, and
-    each planned weight is dropped once solved, so the teacher is never held
-    whole. Each layer gets the checks of ``from_tensors`` when it comes up,
-    and a tensor left once the layout is done is unexpected: each is a
-    ShapeError naming the tensor, as is a planned layer that the teacher
-    already stores factored. A schedule that does not fit the teacher raises
-    as in _planned_factors.
+    ``teacher`` is a TinyGPTModel, whose kept arrays are copied so that the
+    student shares none with it, or the ``(config, tensors)`` of
+    archive.read_checkpoint, whose arrays are kept. Both go through the walk
+    of ``from_tensors`` (_collect_layers), which drops each planned weight
+    once solved, so a streamed teacher is never held whole. It raises
+    ShapeError as ``from_tensors`` does, and for a planned layer the teacher
+    stores factored; a schedule that does not fit raises as in
+    _planned_factors.
     """
-    if isinstance(teacher, TinyGPTModel):
-        config, own = teacher.config, dict(teacher.named_parameters())
-        source = iter(own.items())
-    else:
-        (config, tensors), own = teacher, {}
-        source = iter(tensors)
-    held, student, reports = {}, {}, []
-
-    def read_until(ready) -> None:
-        """Hold the pairs of ``source`` until ``ready()`` or its end."""
-        while not ready() and (pair := next(source, None)) is not None:
-            held[pair[0]] = pair[1]
-
-    def keep(name: str) -> None:
-        arr = held.pop(name)
-        student[name] = arr.copy() if arr is own.get(name) else arr
-
-    for layer, factors in _planned_factors(config, schedule):
-        weight = layer_tensors(layer)[0][0]
-        read_until(lambda: weight in held or stored_factors(layer, held) is not None)
-        names = [name for name, _ in layer_tensors(layer, stored_factors(layer, held))]
-        read_until(lambda: all(name in held for name in names))
-        stored = _checked_factors(layer, held)
-        if factors is None:
-            for name in names:
-                keep(name)
-            continue
-        if stored is not None:
-            raise ShapeError(f"{weight}: compress_model expects a dense teacher layer")
-        try:
-            pair, report = nearest_kron(held.pop(weight), *factors)
-        except (KronlmError, np.linalg.LinAlgError) as exc:
-            raise type(exc)(f"{weight}: {exc}") from exc
-        (a, _), (b, _) = layer_tensors(layer, factors)[:2]
-        student[a], student[b] = pair.a, pair.b
-        reports.append((weight, report))
-        for name in names[1:]:  # the bias, if any
-            keep(name)
-    _reject_extra(itertools.chain(held.items(), source))
-    return TinyGPTModel.from_tensors(config, student), reports
+    own = isinstance(teacher, TinyGPTModel)
+    config, pairs = (teacher.config, teacher.named_parameters()) if own else teacher
+    layers, reports = _collect_layers(_planned_factors(config, schedule), pairs, copy=own)
+    return TinyGPTModel(config, layers), reports
 
 
 def _planned_factors(config: GPTConfig, schedule: CompressionSchedule | None) -> list:

@@ -24,12 +24,14 @@ from kronlm.archive import (
     load_model,
     save_model,
 )
+from kronlm.cli import main
 from kronlm.errors import (
     ArchiveError,
     BadMagicError,
     BadVersionError,
     CrcError,
     DuplicateNameError,
+    ShapeError,
     TruncationError,
 )
 from kronlm.layers import CompressionSchedule
@@ -433,29 +435,48 @@ def test_compressed_checkpoint_roundtrip(tmp_path):
     assert np.array_equal(loaded.forward(tokens).logits, student.forward(tokens).logits)
 
 
+def _edited(pairs, name, stored):
+    """``pairs`` with the pairs of ``stored`` in place of tensor ``name``, or
+    after the last pair if none has that name."""
+    out = [pair for n, arr in pairs for pair in (stored.items() if n == name else [(n, arr)])]
+    return out if name in dict(pairs) else out + list(stored.items())
+
+
 @pytest.mark.parametrize(
-    "name, value, message",
+    "name, stored, message",
     [
-        ("block1.wq.weight", np.zeros((8, 4)),
+        ("block1.wq.weight", {"block1.wq.weight": np.zeros((8, 4))},
          r"'block1\.wq\.weight': expected shape \(8, 8\), found \(8, 4\)"),
-        ("block1.ln2.gain", np.ones(5), r"'block1\.ln2\.gain': expected shape \(8,\), found \(5,\)"),
-        ("ln_f.bias", None, r"'ln_f\.bias': expected shape \(8,\), found no tensor"),
-        ("block1.wq.extra", np.zeros(3), r"unexpected tensor 'block1\.wq\.extra' of shape \(3,\)"),
+        ("block1.ln2.gain", {"block1.ln2.gain": np.ones(5)},
+         r"'block1\.ln2\.gain': expected shape \(8,\), found \(5,\)"),
+        ("ln_f.bias", {}, r"'ln_f\.bias': expected shape \(8,\), found no tensor"),
+        ("block1.wq.extra", {"block1.wq.extra": np.zeros(3)},
+         r"unexpected tensor 'block1\.wq\.extra' of shape \(3,\)"),
+        # stored both ways, in the order weight, a, b, bias
+        ("block0.wq.weight", {"block0.wq.weight": np.zeros((8, 8)), "block0.wq.a": np.zeros((4, 4)),
+                              "block0.wq.b": np.zeros((2, 2))},
+         r"unexpected tensor 'block0\.wq\.weight' of shape \(8, 8\)"),
     ],
-    ids=["wrong_linear_shape", "wrong_norm_length", "missing_tensor", "extra_tensor"],
+    ids=["wrong_linear_shape", "wrong_norm_length", "missing_tensor", "extra_tensor",
+         "dense_and_factored"],
 )
-def test_load_model_checks_every_tensor_against_layout(tmp_path, name, value, message):
+def test_load_model_checks_every_tensor_against_layout(tmp_path, capsys, name, stored, message):
+    """from_tensors, load_model and kronlm compress name the same tensor."""
     cfg = GPTConfig(n_layers=2, n_heads=2, d_model=8, d_ff=16, vocab_size=16, max_seq_len=8, seed=4)
+    model = TinyGPTModel.init_random(cfg)
+    pairs = _edited(model.named_parameters(), name, stored)
     path = tmp_path / "m.knz"
-    save_model(TinyGPTModel.init_random(cfg), path)
-    tensors = archive_read(path)
-    if value is None:
-        del tensors[name]
-    else:
-        tensors[name] = value
-    archive_write(path, tensors)
-    with pytest.raises(ArchiveError, match=message):
+    save_model(model, path)
+    archive_write(path, [("__meta__", archive_read(path)["__meta__"])] + pairs)
+    with pytest.raises(ShapeError) as built:
+        TinyGPTModel.from_tensors(cfg, dict(pairs))
+    with pytest.raises(ArchiveError, match=rf"^{re.escape(str(path))}: checkpoint ") as loaded:
         load_model(path)
+    assert main(["compress", "--input", str(path), "--output", str(tmp_path / "s.knz")]) == 1
+    compressed = capsys.readouterr().err
+    assert f"error: --input {path}: checkpoint " in compressed
+    for err in (str(built.value), str(loaded.value), compressed):
+        assert re.search(message, err), err
 
 
 @pytest.mark.parametrize(

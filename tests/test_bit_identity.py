@@ -16,5 +16,5 @@ def test_bit_identity_quick_prints_one_sha256_per_item_then_the_total():
     assert proc.returncode == 0, proc.stderr
     lines = [line.split() for line in proc.stdout.splitlines()]
     assert [name for name, _ in lines] == ["train_phases", "study_students", "eval_ce",
-                                           "greedy_ids", "wide_student", "total"]
+                                           "greedy_ids", "wide_student", "checkpoints", "total"]
     assert all(re.fullmatch(r"[0-9a-f]{64}", digest) for _, digest in lines)

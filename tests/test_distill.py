@@ -1,7 +1,7 @@
 import json
 import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -218,6 +218,12 @@ def test_train_config_rejects_a_bad_learning_rate(lr):
 def test_train_config_names_a_learning_rate_that_is_not_a_real_number(lr):
     with pytest.raises(ValueError, match=f"^learning_rate must be a real number, got {re.escape(repr(lr))}$"):
         TrainConfig(learning_rate=lr)
+
+
+def test_train_config_is_frozen():
+    config = TrainConfig()
+    with pytest.raises(FrozenInstanceError):
+        config.learning_rate = "0.1"  # would get round __post_init__'s checks
 
 
 @pytest.mark.parametrize("index, value", [(0, True), (1, "0.5"), (3, None), (2, False)])

@@ -145,18 +145,27 @@ def test_compress_model_names_a_non_finite_weight(small_teacher):
         compress_model(teacher, schedule)
 
 
-@pytest.mark.parametrize("build", ["copy", "compress"])
+@pytest.mark.parametrize("build", ["copy", "compress", "from_tensors"])
 def test_copy_and_compress_check_tensors_against_the_layout(small_teacher, build):
-    teacher = small_teacher.copy()
-    cfg = teacher.config
+    cfg = small_teacher.config
     d = cfg.d_model
-    teacher.blocks[0].ln1.gain = np.ones(d + 1)
-    message = rf"'block0\.ln1\.gain': expected shape \({d},\), found \({d + 1},\)"
-    with pytest.raises(ShapeError, match=message):
-        if build == "copy":
-            teacher.copy()
-        else:
-            compress_model(teacher, CompressionSchedule.for_dims(cfg.n_layers, d, cfg.d_ff))
+    float64 = r"'block0\.wq\.weight': expected a float64 array, found "
+    for role, attr, value, message in [
+        ("ln1", "gain", np.ones(d + 1),
+         rf"'block0\.ln1\.gain': expected shape \({d},\), found \({d + 1},\)"),
+        ("wq", "weight", np.ones((d, d), dtype=np.int64), float64 + "dtype int64$"),
+        ("wq", "weight", np.ones((d, d)).tolist(), float64 + "list$"),
+        ("wq", "weight", np.ones((d, d), dtype=np.complex128), float64 + "dtype complex128$"),
+    ]:
+        teacher = small_teacher.copy()
+        setattr(getattr(teacher.blocks[0], role), attr, value)
+        with pytest.raises(ShapeError, match=message):
+            if build == "copy":
+                teacher.copy()
+            elif build == "compress":
+                compress_model(teacher, CompressionSchedule.for_dims(cfg.n_layers, d, cfg.d_ff))
+            else:
+                TinyGPTModel.from_tensors(cfg, dict(teacher.named_parameters()))
 
 
 def test_compress_model_rejects_an_already_factored_layer(small_student):

@@ -15,6 +15,10 @@ sha256 per item, then the sha256 of all of them:
     greedy_ids      16 greedy ids of each of those models
     wide_student    a GPT-2-width (2 blocks, d_model 768) compressed student
                     and its reports; its solves span many TSQR slabs
+    checkpoints     the save_model bytes of the trained teacher and of the
+                    factor-2 student, and the state_hash that load_model
+                    gives for each, and for a float32 copy of each with
+                    __meta__ stored last
 
 Run it on two trees (say, a checkout of the parent commit and the working
 tree): a change that leaves the arithmetic alone prints the same lines.
@@ -24,11 +28,12 @@ tree): a change that leaves the arithmetic alone prints the same lines.
 import argparse
 import hashlib
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
-ITEMS = ("train_phases", "study_students", "eval_ce", "greedy_ids", "wide_student")
+ITEMS = ("train_phases", "study_students", "eval_ce", "greedy_ids", "wide_student", "checkpoints")
 
 
 def shapes(quick: bool) -> dict:
@@ -47,6 +52,7 @@ def shapes(quick: bool) -> dict:
 
 def fingerprint(quick: bool) -> dict:
     """{item: sha256 hex} for the kronlm on sys.path."""
+    from kronlm.archive import archive_read, archive_write, load_model, save_model
     from kronlm.distill import TrainConfig, evaluate_lm, run_phase, weights_for_mode
     from kronlm.layers import CompressionSchedule
     from kronlm.model import GPTConfig, TinyGPTModel, compress_model
@@ -88,6 +94,16 @@ def fingerprint(quick: bool) -> dict:
 
     wide = TinyGPTModel.init_random(GPTConfig(**dims["wide"]))
     compress(wide, 2, "wide_student")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.knz"
+        for model in (teacher, student0):
+            save_model(model, path)
+            put("checkpoints", hashlib.sha256(path.read_bytes()).hexdigest(),
+                load_model(path).state_hash())
+            tensors = [(name, arr.astype(np.float32)) for name, arr in archive_read(path).items()]
+            archive_write(path, tensors[1:] + tensors[:1])  # __meta__ last
+            put("checkpoints", load_model(path).state_hash())
     return {item: h.hexdigest() for item, h in hashes.items()}
 
 
