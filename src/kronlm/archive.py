@@ -19,9 +19,11 @@ detected either structurally or by the trailing CRC. There is one writer,
 buffer, and one reader, ``archive_reader``, which yields one tensor at a
 time, as it is read, after checking every length against the file size
 before it allocates, and checks the trailing CRC once the last tensor has
-been read; ``archive_read`` is a dict over it. The CRC is chained, in the
-calling thread, over each buffer as it is written or read, in file order
-and with no copy.
+been read; ``archive_read`` is a dict over it. Every error about a file's
+contents, whichever reader raises it, is an ``ArchiveError`` whose message
+starts with the file's path, once. The CRC is chained, in the calling
+thread, over each buffer as it is written or read, in file order and with
+no copy.
 Names are UTF-8 both ways: one that cannot be encoded or decoded is an
 ``ArchiveError``. Writes go to a temporary file, which is renamed into
 place only once every tensor is written, and removed on any error.
@@ -205,16 +207,21 @@ def archive_reader(path):
     order. Each pair is read when it is asked for, so a caller can drop one
     before it reads the next; the trailing CRC is checked once the last one
     is read, and a name stored twice is a DuplicateNameError. Leaving the
-    block closes the file, however far the iteration got."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC:
-            raise BadMagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
-        cur = _Reader(fh, magic)
-        version, count = struct.unpack("<II", cur.take(8, "header"))
-        if version != VERSION:
-            raise BadVersionError(f"unsupported archive version {version}")
-        yield count, cur.tensors(count)
+    block closes the file, however far the iteration got. An ArchiveError,
+    the reader's or one raised in the block, is raised with ``path`` in
+    front of its message."""
+    try:
+        with open(path, "rb") as fh:
+            magic = fh.read(4)
+            if magic != MAGIC:
+                raise BadMagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
+            cur = _Reader(fh, magic)
+            version, count = struct.unpack("<II", cur.take(8, "header"))
+            if version != VERSION:
+                raise BadVersionError(f"unsupported archive version {version}")
+            yield count, cur.tensors(count)
+    except ArchiveError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def archive_read(path) -> dict:
@@ -252,28 +259,25 @@ def read_checkpoint(path):
     a ShapeError raised in the block, about the checkpoint's tensors; a
     KronlmError raised in the block is raised only once the rest of the file
     has been read, so that a file that fails its CRC is reported as that."""
-    try:
-        with archive_reader(path) as (count, stream):
-            try:
-                held, meta = {}, None
-                for name, arr in stream:
-                    if name == _META_NAME:
-                        meta = arr
-                        break
-                    held[name] = arr
-                config = _config(meta)
-                check_tensor_count(config, count - 1)  # before the config sizes a layout
-                early = ((name, held.pop(name)) for name in list(held))
-                yield config, ((name, arr.astype(np.float64, copy=False))
-                               for name, arr in itertools.chain(early, stream))
-            except KronlmError as exc:
-                for _ in stream:  # an error of the file itself comes first
-                    pass
-                if isinstance(exc, ShapeError):
-                    raise ArchiveError(f"checkpoint {exc}") from exc
-                raise
-    except ArchiveError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
+    with archive_reader(path) as (count, stream):
+        try:
+            held, meta = {}, None
+            for name, arr in stream:
+                if name == _META_NAME:
+                    meta = arr
+                    break
+                held[name] = arr
+            config = _config(meta)
+            check_tensor_count(config, count - 1)  # before the config sizes a layout
+            early = ((name, held.pop(name)) for name in list(held))
+            yield config, ((name, arr.astype(np.float64, copy=False))
+                           for name, arr in itertools.chain(early, stream))
+        except KronlmError as exc:
+            for _ in stream:  # an error of the file itself comes first
+                pass
+            if isinstance(exc, ShapeError):
+                raise ArchiveError(f"checkpoint {exc}") from exc
+            raise
 
 
 def _config(meta) -> GPTConfig:

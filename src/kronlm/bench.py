@@ -3,9 +3,9 @@ analytic flop counts, and parameter ratios across the standard shape table."""
 
 from __future__ import annotations
 
+import csv
 import io
 import timeit
-from dataclasses import dataclass, fields
 
 from .kronecker import (
     KroneckerPair,
@@ -29,28 +29,6 @@ DEFAULT_SHAPES = (
     (48, 12, 24, 12, 2, 1),
     (12, 48, 12, 24, 1, 2),
 )
-
-
-@dataclass
-class BenchRow:
-    m: int
-    n: int
-    m1: int
-    n1: int
-    m2: int
-    n2: int
-    params_dense: int
-    params_kron: int
-    param_ratio: float
-    flops_dense: int
-    flops_kron: int
-    flop_ratio: float
-    dense_ms: float
-    kron_ms: float
-    speedup: float
-    dense_bwd_ms: float
-    kron_bwd_ms: float
-    bwd_speedup: float
 
 
 def _time_call(fn, repeats: int) -> float:
@@ -77,30 +55,30 @@ def run_bench(shapes=DEFAULT_SHAPES, rows: int = 32, repeats: int = 5, seed: int
         kron_bwd_ms = _time_call(lambda: kron_matmul_grads(pair, x, up), repeats)
         fd = dense_matmul_flops(rows, m, n)
         fk = kron_matmul_flops(rows, m1, n1, m2, n2)
-        out.append(
-            BenchRow(
-                m=m, n=n, m1=m1, n1=n1, m2=m2, n2=n2,
-                params_dense=m * n,
-                params_kron=m1 * n1 + m2 * n2,
-                param_ratio=compression_factor(m, n, m1, n1, m2, n2),
-                flops_dense=fd,
-                flops_kron=fk,
-                flop_ratio=fd / fk,
-                dense_ms=dense_ms,
-                kron_ms=kron_ms,
-                speedup=_ratio(dense_ms, kron_ms),
-                dense_bwd_ms=dense_bwd_ms,
-                kron_bwd_ms=kron_bwd_ms,
-                bwd_speedup=_ratio(dense_bwd_ms, kron_bwd_ms),
-            )
-        )
+        out.append({
+            "m": m, "n": n, "m1": m1, "n1": n1, "m2": m2, "n2": n2,
+            "params_dense": m * n,
+            "params_kron": m1 * n1 + m2 * n2,
+            "param_ratio": compression_factor(m, n, m1, n1, m2, n2),
+            "flops_dense": fd,
+            "flops_kron": fk,
+            "flop_ratio": fd / fk,
+            "dense_ms": dense_ms,
+            "kron_ms": kron_ms,
+            "speedup": _ratio(dense_ms, kron_ms),
+            "dense_bwd_ms": dense_bwd_ms,
+            "kron_bwd_ms": kron_bwd_ms,
+            "bwd_speedup": _ratio(dense_bwd_ms, kron_bwd_ms),
+        })
     return out
 
 
 def rows_to_csv(rows) -> str:
-    names = [f.name for f in fields(BenchRow)]
+    """``run_bench``'s rows as CSV: a header of their keys, then one line per
+    row; no rows give an empty string."""
     buf = io.StringIO()
-    buf.write(",".join(names) + "\n")
-    for row in rows:
-        buf.write(",".join(str(getattr(row, name)) for name in names) + "\n")
+    if rows:
+        writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
     return buf.getvalue()

@@ -5,7 +5,8 @@ command is deterministic for a fixed seed, apart from wall-clock fields in
 metrics and benchmark output; compress and eval draw nothing random, so
 neither output depends on a seed. Exit code 0 on success; failures print a
 diagnostic to stderr and exit nonzero. An error about a file names the flag that gave it,
-and every output's directory is checked before any work starts.
+every compress planning error names its flag (--factor, --embedding-factor or
+--layers), and every output's directory is checked before any work starts.
 
 compress reads the teacher one tensor at a time and solves it or keeps it
 for the student before it reads the next, so it holds the student and at
@@ -107,8 +108,13 @@ def _shapes(value: str) -> list:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kronlm")
     sub = parser.add_subparsers(dest="command", required=True)
+    text = argparse.ArgumentParser(add_help=False)  # the flags train and eval share
+    text.add_argument("--corpus", required=True, nargs="+")
+    text.add_argument("--seq-len", type=_count, default=64)
+    text.add_argument("--val-ratio", type=_ratio, default=0.1)
 
     p = sub.add_parser("compress", help="Kronecker-compress a checkpoint")
+    p.set_defaults(run=cmd_compress)
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--report", default=None, help="write a JSON compression report here")
@@ -120,10 +126,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--include-wo", type=_onoff, default=True, metavar="on|off")
     _add_seed(p)
 
-    p = sub.add_parser("train", help="train a student against a frozen teacher")
+    p = sub.add_parser("train", parents=[text], help="train a student against a frozen teacher")
+    p.set_defaults(run=cmd_train)
     p.add_argument("--teacher", default=None)
     p.add_argument("--student", required=True)
-    p.add_argument("--corpus", required=True, nargs="+")
     p.add_argument("--mode", default="lm+kd", choices=PHASE_MODES)
     p.add_argument("--steps", type=_count, default=None,
                    help="training steps (default: one pass over the training split, "
@@ -133,21 +139,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphas", default=None,
                    help="a1,a2,a3,a4 loss weights overriding the mode defaults "
                         "(ignored by --mode none)")
-    p.add_argument("--seq-len", type=_count, default=64)
-    p.add_argument("--val-ratio", type=_ratio, default=0.1)
     p.add_argument("--output", default=None, help="trained checkpoint path (default: --student)")
     p.add_argument("--metrics", default=None, help="JSONL metrics history path (empty under --mode none)")
     _add_seed(p)
 
-    p = sub.add_parser("eval", help="validation cross entropy and perplexity")
+    p = sub.add_parser("eval", parents=[text], help="validation cross entropy and perplexity")
+    p.set_defaults(run=cmd_eval)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--corpus", required=True, nargs="+")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--seq-len", type=_count, default=64)
-    p.add_argument("--val-ratio", type=_ratio, default=0.1)
     p.add_argument("--max-windows", type=_count, default=None)
 
     p = sub.add_parser("bench", help="dense vs factored matmul microbenchmark")
+    p.set_defaults(run=cmd_bench)
     p.add_argument("--shapes", type=_shapes, default=None,
                    help="semicolon-separated m,n,m1,n1,m2,n2 tuples (default: shape table)")
     p.add_argument("--rows", type=_count, default=32)
@@ -260,16 +263,20 @@ def _schedule(args, cfg) -> CompressionSchedule:
     except PlanningError as exc:  # name the flag that set f
         flag = "--factor" if args.embedding_factor is None else "--embedding-factor"
         raise PlanningError(f"{flag} {f}: {exc}") from None
-    return CompressionSchedule.for_dims(
-        n_layers=cfg.n_layers,
-        d_model=cfg.d_model,
-        d_ff=cfg.d_ff,
-        factor=args.factor,
-        layers=_layer_selector(args.layers, cfg.n_layers),
-        compress_embedding=args.embedding,
-        embedding_factor=args.embedding_factor,
-        include_wo=args.include_wo,
-    )
+    layers = _layer_selector(args.layers, cfg.n_layers)
+    try:
+        return CompressionSchedule.for_dims(
+            n_layers=cfg.n_layers,
+            d_model=cfg.d_model,
+            d_ff=cfg.d_ff,
+            factor=args.factor,
+            layers=layers,
+            compress_embedding=args.embedding,
+            embedding_factor=args.embedding_factor,
+            include_wo=args.include_wo,
+        )
+    except PlanningError as exc:  # blocks and embedding are checked above: a matrix split
+        raise PlanningError(f"--factor {args.factor}: {exc}") from None
 
 
 def cmd_compress(args) -> int:
@@ -388,15 +395,10 @@ def cmd_bench(args) -> int:
 
 
 def main(argv=None) -> int:
+    # built per call, so a handler patched on this module is the one that runs
     args = build_parser().parse_args(argv)
-    handlers = {
-        "compress": cmd_compress,
-        "train": cmd_train,
-        "eval": cmd_eval,
-        "bench": cmd_bench,
-    }
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except (KronlmError, OSError, ValueError) as exc:
         print(f"kronlm {args.command}: error: {exc}", file=sys.stderr)
         return 1

@@ -67,6 +67,15 @@ def test_f32_roundtrip_and_order_preserved(tmp_path):
     assert np.array_equal(back["alpha"], a)
 
 
+def test_a_non_contiguous_array_round_trips_bit_exact(tmp_path):
+    path = tmp_path / "t.knz"
+    w = np.arange(12, dtype=np.float64).reshape(3, 4) / 7
+    archive_write(path, {"w": w.T})  # a transposed view: Fortran-ordered, not C-contiguous
+    back = archive_read(path)["w"]
+    assert back.shape == (4, 3)
+    assert back.tobytes() == np.ascontiguousarray(w.T).tobytes()
+
+
 def test_every_single_byte_flip_is_detected(tmp_path):
     path = tmp_path / "fuzz.knz"
     archive_write(path, {"a": np.array([[1.0, 2.0]]), "b": np.float32([3.0, 4.0, 5.0])})
@@ -220,6 +229,7 @@ def test_archive_faults_are_rejected_by_name(tmp_path, case, error, message):
         data = _archive_bytes(("w", 2, (1,), bytes(8)), ("w", 2, (1,), bytes(8)))
         path.write_bytes(data if case == "stored_duplicate" else _archive_bytes()[:-2])
         call = lambda: archive_read(path)
+        message = f"{path}: {message}"  # a reader names its file
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
 

@@ -18,6 +18,8 @@ from conftest import stored_param_count
 from kronlm.archive import archive_read, archive_write, load_model, save_model
 from kronlm import archive, cli
 from kronlm.cli import build_parser, main
+from kronlm.corpus import load_corpus
+from kronlm.distill import TrainConfig, run_phase, weights_for_mode
 from kronlm.errors import KronlmError
 from kronlm.kronecker import kron, rearrange
 from kronlm.layers import CompressionSchedule, KroneckerEmbedding, KroneckerLinear
@@ -171,6 +173,22 @@ def test_compress_names_layers_when_a_block_index_is_out_of_range(tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("dims, flags, message", [
+    ({"d_model": 5, "n_heads": 1}, ["--embedding", "off"],
+     "--factor 2: no divisor split for (5, 5) at factor 2: both dims odd"),
+    ({"d_model": 8, "d_ff": 9}, ["--factor", 4],
+     "--factor 4: no divisor split for (9, 8) at factor 4: need both dims even"),
+], ids=["odd_d_model", "odd_d_ff"])
+def test_compress_names_factor_when_a_matrix_has_no_split(tmp_path, capsys, dims, flags,
+                                                          message):
+    path = tmp_path / "teacher_odd.knz"
+    save_model(TinyGPTModel.init_random(replace(CLI_CONFIG, **dims)), path)
+    out = tmp_path / "x.knz"
+    assert run_cli("compress", "--input", path, "--output", out, *flags) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _compress_exit(tmp_path, teacher_ckpt, *flags):
     """Exit code of ``compress`` with extra flags: argparse's 2 or the command's."""
     try:
@@ -249,6 +267,18 @@ def test_train_alphas_0001_equals_mode_lm(tmp_path, teacher_ckpt, corpus_file):
     ckpt_b, rec_b = train("lm", "--mode", "lm")
     assert rec_a == rec_b
     assert ckpt_a == ckpt_b
+
+
+def test_train_lr_and_val_ratio_reach_run_phase(tmp_path, teacher_ckpt, corpus_file):
+    out = tmp_path / "out.knz"
+    assert run_cli("train", "--student", teacher_ckpt, "--corpus", corpus_file, "--mode", "lm",
+                   "--output", out, "--seed", 3, "--batch", 2, "--seq-len", 16, "--steps", 2,
+                   "--lr", "0.5", "--val-ratio", "0.2") == 0
+    student = load_model(teacher_ckpt)
+    config = TrainConfig(batch_size=2, learning_rate=0.5, steps=2, seed=3, seq_len=16)
+    run_phase(student, None, load_corpus([corpus_file], val_ratio=0.2).train, config,
+              weights_for_mode("lm"))
+    assert load_model(out).state_hash() == student.state_hash()
 
 
 def test_train_alphas_override_every_mode(tmp_path, teacher_ckpt, corpus_file):
@@ -546,6 +576,18 @@ def test_bench_csv_rows_and_flop_columns(tmp_path, capsys):
     for row in rows:
         for col in ("dense_bwd_ms", "kron_bwd_ms", "bwd_speedup"):
             assert float(row[col]) > 0, (col, row)
+
+
+def test_bench_output_writes_the_csv_under_its_pinned_header(tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    assert run_cli("bench", "--shapes", "12,12,6,12,2,1", "--rows", 2, "--repeats", 1,
+                   "--output", out) == 0
+    assert capsys.readouterr().out == f"wrote {out}\n"
+    header, row, *rest = out.read_text().split("\n")
+    assert header == ("m,n,m1,n1,m2,n2,params_dense,params_kron,param_ratio,flops_dense,"
+                      "flops_kron,flop_ratio,dense_ms,kron_ms,speedup,dense_bwd_ms,kron_bwd_ms,"
+                      "bwd_speedup")
+    assert row.startswith("12,12,6,12,2,1,144,74,") and rest == [""]
 
 
 def test_bench_param_ratio_for_1024_example(capsys):
